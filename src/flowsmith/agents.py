@@ -79,7 +79,6 @@ class AtomicAgent:
     goal: Goal
     procedure: wf.Workflow
     toolset: frozenset[str]
-    constraints: tuple[frozenset[str], frozenset[str]]
     life: float
     stats: AgentStats = field(default_factory=AgentStats)
 
@@ -96,7 +95,6 @@ class AtomicAgent:
             goal=goal,
             procedure=procedure,
             toolset=wf.tools_in(procedure.root),
-            constraints=(goal.input_schema, goal.output_schema),
             life=config.l_init,
         )
 

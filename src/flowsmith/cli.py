@@ -24,8 +24,10 @@ from .errors import ConfigError, EngineError
 from .evaluation import (
     ExperimentConfig,
     MetricsReport,
+    csv_text,
     overall_pass_at_1,
     run_episodes,
+    transcripts_text,
     write_atomic,
 )
 from .evaluation import run_experiment as _run_experiment
@@ -81,13 +83,13 @@ def _load_config_file(path: str | None) -> dict:
     return out
 
 
-def _parse_k_list(text: str) -> tuple[int, ...]:
+def _parse_int_list(text: str, label: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
-        raise ConfigError(f"bad k list {text!r}") from exc
+        raise ConfigError(f"bad {label} list {text!r}") from exc
     if not values:
-        raise ConfigError("k list must not be empty")
+        raise ConfigError(f"{label} list must not be empty")
     return values
 
 
@@ -138,7 +140,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta", type=float)
         p.add_argument("--eta", type=float)
         p.add_argument("--budget", type=int)
-        p.add_argument("--parallelism", type=int, default=1)
+        p.add_argument("--parallelism", type=int, default=1,
+                       help="worker processes for --sweep points")
         p.add_argument("--library", help="JSONL of pattern workflows for reuse metrics")
         p.add_argument("--sweep", help="comma-separated pool sizes, e.g. 1,10,20")
 
@@ -179,7 +182,9 @@ def parse_args(argv: list[str]) -> Command:
         if raw is None:
             options["k_list"] = tuple(file_defaults.get("k_list", BUILTIN_DEFAULTS["k_list"]))
         else:
-            options["k_list"] = _parse_k_list(raw)
+            options["k_list"] = _parse_int_list(raw, "k")
+        if options.get("sweep"):
+            options["sweep"] = _parse_int_list(options["sweep"], "sweep")
     for key in ("l_init", "l_max", "alphas", "betas", "refresh_period", "drift_threshold"):
         options.setdefault(key, file_defaults.get(key, BUILTIN_DEFAULTS[key]))
     return Command(verb=verb, options=options)
@@ -249,21 +254,13 @@ def _cmd_solve(cmd: Command) -> int:
     net = build_agents([(r.goal, r.workflow) for r in train],
                        config=_life_config(cmd), rng_seed=cmd.options["seed"])
     episodes, _ = run_episodes(net, goals, config.solve_config())
-    lines = []
-    for item in episodes:
-        doc = item.episode.to_doc()
-        doc["bucket"] = item.bucket
-        lines.append(wf.canonical_json(doc))
-    write_atomic(cmd.options["out"], "\n".join(lines) + ("\n" if lines else ""))
+    write_atomic(cmd.options["out"], transcripts_text(episodes))
     print(f"solved {len(episodes)} goals, pass@1={overall_pass_at_1(episodes):.3f}, "
           f"transcripts in {cmd.options['out']}")
     return 0
 
 
 def _experiment_config(cmd: Command, disabled: frozenset[str]) -> ExperimentConfig:
-    sweep = None
-    if cmd.get("sweep"):
-        sweep = tuple(int(x) for x in cmd.options["sweep"].split(",") if x.strip())
     return ExperimentConfig(
         train_path=cmd.options["train"],
         test_path=cmd.options["test"],
@@ -276,7 +273,7 @@ def _experiment_config(cmd: Command, disabled: frozenset[str]) -> ExperimentConf
         parallelism=cmd.options["parallelism"],
         disabled=disabled,
         library_path=cmd.get("library"),
-        sweep_sizes=sweep,
+        sweep_sizes=cmd.get("sweep"),
         report_path=cmd.options["report"],
         csv_path=cmd.get("csv"),
         transcripts_path=cmd.get("transcripts"),
@@ -305,11 +302,11 @@ def _cmd_ablate(cmd: Command) -> int:
 
 def _cmd_report(cmd: Command) -> int:
     doc = json.loads(open(cmd.options["report"], "r", encoding="utf-8").read())
-    rows = ["bucket,k,value"]
-    for bucket in sorted(doc.get("per_bucket", {})):
-        for k in sorted(doc["per_bucket"][bucket], key=int):
-            rows.append(f"{bucket},{k},{doc['per_bucket'][bucket][k]}")
-    write_atomic(cmd.options["csv"], "\n".join(rows) + "\n")
+    per_bucket = {
+        bucket: {int(k): value for k, value in table.items()}
+        for bucket, table in doc.get("per_bucket", {}).items()
+    }
+    write_atomic(cmd.options["csv"], csv_text(per_bucket))
     print(f"csv written to {cmd.options['csv']}")
     return 0
 

@@ -3,19 +3,19 @@
 Episodes bucket by the structure of their ground-truth workflow (linear
 buckets 2-3 / 4-6 / 7+ by task count, nested buckets 1-2 / 3-4 / 5+ by
 depth).  Reports carry only deterministic quantities, so a fixed seed
-and config reproduce them byte for byte; parallel execution partitions
-episodes over cloned networks and merges life deltas commutatively, so
-aggregate numbers do not depend on scheduling.
+and config reproduce them byte for byte.  Episodes run strictly in
+order on one network, because each episode's life updates and
+eliminations decide what the next can select; only the independent
+points of a pool-size sweep run in worker processes.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path as FsPath
 
 from . import workflow as wf
@@ -114,13 +114,6 @@ class MetricsReport:
                       if self.sweep is not None else None),
         }
 
-    def csv_rows(self) -> list[tuple[str, int, float]]:
-        rows = []
-        for bucket in sorted(self.per_bucket):
-            for k in sorted(self.per_bucket[bucket]):
-                rows.append((bucket, k, self.per_bucket[bucket][k]))
-        return rows
-
 
 def write_atomic(path: str | FsPath, text: str) -> None:
     """Write via a sibling temp file and rename, so failures leave no partial file."""
@@ -139,6 +132,24 @@ def write_atomic(path: str | FsPath, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def csv_text(per_bucket: dict[str, dict[int, float]]) -> str:
+    """The flat ``bucket,k,value`` CSV of a pass@k table."""
+    rows = ["bucket,k,value"]
+    for bucket, table in sorted(per_bucket.items()):
+        rows.extend(f"{bucket},{k},{table[k]}" for k in sorted(table))
+    return "\n".join(rows) + "\n"
+
+
+def transcripts_text(episodes: list[BucketedEpisode]) -> str:
+    """One canonical JSON line per episode, tagged with its bucket."""
+    lines = []
+    for item in episodes:
+        doc = item.episode.to_doc()
+        doc["bucket"] = item.bucket
+        lines.append(wf.canonical_json(doc))
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # --- metrics ------------------------------------------------------------------
@@ -196,79 +207,28 @@ def run_episode(net: AgentNetwork, record: CorpusRecord,
     return BucketedEpisode(record=record, episode=episode)
 
 
-def _run_batch(net: AgentNetwork, records: list[tuple[int, CorpusRecord]],
-               solve_cfg: SolveConfig, scale_control: bool,
-               life_summary: dict[str, int]) -> list[tuple[int, BucketedEpisode]]:
-    out = []
-    for index, record in records:
-        out.append((index, run_episode(net, record, solve_cfg)))
-        if scale_control:
+def run_episodes(net: AgentNetwork, records: list[CorpusRecord],
+                 solve_cfg: SolveConfig) -> tuple[list[BucketedEpisode], dict[str, int]]:
+    """Run every record in order, eliminating and refreshing after each one
+    when scale control is on."""
+    life_summary = {"eliminations": 0, "revivals": 0, "spawns": 0}
+    episodes = []
+    for record in records:
+        episodes.append(run_episode(net, record, solve_cfg))
+        if solve_cfg.scale_control:
             log = eliminate_and_refresh(net)
             life_summary["eliminations"] += len(log.archived)
             life_summary["revivals"] += len(log.revived)
             life_summary["spawns"] += len(log.spawned)
-    return out
+    return episodes, life_summary
 
 
-def run_episodes(net: AgentNetwork, records: list[CorpusRecord],
-                 solve_cfg: SolveConfig, parallelism: int = 1
-                 ) -> tuple[list[BucketedEpisode], dict[str, int]]:
-    """Run every record; with parallelism > 1, batches run on cloned networks
-    and life/stat deltas merge back by summation, clamped to the life bounds."""
-    life_summary = {"eliminations": 0, "revivals": 0, "spawns": 0}
-    indexed = list(enumerate(records))
-    scale = solve_cfg.scale_control
-    if parallelism <= 1 or len(records) <= 1:
-        results = _run_batch(net, indexed, solve_cfg, scale, life_summary)
-        return [ep for _, ep in sorted(results, key=lambda x: x[0])], life_summary
-
-    batches = [indexed[i::parallelism] for i in range(parallelism)]
-    batches = [b for b in batches if b]
-    clones = [copy.deepcopy(net) for _ in batches]
-    initial_life = {a.agent_id: a.life for a in net.active + net.archive}
-    initial_stats = {
-        a.agent_id: (a.stats.successes, a.stats.failures, a.stats.reuses,
-                     a.stats.generalizations)
-        for a in net.active + net.archive
-    }
-    summaries = [dict(life_summary) for _ in batches]
-    with ThreadPoolExecutor(max_workers=len(batches)) as pool:
-        futures = [
-            pool.submit(_run_batch, clone, batch, solve_cfg, scale, summary)
-            for clone, batch, summary in zip(clones, batches, summaries)
-        ]
-        collected: list[tuple[int, BucketedEpisode]] = []
-        for future in futures:
-            collected.extend(future.result())
-    for summary in summaries:
-        for key in life_summary:
-            life_summary[key] += summary[key]
-    # Merge commutatively: order of clones cannot change the sums.
-    for agent in net.active + net.archive:
-        base_life = initial_life[agent.agent_id]
-        base_stats = initial_stats[agent.agent_id]
-        delta_life = 0.0
-        deltas = [0, 0, 0, 0]
-        for clone in clones:
-            try:
-                twin = clone.agent_by_id(agent.agent_id)
-            except KeyError:
-                continue
-            delta_life += twin.life - base_life
-            deltas[0] += twin.stats.successes - base_stats[0]
-            deltas[1] += twin.stats.failures - base_stats[1]
-            deltas[2] += twin.stats.reuses - base_stats[2]
-            deltas[3] += twin.stats.generalizations - base_stats[3]
-        agent.life = min(net.config.l_max, max(0.0, base_life + delta_life))
-        agent.stats.successes = base_stats[0] + deltas[0]
-        agent.stats.failures = base_stats[1] + deltas[1]
-        agent.stats.reuses = base_stats[2] + deltas[2]
-        agent.stats.generalizations = base_stats[3] + deltas[3]
-    for clone in clones:
-        for signature, goals in clone.solved_shapes.items():
-            net.solved_shapes.setdefault(signature, set()).update(goals)
-    collected.sort(key=lambda x: x[0])
-    return [ep for _, ep in collected], life_summary
+def _sweep_point(train: list[CorpusRecord], test: list[CorpusRecord],
+                 solve_cfg: SolveConfig, seed: int) -> float:
+    """Overall pass@1 of a network built from ``train`` alone."""
+    net = build_agents([(r.goal, r.workflow) for r in train], rng_seed=seed)
+    episodes, _ = run_episodes(net, test, solve_cfg)
+    return overall_pass_at_1(episodes)
 
 
 # --- experiments -------------------------------------------------------------------
@@ -285,7 +245,6 @@ def _config_echo(config: ExperimentConfig) -> dict:
         "repair_budget": config.repair_budget,
         "mode": config.mode,
         "seed": config.seed,
-        "parallelism": config.parallelism,
         "disabled": sorted(config.disabled),
     }
 
@@ -308,20 +267,28 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
         with open(config.library_path, "r", encoding="utf-8") as handle:
             library = [wf.from_doc(json.loads(line)) for line in handle if line.strip()]
 
+    sizes = config.sweep_sizes or ()
+    bad = [size for size in sizes if not 0 <= size <= len(train)]
+    if bad:
+        raise ConfigError(f"sweep sizes must lie in [0, {len(train)}]: {bad}")
+
     solve_cfg = config.solve_config()
     net = build_agents([(r.goal, r.workflow) for r in train], rng_seed=config.seed)
-    episodes, life_summary = run_episodes(net, test, solve_cfg, config.parallelism)
+    episodes, life_summary = run_episodes(net, test, solve_cfg)
 
     sweep = None
-    if config.sweep_sizes:
-        sweep = {}
-        for size in config.sweep_sizes:
-            subset = train[:size]
-            sub_net = build_agents(
-                [(r.goal, r.workflow) for r in subset], rng_seed=config.seed
-            )
-            sub_eps, _ = run_episodes(sub_net, test, solve_cfg, config.parallelism)
-            sweep[size] = overall_pass_at_1(sub_eps)
+    if sizes:
+        # Imported here so that runs without a sweep do not load the pool.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(
+            max_workers=min(config.parallelism, len(sizes)),
+            mp_context=multiprocessing.get_context("spawn"),
+        ) as pool:
+            points = pool.map(_sweep_point, [train[:size] for size in sizes],
+                              repeat(test), repeat(solve_cfg), repeat(config.seed))
+            sweep = dict(zip(sizes, points))
 
     report = MetricsReport(
         per_bucket=pass_at_k(episodes, config.k_list),
@@ -338,18 +305,11 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
     )
 
     if config.transcripts_path:
-        lines = []
-        for item in episodes:
-            doc = item.episode.to_doc()
-            doc["bucket"] = item.bucket
-            lines.append(wf.canonical_json(doc))
-        write_atomic(config.transcripts_path, "\n".join(lines) + ("\n" if lines else ""))
+        write_atomic(config.transcripts_path, transcripts_text(episodes))
     if config.report_path:
         write_atomic(config.report_path, wf.canonical_json(report.to_doc()) + "\n")
     if config.csv_path:
-        rows = ["bucket,k,value"]
-        rows.extend(f"{bucket},{k},{value}" for bucket, k, value in report.csv_rows())
-        write_atomic(config.csv_path, "\n".join(rows) + "\n")
+        write_atomic(config.csv_path, csv_text(report.per_bucket))
     return report
 
 

@@ -8,7 +8,6 @@ SHA-256 instead.  Everything downstream that needs randomness takes a
 from __future__ import annotations
 
 import hashlib
-import random
 
 
 def derive_seed(*parts: object) -> int:
@@ -17,6 +16,3 @@ def derive_seed(*parts: object) -> int:
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
-
-def make_rng(*parts: object) -> random.Random:
-    return random.Random(derive_seed(*parts))

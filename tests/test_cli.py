@@ -156,12 +156,25 @@ def test_ablate_hypothesis_reports_zero(corpora, capsys):
 def test_report_verb_reemits_csv(corpora, capsys):
     tmp_path, train, test = corpora
     report = tmp_path / "report.json"
+    first = tmp_path / "first.csv"
     assert cli.main(["eval", "--train", train, "--test", test, "--seed", "7",
-                     "--report", str(report)]) == 0
+                     "--report", str(report), "--csv", str(first)]) == 0
     csv = tmp_path / "again.csv"
     assert cli.main(["report", "--report", str(report), "--csv", str(csv)]) == 0
     lines = csv.read_text().splitlines()
     assert lines[0] == "bucket,k,value" and len(lines) > 1
+    assert csv.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("sweep", ["abc", "-5", "61", "100000"])
+def test_bad_sweep_sizes_exit_two(corpora, capsys, sweep):
+    tmp_path, train, test = corpora
+    report = tmp_path / "sweep.json"
+    code = cli.main(["eval", "--train", train, "--test", test, "--sweep", sweep,
+                     "--report", str(report)])
+    assert code == 2
+    assert "sweep" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_failed_run_leaves_no_partial_outputs(corpora):

@@ -170,15 +170,52 @@ def test_reports_are_byte_identical_under_same_seed(experiment_files):
 
 
 def test_parallel_mode_reproduces_aggregates(experiment_files):
+    """Serial and parallel runs write the same bytes, with and without repair.
+
+    With a zero repair budget failed candidates are penalised, so agents are
+    archived and revived and each episode depends on the ones before it.
+    """
     base, train, novel = experiment_files
-    seq = run_experiment(_config(base, train, novel, parallelism=1,
-                                 report_path=None, csv_path=None, transcripts_path=None))
-    par_a = run_experiment(_config(base, train, novel, parallelism=3,
-                                   report_path=None, csv_path=None, transcripts_path=None))
-    par_b = run_experiment(_config(base, train, novel, parallelism=3,
-                                   report_path=None, csv_path=None, transcripts_path=None))
-    assert par_a.per_bucket == par_b.per_bucket
-    assert par_a.per_bucket == seq.per_bucket
+    for budget in (5, 0):
+        for parallelism in (1, 3):
+            tag = f"b{budget}-p{parallelism}"
+            run_experiment(_config(
+                base, train, novel, parallelism=parallelism, repair_budget=budget,
+                sweep_sizes=(1, 60, 120),
+                report_path=str(base / f"{tag}.json"), csv_path=str(base / f"{tag}.csv"),
+                transcripts_path=str(base / f"{tag}.jsonl"),
+            ))
+        for ext in ("json", "csv", "jsonl"):
+            serial = (base / f"b{budget}-p1.{ext}").read_bytes()
+            assert serial == (base / f"b{budget}-p3.{ext}").read_bytes(), (budget, ext)
+
+
+def test_sweep_workers_capped_by_point_count(experiment_files, monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers, mp_context=None):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    base, train, novel = experiment_files
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    report = run_experiment(_config(base, train, novel, parallelism=64, sweep_sizes=(1, 120),
+                                    report_path=None, csv_path=None, transcripts_path=None))
+    assert sizes == [2]
+    assert set(report.sweep) == {1, 120}
 
 
 def test_missing_corpus_file_is_a_config_error(experiment_files):

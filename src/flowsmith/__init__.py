@@ -89,7 +89,6 @@ from .workflow import (
     flatten,
     metrics,
     nest,
-    normalize,
     structurally_equal,
     validate,
 )

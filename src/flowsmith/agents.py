@@ -9,14 +9,12 @@ elimination / refresh against an archive.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
-from pathlib import Path as FsPath
 
 from . import workflow as wf
 from .errors import DuplicateGoal, InvalidWorkflow, NoEligibleAgent
-from .goals import Goal, SimilarityBackend, goal_from_doc, goal_to_doc, schema_compat, similarity
+from .goals import Goal, SimilarityBackend, schema_compat, similarity
 
 
 @dataclass
@@ -105,7 +103,6 @@ class Transition:
 
     subgoal: Goal
     available_inputs: frozenset[str]
-    shape_context: wf.StructMetrics = wf.StructMetrics(0, 0, 0)
 
 
 @dataclass
@@ -192,6 +189,14 @@ def compatibility(agent: AtomicAgent, transition: Transition,
     return w_familiar * familiar + w_prior * prior
 
 
+def _weights(candidates: list[tuple[AtomicAgent, float]], use_life: bool) -> list[float]:
+    weights = [max(0.0, (agent.life if use_life else 1.0) * gamma)
+               for agent, gamma in candidates]
+    if sum(weights) <= 0.0:
+        raise NoEligibleAgent("all selection weights are zero")
+    return weights
+
+
 def select(candidates: list[tuple[AtomicAgent, float]], rng: random.Random,
            use_life: bool = True) -> AtomicAgent:
     """Sample an agent with probability proportional to life * gamma.
@@ -201,12 +206,8 @@ def select(candidates: list[tuple[AtomicAgent, float]], rng: random.Random,
     """
     if not candidates:
         raise NoEligibleAgent("empty candidate list")
-    weights = [max(0.0, (agent.life if use_life else 1.0) * gamma)
-               for agent, gamma in candidates]
-    total = sum(weights)
-    if total <= 0.0:
-        raise NoEligibleAgent("all selection weights are zero")
-    draw = rng.random() * total
+    weights = _weights(candidates, use_life)
+    draw = rng.random() * sum(weights)
     acc = 0.0
     for (agent, _), weight in zip(candidates, weights):
         acc += weight
@@ -221,11 +222,8 @@ def select(candidates: list[tuple[AtomicAgent, float]], rng: random.Random,
 
 def selection_probabilities(candidates: list[tuple[AtomicAgent, float]],
                             use_life: bool = True) -> list[float]:
-    weights = [max(0.0, (agent.life if use_life else 1.0) * gamma)
-               for agent, gamma in candidates]
+    weights = _weights(candidates, use_life)
     total = sum(weights)
-    if total <= 0.0:
-        raise NoEligibleAgent("all selection weights are zero")
     return [w / total for w in weights]
 
 
@@ -292,88 +290,3 @@ def eliminate_and_refresh(net: AgentNetwork) -> ChangeLog:
                 log.spawned.append(spawned.agent_id)
     net.epoch += 1
     return log
-
-
-# --- snapshot files -----------------------------------------------------------
-
-
-def _agent_to_doc(agent: AtomicAgent) -> dict:
-    return {
-        "agent_id": agent.agent_id,
-        "goal": goal_to_doc(agent.goal),
-        "procedure": wf.to_doc(agent.procedure),
-        "life": agent.life,
-        "stats": {
-            "successes": agent.stats.successes,
-            "failures": agent.stats.failures,
-            "reuses": agent.stats.reuses,
-            "generalizations": agent.stats.generalizations,
-        },
-    }
-
-
-def _agent_from_doc(doc: dict, config: LifeConfig) -> AtomicAgent:
-    goal = goal_from_doc(doc["goal"])
-    agent = AtomicAgent.from_pair(goal, wf.from_doc(doc["procedure"]), config,
-                                  agent_id=doc["agent_id"])
-    agent.life = float(doc["life"])
-    stats = doc.get("stats", {})
-    agent.stats = AgentStats(
-        successes=stats.get("successes", 0),
-        failures=stats.get("failures", 0),
-        reuses=stats.get("reuses", 0),
-        generalizations=stats.get("generalizations", 0),
-    )
-    return agent
-
-
-def save_network(net: AgentNetwork, path: str | FsPath) -> None:
-    doc = {
-        "epoch": net.epoch,
-        "rng_seed": net.rng_seed,
-        "backend": {"kind": net.backend.kind, "parameters": dict(net.backend.parameters)},
-        "config": {
-            "l_init": net.config.l_init,
-            "l_max": net.config.l_max,
-            "alphas": list(net.config.alphas),
-            "betas": list(net.config.betas),
-            "drift_threshold": net.config.drift_threshold,
-            "refresh_period": net.config.refresh_period,
-        },
-        "active": [_agent_to_doc(a) for a in net.active],
-        "archive": [_agent_to_doc(a) for a in net.archive],
-        "training": [
-            {"goal": goal_to_doc(g), "workflow": wf.to_doc(w)} for g, w in net.training
-        ],
-    }
-    FsPath(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-
-
-def load_network(path: str | FsPath) -> AgentNetwork:
-    doc = json.loads(FsPath(path).read_text())
-    cfg = doc["config"]
-    config = LifeConfig(
-        l_init=cfg["l_init"],
-        l_max=cfg["l_max"],
-        alphas=tuple(cfg["alphas"]),
-        betas=tuple(cfg["betas"]),
-        drift_threshold=cfg["drift_threshold"],
-        refresh_period=cfg["refresh_period"],
-    )
-    backend = SimilarityBackend(
-        kind=doc["backend"]["kind"],
-        parameters=tuple(sorted(doc["backend"].get("parameters", {}).items())),
-    )
-    net = AgentNetwork(
-        active=[_agent_from_doc(d, config) for d in doc["active"]],
-        archive=[_agent_from_doc(d, config) for d in doc["archive"]],
-        epoch=doc["epoch"],
-        config=config,
-        backend=backend,
-        rng_seed=doc["rng_seed"],
-        training=[
-            (goal_from_doc(t["goal"]), wf.from_doc(t["workflow"]))
-            for t in doc.get("training", ())
-        ],
-    )
-    return net

@@ -1,12 +1,13 @@
 """Command-line entry point for corpus generation, solving, and evaluation.
 
-Verbs: gen-corpus, build-net, solve, eval, ablate, report.  Numeric
-defaults may come from a JSON config file (``--config``, else the
+Verbs: gen-corpus, solve, eval, ablate, report.  Numeric defaults may
+come from a JSON config file (``--config``, else the
 ``FLOWSMITH_CONFIG`` environment variable, else ``./flowsmith.json``
 when present); explicit flags win over the file, the file wins over
-built-ins.  Outputs are written atomically.  Exit codes: 0 success,
-2 usage or configuration error, 3 I/O failure, 4 internal invariant
-breach.
+built-ins.  ``solve``, ``eval`` and ``ablate`` all run through
+``evaluation.run_experiment``.  Outputs are written atomically.  Exit
+codes: 0 success, 2 usage or configuration error, 3 I/O failure,
+4 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -18,18 +19,9 @@ import sys
 from dataclasses import dataclass
 
 from . import corpus as corpus_mod
-from . import workflow as wf
-from .agents import LifeConfig, build_agents, save_network
+from .agents import LifeConfig
 from .errors import ConfigError, EngineError
-from .evaluation import (
-    ExperimentConfig,
-    MetricsReport,
-    csv_text,
-    overall_pass_at_1,
-    run_episodes,
-    transcripts_text,
-    write_atomic,
-)
+from .evaluation import ExperimentConfig, MetricsReport, csv_text
 from .evaluation import run_experiment as _run_experiment
 
 DEFAULT_CONFIG_ENV = "FLOWSMITH_CONFIG"
@@ -71,9 +63,12 @@ def _load_config_file(path: str | None) -> dict:
             raise ConfigError(f"config file not found: {candidate!r}")
         return {}
     try:
-        raw = json.loads(open(candidate, "r", encoding="utf-8").read())
+        with open(candidate, "r", encoding="utf-8") as handle:
+            raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"unreadable config file {candidate!r}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {candidate!r} must hold a JSON object")
     out = {}
     for key, value in raw.items():
         key = _CONFIG_ALIASES.get(key, key)
@@ -111,11 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.add_argument("--planted-length", type=int)
     g.add_argument("--planted-rate", type=float)
-
-    b = sub.add_parser("build-net", help="build an agent network snapshot from a corpus")
-    common(b)
-    b.add_argument("--train", required=True)
-    b.add_argument("--out", required=True)
 
     s = sub.add_parser("solve", help="solve every goal in a corpus against a trained pool")
     common(s)
@@ -191,14 +181,17 @@ def parse_args(argv: list[str]) -> Command:
 
 
 def _life_config(cmd: Command) -> LifeConfig:
-    return LifeConfig(
-        l_init=float(cmd.options["l_init"]),
-        l_max=float(cmd.options["l_max"]),
-        alphas=tuple(cmd.options["alphas"]),
-        betas=tuple(cmd.options["betas"]),
-        drift_threshold=float(cmd.options["drift_threshold"]),
-        refresh_period=int(cmd.options["refresh_period"]),
-    )
+    try:
+        return LifeConfig(
+            l_init=float(cmd.options["l_init"]),
+            l_max=float(cmd.options["l_max"]),
+            alphas=tuple(cmd.options["alphas"]),
+            betas=tuple(cmd.options["betas"]),
+            drift_threshold=float(cmd.options["drift_threshold"]),
+            refresh_period=int(cmd.options["refresh_period"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad life config: {exc}") from exc
 
 
 def _cmd_gen_corpus(cmd: Command) -> int:
@@ -220,28 +213,13 @@ def _cmd_gen_corpus(cmd: Command) -> int:
                 planted=planted if planted is not None else profile.planted,
             )
     records = corpus_mod.generate(profile, cmd.options["seed"])
-    lines = [wf.canonical_json(corpus_mod.record_to_doc(r)) for r in records]
-    write_atomic(cmd.options["out"], "\n".join(lines) + ("\n" if lines else ""))
+    corpus_mod.save_corpus(records, cmd.options["out"])
     print(f"wrote {len(records)} records to {cmd.options['out']}")
     return 0
 
 
-def _cmd_build_net(cmd: Command) -> int:
-    records = corpus_mod.load_corpus(cmd.options["train"], strip_oracle=True)
-    net = build_agents(
-        [(r.goal, r.workflow) for r in records],
-        config=_life_config(cmd),
-        rng_seed=cmd.options["seed"],
-    )
-    save_network(net, cmd.options["out"])
-    print(f"built {len(net.active)} agents into {cmd.options['out']}")
-    return 0
-
-
 def _cmd_solve(cmd: Command) -> int:
-    train = corpus_mod.load_corpus(cmd.options["train"], strip_oracle=True)
-    goals = corpus_mod.load_corpus(cmd.options["goals"])
-    config = ExperimentConfig(
+    report = _run_experiment(ExperimentConfig(
         train_path=cmd.options["train"],
         test_path=cmd.options["goals"],
         k_list=tuple(range(1, cmd.options["k"] + 1)),
@@ -250,12 +228,10 @@ def _cmd_solve(cmd: Command) -> int:
         repair_budget=cmd.options["budget"],
         mode=cmd.options["mode"],
         seed=cmd.options["seed"],
-    )
-    net = build_agents([(r.goal, r.workflow) for r in train],
-                       config=_life_config(cmd), rng_seed=cmd.options["seed"])
-    episodes, _ = run_episodes(net, goals, config.solve_config())
-    write_atomic(cmd.options["out"], transcripts_text(episodes))
-    print(f"solved {len(episodes)} goals, pass@1={overall_pass_at_1(episodes):.3f}, "
+        transcripts_path=cmd.options["out"],
+        life=_life_config(cmd),
+    ))
+    print(f"solved {report.runtime['episodes']} goals, {_summarize(report)}, "
           f"transcripts in {cmd.options['out']}")
     return 0
 
@@ -277,6 +253,7 @@ def _experiment_config(cmd: Command, disabled: frozenset[str]) -> ExperimentConf
         report_path=cmd.options["report"],
         csv_path=cmd.get("csv"),
         transcripts_path=cmd.get("transcripts"),
+        life=_life_config(cmd),
     )
 
 
@@ -301,19 +278,19 @@ def _cmd_ablate(cmd: Command) -> int:
 
 
 def _cmd_report(cmd: Command) -> int:
-    doc = json.loads(open(cmd.options["report"], "r", encoding="utf-8").read())
+    with open(cmd.options["report"], "r", encoding="utf-8") as handle:
+        doc = json.load(handle)
     per_bucket = {
         bucket: {int(k): value for k, value in table.items()}
         for bucket, table in doc.get("per_bucket", {}).items()
     }
-    write_atomic(cmd.options["csv"], csv_text(per_bucket))
+    corpus_mod.write_atomic(cmd.options["csv"], csv_text(per_bucket))
     print(f"csv written to {cmd.options['csv']}")
     return 0
 
 
 _HANDLERS = {
     "gen-corpus": _cmd_gen_corpus,
-    "build-net": _cmd_build_net,
     "solve": _cmd_solve,
     "eval": _cmd_eval,
     "ablate": _cmd_ablate,

@@ -22,12 +22,14 @@ oracle-only key.
 from __future__ import annotations
 
 import json
+import os
 import random
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 from . import workflow as wf
-from .errors import InfeasibleProfile
+from .errors import ConfigError, InfeasibleProfile
 from .goals import ORACLE_SUBGOALS_KEY, Goal, goal_from_doc, goal_to_doc
 from .seeds import derive_seed
 
@@ -380,6 +382,28 @@ def make_novel_goals(train: list[CorpusRecord], seed: int, count: int,
 # --- corpus files ------------------------------------------------------------------
 
 
+def write_atomic(path: str | FsPath, text: str) -> None:
+    """Write via a sibling temp file, fsync and rename, so a failure leaves
+    the previous file (or none) in place and never a partial one."""
+    path = FsPath(path)
+    handle = tempfile.NamedTemporaryFile(
+        "w", dir=path.parent, prefix=path.name + ".", suffix=".tmp",
+        delete=False, encoding="utf-8",
+    )
+    try:
+        with handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(handle.name, path)
+    except BaseException:
+        try:
+            os.unlink(handle.name)
+        except OSError:
+            pass
+        raise
+
+
 def record_to_doc(record: CorpusRecord) -> dict:
     return {
         "goal": goal_to_doc(record.goal),
@@ -410,7 +434,7 @@ def record_from_doc(doc: dict, strip_oracle: bool = False) -> CorpusRecord:
 
 def save_corpus(records: list[CorpusRecord], path: str | FsPath) -> None:
     lines = [wf.canonical_json(record_to_doc(r)) for r in records]
-    FsPath(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_corpus(path: str | FsPath, strip_oracle: bool = False) -> list[CorpusRecord]:
@@ -438,18 +462,24 @@ def save_profile(profile: CorpusProfile, path: str | FsPath) -> None:
             if profile.planted is not None else None
         ),
     }
-    FsPath(path).write_text(wf.canonical_json(doc))
+    write_atomic(path, wf.canonical_json(doc))
 
 
 def load_profile(path: str | FsPath) -> CorpusProfile:
-    doc = json.loads(FsPath(path).read_text())
-    planted = None
-    if doc.get("planted"):
-        planted = PlantedSubflowSpec(doc["planted"]["length"], doc["planted"]["rate"])
-    return CorpusProfile(
-        total=doc["total"],
-        node_histogram={int(k): v for k, v in doc["node_histogram"].items()},
-        depth_histogram={int(k): v for k, v in doc["depth_histogram"].items()},
-        tool_vocab_size=doc.get("tool_vocab_size", 64),
-        planted=planted,
-    )
+    """Read a profile file; missing keys and ill-typed values raise ConfigError."""
+    with open(path, "r", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    try:
+        planted = None
+        if doc.get("planted"):
+            planted = PlantedSubflowSpec(doc["planted"]["length"], doc["planted"]["rate"])
+        return CorpusProfile(
+            total=doc["total"],
+            node_histogram={int(k): v for k, v in doc["node_histogram"].items()},
+            depth_histogram={int(k): v for k, v in doc["depth_histogram"].items()},
+            tool_vocab_size=doc.get("tool_vocab_size", 64),
+            planted=planted,
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed profile file {str(path)!r}: "
+                          f"{type(exc).__name__}: {exc}") from exc

@@ -59,9 +59,9 @@ class BudgetExhausted(RepairAborted):
     """The repair budget ran out before a passing verdict."""
 
 
-class InfeasibleProfile(EngineError):
-    """A corpus profile that no workflow population can realize."""
-
-
 class ConfigError(EngineError):
     """Bad experiment or command configuration."""
+
+
+class InfeasibleProfile(ConfigError):
+    """A corpus profile that no workflow population can realize."""

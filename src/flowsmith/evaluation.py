@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import repeat
-from pathlib import Path as FsPath
 
 from . import workflow as wf
-from .agents import AgentNetwork, build_agents, eliminate_and_refresh
-from .corpus import CorpusRecord, load_corpus
+from .agents import AgentNetwork, LifeConfig, build_agents, eliminate_and_refresh
+from .corpus import CorpusRecord, load_corpus, write_atomic
 from .errors import ConfigError, DecompositionFailure
 from .orchestrator import EpisodeResult, SolveConfig, solve
 
@@ -45,8 +43,11 @@ class ExperimentConfig:
     report_path: str | None = None
     csv_path: str | None = None
     transcripts_path: str | None = None
+    life: LifeConfig = LifeConfig()
 
     def __post_init__(self):
+        if not self.k_list:
+            raise ConfigError("k_list must not be empty")
         if list(self.k_list) != sorted(self.k_list) or len(set(self.k_list)) != len(self.k_list):
             raise ConfigError("k_list must be strictly ascending")
         if any(k < 1 for k in self.k_list):
@@ -113,25 +114,6 @@ class MetricsReport:
             "sweep": ({str(k): v for k, v in sorted(self.sweep.items())}
                       if self.sweep is not None else None),
         }
-
-
-def write_atomic(path: str | FsPath, text: str) -> None:
-    """Write via a sibling temp file and rename, so failures leave no partial file."""
-    path = FsPath(path)
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=path.parent, prefix=path.name + ".", suffix=".tmp",
-        delete=False, encoding="utf-8",
-    )
-    try:
-        with handle:
-            handle.write(text)
-        os.replace(handle.name, path)
-    except BaseException:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
 
 
 def csv_text(per_bucket: dict[str, dict[int, float]]) -> str:
@@ -224,9 +206,9 @@ def run_episodes(net: AgentNetwork, records: list[CorpusRecord],
 
 
 def _sweep_point(train: list[CorpusRecord], test: list[CorpusRecord],
-                 solve_cfg: SolveConfig, seed: int) -> float:
+                 solve_cfg: SolveConfig, life: LifeConfig, seed: int) -> float:
     """Overall pass@1 of a network built from ``train`` alone."""
-    net = build_agents([(r.goal, r.workflow) for r in train], rng_seed=seed)
+    net = build_agents([(r.goal, r.workflow) for r in train], config=life, rng_seed=seed)
     episodes, _ = run_episodes(net, test, solve_cfg)
     return overall_pass_at_1(episodes)
 
@@ -246,6 +228,7 @@ def _config_echo(config: ExperimentConfig) -> dict:
         "mode": config.mode,
         "seed": config.seed,
         "disabled": sorted(config.disabled),
+        "life": asdict(config.life),
     }
 
 
@@ -271,9 +254,12 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
     bad = [size for size in sizes if not 0 <= size <= len(train)]
     if bad:
         raise ConfigError(f"sweep sizes must lie in [0, {len(train)}]: {bad}")
+    if len(set(sizes)) != len(sizes):
+        raise ConfigError(f"sweep sizes must be distinct: {list(sizes)}")
 
     solve_cfg = config.solve_config()
-    net = build_agents([(r.goal, r.workflow) for r in train], rng_seed=config.seed)
+    net = build_agents([(r.goal, r.workflow) for r in train], config=config.life,
+                       rng_seed=config.seed)
     episodes, life_summary = run_episodes(net, test, solve_cfg)
 
     sweep = None
@@ -287,7 +273,8 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
             mp_context=multiprocessing.get_context("spawn"),
         ) as pool:
             points = pool.map(_sweep_point, [train[:size] for size in sizes],
-                              repeat(test), repeat(solve_cfg), repeat(config.seed))
+                              repeat(test), repeat(solve_cfg), repeat(config.life),
+                              repeat(config.seed))
             sweep = dict(zip(sizes, points))
 
     report = MetricsReport(

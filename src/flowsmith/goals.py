@@ -8,9 +8,7 @@ variant re-weights individual tokens.  Both are symmetric, bounded to
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path as FsPath
 
 from .errors import EmptyGoal
 
@@ -90,7 +88,7 @@ def schema_compat(producer_outputs, consumer: Goal) -> bool:
     return consumer.input_schema <= frozenset(producer_outputs)
 
 
-# --- goal library files -------------------------------------------------------
+# --- goal documents -----------------------------------------------------------
 
 ORACLE_SUBGOALS_KEY = "oracle_subgoals"
 
@@ -118,13 +116,3 @@ def goal_from_doc(doc: dict, strip_oracle: bool = False) -> Goal:
         output_schema=frozenset(doc.get("output_schema", ())),
         subgoal_template=template,
     )
-
-
-def save_goal_library(goals: list[Goal], path: str | FsPath) -> None:
-    docs = [goal_to_doc(g) for g in goals]
-    FsPath(path).write_text(json.dumps(docs, sort_keys=True, separators=(",", ":")))
-
-
-def load_goal_library(path: str | FsPath, strip_oracle: bool = False) -> list[Goal]:
-    docs = json.loads(FsPath(path).read_text())
-    return [goal_from_doc(d, strip_oracle=strip_oracle) for d in docs]

@@ -181,16 +181,10 @@ def decompose(net: AgentNetwork, goal: Goal, theta: float, max_depth: int,
         raise ValueError("max_depth must be >= 1")
     rng = rng or random.Random(net.rng_seed)
 
-    shape = {"length": 0, "depth": 0, "branches": 0}
-
     def walk(g: Goal, depth: int, scope: frozenset[str]) -> tuple[DecompositionTree, frozenset[str]]:
         candidates = retrieve(net, g, theta)
         if candidates:
-            transition = Transition(
-                subgoal=g, available_inputs=scope,
-                shape_context=wf.StructMetrics(shape["length"], shape["depth"],
-                                               shape["branches"]),
-            )
+            transition = Transition(subgoal=g, available_inputs=scope)
             weighted = [
                 (agent, compatibility(agent, transition, backend=net.backend,
                                       input_gate=input_gate))
@@ -201,10 +195,6 @@ def decompose(net: AgentNetwork, goal: Goal, theta: float, max_depth: int,
             except NoEligibleAgent:
                 chosen = None
             if chosen is not None:
-                grown = wf.node_metrics(chosen.procedure.root)
-                shape["length"] += grown.length
-                shape["depth"] = max(shape["depth"], grown.depth)
-                shape["branches"] += grown.branch_count
                 return Resolved(g, chosen.agent_id), wf.produced_fields(chosen.procedure.root)
         if not allow_split:
             raise DecompositionFailure(

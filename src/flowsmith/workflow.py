@@ -331,10 +331,6 @@ def normalize_node(node: WorkflowNode) -> WorkflowNode:
     return Sequence(tuple(out))
 
 
-def normalize(w: Workflow) -> Workflow:
-    return w.replace(root=normalize_node(w.root))
-
-
 def structurally_equal(a: Workflow, b: Workflow) -> bool:
     return normalize_node(a.root) == normalize_node(b.root)
 

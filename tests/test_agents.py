@@ -11,9 +11,7 @@ from flowsmith.agents import (
     build_agents,
     compatibility,
     eliminate_and_refresh,
-    load_network,
     retrieve,
-    save_network,
     select,
     selection_probabilities,
     update_life,
@@ -321,29 +319,6 @@ def test_partition_invariant_under_random_event_stream():
         assert _partition_holds(net)
         assert all(a.life > 0 for a in net.active)
         assert all(0.0 <= a.life <= net.config.l_max for a in net.active + net.archive)
-
-
-# --- snapshots -------------------------------------------------------------------------
-
-
-def test_network_snapshot_round_trip(tmp_path):
-    net = chain_pool(3)
-    net.active[0].life = 42.0
-    net.active[0].stats.successes = 7
-    net.active[1].life = 0.0
-    eliminate_and_refresh(net)
-    path = tmp_path / "net.json"
-    save_network(net, path)
-    back = load_network(path)
-    assert back.epoch == net.epoch
-    assert back.rng_seed == net.rng_seed
-    assert {a.agent_id for a in back.active} == {a.agent_id for a in net.active}
-    assert {a.agent_id for a in back.archive} == {a.agent_id for a in net.archive}
-    original = net.agent_by_id("g0")
-    restored = back.agent_by_id("g0")
-    assert restored.life == original.life
-    assert restored.stats.successes == original.stats.successes
-    assert restored.procedure == original.procedure
 
 
 def test_compatibility_exact_example_point_675():

@@ -23,6 +23,16 @@ def corpora(tmp_path):
     return tmp_path, str(train), str(test)
 
 
+# Kills an agent on its first failure and revives nothing after epoch 0.
+LIFE_CONFIG = {"refresh_period": 100, "l_init": 2.0, "betas": [50, 2, 1]}
+
+
+def _life_file(tmp_path) -> str:
+    path = tmp_path / "life.json"
+    path.write_text(json.dumps(LIFE_CONFIG))
+    return str(path)
+
+
 # --- parse_args -------------------------------------------------------------------
 
 
@@ -105,14 +115,6 @@ def test_gen_corpus_writes_deterministic_output(tmp_path, capsys):
     assert len(out_a.read_text().splitlines()) == 50
 
 
-def test_build_net_snapshot(corpora, capsys):
-    tmp_path, train, _ = corpora
-    out = tmp_path / "net.json"
-    assert cli.main(["build-net", "--train", train, "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert len(doc["active"]) == 60
-
-
 def test_solve_reports_pass_rate(corpora, capsys):
     tmp_path, train, test = corpora
     out = tmp_path / "episodes.jsonl"
@@ -121,6 +123,55 @@ def test_solve_reports_pass_rate(corpora, capsys):
     assert code == 0
     assert "pass@1=" in capsys.readouterr().out
     assert len(out.read_text().splitlines()) == 12
+
+
+@pytest.mark.parametrize("life", [False, True], ids=["defaults", "life-config"])
+def test_solve_transcripts_equal_eval_transcripts(corpora, capsys, life):
+    tmp_path, train, test = corpora
+    extra = ["--budget", "0"] + (["--config", _life_file(tmp_path)] if life else [])
+    solved, evaluated = tmp_path / "solve.jsonl", tmp_path / "eval.jsonl"
+    assert cli.main(["solve", "--train", train, "--goals", test, "--k", "5",
+                     "--out", str(solved)] + extra) == 0
+    assert cli.main(["eval", "--train", train, "--test", test,
+                     "--report", str(tmp_path / "r.json"),
+                     "--transcripts", str(evaluated)] + extra) == 0
+    assert solved.read_bytes() == evaluated.read_bytes()
+
+
+def test_eval_life_config_changes_life_summary(corpora, capsys):
+    tmp_path, train, test = corpora
+    base = ["eval", "--train", train, "--test", test, "--budget", "0"]
+    default, tuned = tmp_path / "default.json", tmp_path / "tuned.json"
+    assert cli.main(base + ["--report", str(default)]) == 0
+    assert cli.main(base + ["--report", str(tuned), "--config", _life_file(tmp_path)]) == 0
+    default_doc = json.loads(default.read_text())
+    tuned_doc = json.loads(tuned.read_text())
+    assert tuned_doc["life_summary"] != default_doc["life_summary"]
+    assert tuned_doc["config"]["life"]["refresh_period"] == 100
+
+
+PROFILE = {"total": 20, "node_histogram": {"1": 1.0}, "depth_histogram": {"0": 1.0}}
+SOLVE = ["solve", "--train", "{train}", "--goals", "{test}"]
+
+
+@pytest.mark.parametrize("input_doc, argv", [
+    (None, ["gen-corpus", "--n", "0"]),
+    ({**PROFILE, "node_histogram": {"1": 0.5, "2": 0.4}}, ["gen-corpus", "--profile", "{file}"]),
+    ({k: v for k, v in PROFILE.items() if k != "total"}, ["gen-corpus", "--profile", "{file}"]),
+    ([{"theta": 0.6}], ["gen-corpus", "--config", "{file}"]),
+    ({"l_init": 200.0}, SOLVE + ["--config", "{file}"]),
+    (None, SOLVE + ["--k", "0"]),
+], ids=["zero-records", "histogram-sum", "missing-total", "config-array",
+        "life-out-of-range", "k-zero"])
+def test_bad_user_input_exits_two(corpora, capsys, input_doc, argv):
+    tmp_path, train, test = corpora
+    input_file = tmp_path / "input.json"
+    input_file.write_text(json.dumps(input_doc))
+    names = {"{file}": str(input_file), "{train}": train, "{test}": test}
+    out = tmp_path / "out.jsonl"
+    assert cli.main([names.get(arg, arg) for arg in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_corrupt_corpus_line_exits_three(corpora, capsys):
@@ -166,7 +217,7 @@ def test_report_verb_reemits_csv(corpora, capsys):
     assert csv.read_bytes() == first.read_bytes()
 
 
-@pytest.mark.parametrize("sweep", ["abc", "-5", "61", "100000"])
+@pytest.mark.parametrize("sweep", ["abc", "-5", "61", "100000", "5,5"])
 def test_bad_sweep_sizes_exit_two(corpora, capsys, sweep):
     tmp_path, train, test = corpora
     report = tmp_path / "sweep.json"

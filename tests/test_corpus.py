@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from flowsmith import corpus as cp
@@ -221,6 +223,21 @@ def test_profile_file_round_trip(tmp_path):
     cp.save_profile(profile, path)
     back = cp.load_profile(path)
     assert back == profile
+
+
+def test_failed_save_keeps_the_old_file(tmp_path, small_corpus, monkeypatch):
+    path = tmp_path / "corpus.jsonl"
+    cp.save_corpus(small_corpus[:3], path)
+    before = path.read_bytes()
+
+    def failing_fsync(fd):
+        raise OSError("simulated disk failure")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="simulated"):
+        cp.save_corpus(small_corpus, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
 
 
 def test_network_build_from_generated_corpus(small_corpus):

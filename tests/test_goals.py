@@ -106,19 +106,18 @@ def test_threshold_monotonicity_of_retrieval_sets():
         assert high <= low
 
 
-def test_goal_library_file_round_trip_and_oracle_strip(tmp_path):
-    from flowsmith.goals import load_goal_library, save_goal_library
+def test_goal_doc_round_trip_and_oracle_strip():
+    from flowsmith.goals import goal_from_doc, goal_to_doc
     goals = [
         g("atom", {"a", "b"}, ins={"x"}, outs={"y"}),
         Goal(id="composite", tokens=frozenset({"a", "c"}),
              input_schema=frozenset({"x"}), output_schema=frozenset({"z"}),
              subgoal_template=("atom", "other")),
     ]
-    path = tmp_path / "goals.json"
-    save_goal_library(goals, path)
-    back = load_goal_library(path)
+    docs = [goal_to_doc(goal) for goal in goals]
+    back = [goal_from_doc(doc) for doc in docs]
     assert back == goals
-    solver_view = load_goal_library(path, strip_oracle=True)
+    solver_view = [goal_from_doc(doc, strip_oracle=True) for doc in docs]
     assert all(goal.subgoal_template is None for goal in solver_view)
 
 

@@ -36,7 +36,6 @@ from .corpus import (
 )
 from .errors import (
     BadPath,
-    BudgetExhausted,
     ConfigError,
     DecompositionFailure,
     DuplicateGoal,
@@ -48,7 +47,6 @@ from .errors import (
     NoEligibleAgent,
     NotAFailure,
     RejectedRepair,
-    StalledRepair,
 )
 from .evaluation import (
     ExperimentConfig,
@@ -58,7 +56,7 @@ from .evaluation import (
     reuse_efficiency,
     run_experiment,
 )
-from .goals import Goal, SimilarityBackend, schema_compat, similarity
+from .goals import Goal, schema_compat, similarity
 from .orchestrator import (
     EpisodeResult,
     Expanded,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import workflow as wf
 from .errors import DuplicateGoal, InvalidWorkflow, NoEligibleAgent
-from .goals import Goal, SimilarityBackend, schema_compat, similarity
+from .goals import Goal, schema_compat, similarity
 
 
 @dataclass
@@ -121,8 +121,6 @@ class AgentNetwork:
     archive: list[AtomicAgent]
     epoch: int
     config: LifeConfig
-    backend: SimilarityBackend
-    rng_seed: int
     training: list[tuple[Goal, wf.Workflow]] = field(default_factory=list)
     solved_shapes: dict = field(default_factory=dict)
 
@@ -136,12 +134,11 @@ class AgentNetwork:
         raise KeyError(agent_id)
 
 
-def build_agents(dataset: list[tuple[Goal, wf.Workflow]], config: LifeConfig | None = None,
-                 backend: SimilarityBackend | None = None, rng_seed: int = 0) -> AgentNetwork:
+def build_agents(dataset: list[tuple[Goal, wf.Workflow]],
+                 config: LifeConfig | None = None) -> AgentNetwork:
     """One agent per (goal, procedure) pair; by construction each trained
     goal retrieves its own procedure with similarity exactly 1.0."""
     config = config or LifeConfig()
-    backend = backend or SimilarityBackend()
     seen: set[str] = set()
     agents: list[AtomicAgent] = []
     for goal, procedure in dataset:
@@ -154,8 +151,6 @@ def build_agents(dataset: list[tuple[Goal, wf.Workflow]], config: LifeConfig | N
         archive=[],
         epoch=0,
         config=config,
-        backend=backend,
-        rng_seed=rng_seed,
         training=list(dataset),
     )
 
@@ -169,7 +164,7 @@ def retrieve(net: AgentNetwork, goal: Goal, theta: float) -> list[tuple[AtomicAg
         raise ValueError("theta must lie in [0, 1]")
     scored = []
     for agent in net.active:
-        score = similarity(net.backend, agent.goal, goal)
+        score = similarity(agent.goal, goal)
         if score > theta:
             scored.append((agent, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0].agent_id))
@@ -177,16 +172,13 @@ def retrieve(net: AgentNetwork, goal: Goal, theta: float) -> list[tuple[AtomicAg
 
 
 def compatibility(agent: AtomicAgent, transition: Transition,
-                  w_familiar: float = 0.5, w_prior: float = 0.5,
-                  backend: SimilarityBackend | None = None,
                   input_gate: bool = True) -> float:
-    """Hard schema gate times a blend of goal familiarity and success prior."""
-    backend = backend or SimilarityBackend()
+    """Hard schema gate times an even blend of goal familiarity and success prior."""
     if input_gate and not schema_compat(transition.available_inputs, agent.goal):
         return 0.0
-    familiar = similarity(backend, agent.goal, transition.subgoal)
+    familiar = similarity(agent.goal, transition.subgoal)
     prior = agent.stats.successes / max(1, agent.stats.successes + agent.stats.failures)
-    return w_familiar * familiar + w_prior * prior
+    return 0.5 * familiar + 0.5 * prior
 
 
 def _weights(candidates: list[tuple[AtomicAgent, float]], use_life: bool) -> list[float]:
@@ -266,13 +258,13 @@ def eliminate_and_refresh(net: AgentNetwork) -> ChangeLog:
     if net.epoch % net.config.refresh_period == 0:
         for goal, procedure in net.training:
             covered = any(
-                similarity(net.backend, agent.goal, goal) == 1.0 for agent in net.active
+                similarity(agent.goal, goal) == 1.0 for agent in net.active
             )
             if covered:
                 continue
             matching = [
                 agent for agent in net.archive
-                if similarity(net.backend, agent.goal, goal) == 1.0
+                if similarity(agent.goal, goal) == 1.0
             ]
             if matching:
                 matching.sort(key=lambda a: (-a.stats.success_ratio(), a.agent_id))

@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import corpus as corpus_mod
 from .agents import LifeConfig
@@ -27,19 +27,17 @@ from .evaluation import run_experiment as _run_experiment
 DEFAULT_CONFIG_ENV = "FLOWSMITH_CONFIG"
 DEFAULT_CONFIG_FILE = "flowsmith.json"
 
-# Built-in defaults for keys a config file may override.
+_EXPERIMENT_DEFAULTS = ExperimentConfig()
+_LIFE_DEFAULTS = asdict(LifeConfig())
+
+# Built-in defaults for keys a config file may override, read off the config classes.
 BUILTIN_DEFAULTS = {
-    "theta": 0.8,
-    "eta": 0.95,
-    "k_list": (1, 3, 5),
-    "budget": 5,
-    "seed": 0,
-    "l_init": 10.0,
-    "l_max": 100.0,
-    "alphas": (3.0, 1.0, 2.0),
-    "betas": (4.0, 2.0, 1.0),
-    "refresh_period": 10,
-    "drift_threshold": 0.5,
+    "theta": _EXPERIMENT_DEFAULTS.theta,
+    "eta": _EXPERIMENT_DEFAULTS.eta,
+    "k_list": _EXPERIMENT_DEFAULTS.k_list,
+    "budget": _EXPERIMENT_DEFAULTS.repair_budget,
+    "seed": _EXPERIMENT_DEFAULTS.seed,
+    **_LIFE_DEFAULTS,
 }
 
 _CONFIG_KEYS = set(BUILTIN_DEFAULTS)
@@ -175,7 +173,7 @@ def parse_args(argv: list[str]) -> Command:
             options["k_list"] = _parse_int_list(raw, "k")
         if options.get("sweep"):
             options["sweep"] = _parse_int_list(options["sweep"], "sweep")
-    for key in ("l_init", "l_max", "alphas", "betas", "refresh_period", "drift_threshold"):
+    for key in _LIFE_DEFAULTS:
         options.setdefault(key, file_defaults.get(key, BUILTIN_DEFAULTS[key]))
     return Command(verb=verb, options=options)
 
@@ -278,12 +276,16 @@ def _cmd_ablate(cmd: Command) -> int:
 
 
 def _cmd_report(cmd: Command) -> int:
-    with open(cmd.options["report"], "r", encoding="utf-8") as handle:
+    path = cmd.options["report"]
+    with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
-    per_bucket = {
-        bucket: {int(k): value for k, value in table.items()}
-        for bucket, table in doc.get("per_bucket", {}).items()
-    }
+    try:
+        per_bucket = {
+            bucket: {int(k): value for k, value in table.items()}
+            for bucket, table in doc["per_bucket"].items()
+        }
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed report {path!r}: {type(exc).__name__}: {exc}") from exc
     corpus_mod.write_atomic(cmd.options["csv"], csv_text(per_bucket))
     print(f"csv written to {cmd.options['csv']}")
     return 0

@@ -57,9 +57,9 @@ class PlantedSubflowSpec:
 
     def __post_init__(self):
         if not 2 <= self.length <= 5:
-            raise ValueError("planted pattern length must be 2..5")
+            raise ConfigError("planted pattern length must be 2..5")
         if not 0.0 <= self.rate <= 1.0:
-            raise ValueError("planting rate must lie in [0, 1]")
+            raise ConfigError("planting rate must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -172,16 +172,20 @@ def unbound_inputs(tasks: list[wf.TaskNode]) -> frozenset[str]:
 # --- generation -----------------------------------------------------------------
 
 
-def _quota(hist: dict[int, float], total: int) -> dict[int, int]:
-    """Largest-remainder rounding of proportions to integer counts."""
-    items = sorted(hist.items())
-    raw = [(k, p * total) for k, p in items]
+def _largest_remainder(raw: list[tuple], total: int) -> dict:
+    """Round (key, real) pairs down, then give the ``total`` left over one
+    unit each to the largest fractional parts, ties by ascending key."""
     counts = {k: int(x) for k, x in raw}
     remainder = total - sum(counts.values())
     by_frac = sorted(raw, key=lambda kv: (-(kv[1] - int(kv[1])), kv[0]))
     for k, _ in by_frac[:remainder]:
         counts[k] += 1
     return counts
+
+
+def _quota(hist: dict[int, float], total: int) -> dict[int, int]:
+    """Largest-remainder rounding of proportions to integer counts."""
+    return _largest_remainder([(k, p * total) for k, p in sorted(hist.items())], total)
 
 
 def _structure(tasks: list[wf.TaskNode], depth: int, rng: random.Random,
@@ -308,14 +312,11 @@ def split(corpus: list[CorpusRecord], train_fraction: float,
     for i, record in enumerate(corpus):
         groups.setdefault(record.bucket, []).append(i)
 
-    total_train = round(train_fraction * len(corpus))
     labels = sorted(groups)
-    raw = [(label, len(groups[label]) * train_fraction) for label in labels]
-    take = {label: int(x) for label, x in raw}
-    remainder = total_train - sum(take.values())
-    by_frac = sorted(raw, key=lambda kv: (-(kv[1] - int(kv[1])), kv[0]))
-    for label, _ in by_frac[:remainder]:
-        take[label] += 1
+    take = _largest_remainder(
+        [(label, len(groups[label]) * train_fraction) for label in labels],
+        round(train_fraction * len(corpus)),
+    )
 
     rng = random.Random(derive_seed(seed, "split"))
     train_idx: set[int] = set()

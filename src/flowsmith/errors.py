@@ -41,24 +41,6 @@ class RejectedRepair(EngineError):
     """A repair action produced a workflow that does not validate."""
 
 
-class RepairAborted(EngineError):
-    """Base for repair-loop terminations; carries the partial state."""
-
-    def __init__(self, message, candidate=None, verdict=None, trace=()):
-        super().__init__(message)
-        self.candidate = candidate
-        self.verdict = verdict
-        self.trace = tuple(trace)
-
-
-class StalledRepair(RepairAborted):
-    """The repair loop made no progress on the last iteration."""
-
-
-class BudgetExhausted(RepairAborted):
-    """The repair budget ran out before a passing verdict."""
-
-
 class ConfigError(EngineError):
     """Bad experiment or command configuration."""
 

@@ -46,8 +46,19 @@ class ExperimentConfig:
     life: LifeConfig = LifeConfig()
 
     def __post_init__(self):
+        for name, value in (("theta", self.theta), ("eta", self.eta)):
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0.0 <= value <= 1.0):
+                raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
+        for name, value, low in (("max_depth", self.max_depth, 1),
+                                 ("repair_budget", self.repair_budget, 0)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         if not self.k_list:
             raise ConfigError("k_list must not be empty")
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.seed, *self.k_list)):
+            raise ConfigError(f"seed and k values must be integers, got {self.seed!r} "
+                              f"and {list(self.k_list)!r}")
         if list(self.k_list) != sorted(self.k_list) or len(set(self.k_list)) != len(self.k_list):
             raise ConfigError("k_list must be strictly ascending")
         if any(k < 1 for k in self.k_list):
@@ -206,9 +217,9 @@ def run_episodes(net: AgentNetwork, records: list[CorpusRecord],
 
 
 def _sweep_point(train: list[CorpusRecord], test: list[CorpusRecord],
-                 solve_cfg: SolveConfig, life: LifeConfig, seed: int) -> float:
+                 solve_cfg: SolveConfig, life: LifeConfig) -> float:
     """Overall pass@1 of a network built from ``train`` alone."""
-    net = build_agents([(r.goal, r.workflow) for r in train], config=life, rng_seed=seed)
+    net = build_agents([(r.goal, r.workflow) for r in train], config=life)
     episodes, _ = run_episodes(net, test, solve_cfg)
     return overall_pass_at_1(episodes)
 
@@ -258,8 +269,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
         raise ConfigError(f"sweep sizes must be distinct: {list(sizes)}")
 
     solve_cfg = config.solve_config()
-    net = build_agents([(r.goal, r.workflow) for r in train], config=config.life,
-                       rng_seed=config.seed)
+    net = build_agents([(r.goal, r.workflow) for r in train], config=config.life)
     episodes, life_summary = run_episodes(net, test, solve_cfg)
 
     sweep = None
@@ -273,8 +283,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
             mp_context=multiprocessing.get_context("spawn"),
         ) as pool:
             points = pool.map(_sweep_point, [train[:size] for size in sizes],
-                              repeat(test), repeat(solve_cfg), repeat(config.life),
-                              repeat(config.seed))
+                              repeat(test), repeat(solve_cfg), repeat(config.life))
             sweep = dict(zip(sizes, points))
 
     report = MetricsReport(

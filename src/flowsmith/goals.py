@@ -1,9 +1,7 @@
 """Goal descriptors, similarity scoring, and schema compatibility.
 
-Similarity is deliberately pluggable but deterministic: the default
-backend is Jaccard over descriptor token sets; a weighted-overlap
-variant re-weights individual tokens.  Both are symmetric, bounded to
-[0, 1], and score identical non-empty token sets at exactly 1.0.
+Similarity is Jaccard over descriptor token sets: symmetric, bounded
+to [0, 1], and exactly 1.0 for identical non-empty token sets.
 """
 
 from __future__ import annotations
@@ -40,47 +38,13 @@ class Goal:
             object.__setattr__(self, "subgoal_template", tuple(self.subgoal_template))
 
 
-@dataclass(frozen=True)
-class SimilarityBackend:
-    """Deterministic token-set similarity: ``jaccard`` or ``weighted-overlap``.
-
-    ``weighted-overlap`` reads per-token weights from ``parameters``
-    (missing tokens weigh 1.0) and computes the weighted Jaccard ratio.
-    """
-
-    kind: str = "jaccard"
-    parameters: tuple[tuple[str, float], ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("jaccard", "weighted-overlap"):
-            raise ValueError(f"unknown similarity backend {self.kind!r}")
-        params = self.parameters
-        if isinstance(params, dict):
-            params = tuple(sorted(params.items()))
-        object.__setattr__(self, "parameters", tuple(params))
-
-    def weight(self, token: str) -> float:
-        for key, value in self.parameters:
-            if key == token:
-                return float(value)
-        return 1.0
-
-
-def similarity(backend: SimilarityBackend, a: Goal, b: Goal) -> float:
-    """Score in [0, 1]; symmetric; 1.0 exactly for equal non-empty token sets."""
+def similarity(a: Goal, b: Goal) -> float:
+    """Jaccard score in [0, 1]; symmetric; 1.0 exactly for equal non-empty token sets."""
     if not a.tokens or not b.tokens:
         raise EmptyGoal("similarity requires non-empty token sets")
-    union = a.tokens | b.tokens
-    inter = a.tokens & b.tokens
     if a.tokens == b.tokens:
         return 1.0
-    if backend.kind == "jaccard":
-        return len(inter) / len(union)
-    inter_w = sum(backend.weight(t) for t in sorted(inter))
-    union_w = sum(backend.weight(t) for t in sorted(union))
-    if union_w <= 0.0:
-        return 0.0
-    return inter_w / union_w
+    return len(a.tokens & b.tokens) / len(a.tokens | b.tokens)
 
 
 def schema_compat(producer_outputs, consumer: Goal) -> bool:

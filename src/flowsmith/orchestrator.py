@@ -5,8 +5,12 @@ else is split by greedy token set-cover over the active pool, each part
 decomposed recursively, and the parts composed left to right.  The
 candidate is then verified either against the expected workflow
 (oracle mode, structural equality on normalized trees) or against the
-goal's declared interface (goal-anchored mode).  Failed candidates are
-handed to the structural repair loop when hypotheses are enabled.
+goal's declared interface (goal-anchored mode).
+
+Every stage reads its settings from one ``SolveConfig``.  Its
+``hypothesis`` switch covers both kinds of structural hypothesis: with
+it off, an unmatched goal is not split and a failed candidate is not
+repaired.
 """
 
 from __future__ import annotations
@@ -167,41 +171,37 @@ def _cover_split(net: AgentNetwork, goal: Goal) -> list[Goal]:
     return parts
 
 
-def decompose(net: AgentNetwork, goal: Goal, theta: float, max_depth: int,
-              rng: random.Random | None = None, *,
-              allow_split: bool = True, scale_control: bool = True,
-              input_gate: bool = True) -> DecompositionTree:
+def decompose(net: AgentNetwork, goal: Goal, config: SolveConfig,
+              rng: random.Random) -> DecompositionTree:
     """Resolve the goal directly when retrieval clears theta, else split.
 
-    With ``allow_split`` off (the no-hypothesis configuration) an
-    unmatched goal raises DecompositionFailure instead of splitting:
-    proposing a subgoal structure is itself a structural hypothesis.
+    With hypotheses off an unmatched goal raises DecompositionFailure
+    instead of splitting: proposing a subgoal structure is itself a
+    structural hypothesis.
     """
-    if max_depth < 1:
+    if config.max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    rng = rng or random.Random(net.rng_seed)
 
     def walk(g: Goal, depth: int, scope: frozenset[str]) -> tuple[DecompositionTree, frozenset[str]]:
-        candidates = retrieve(net, g, theta)
+        candidates = retrieve(net, g, config.theta)
         if candidates:
             transition = Transition(subgoal=g, available_inputs=scope)
             weighted = [
-                (agent, compatibility(agent, transition, backend=net.backend,
-                                      input_gate=input_gate))
+                (agent, compatibility(agent, transition, input_gate=config.input_goal))
                 for agent, _ in candidates
             ]
             try:
-                chosen = select(weighted, rng, use_life=scale_control)
+                chosen = select(weighted, rng, use_life=config.scale_control)
             except NoEligibleAgent:
                 chosen = None
             if chosen is not None:
                 return Resolved(g, chosen.agent_id), wf.produced_fields(chosen.procedure.root)
-        if not allow_split:
+        if not config.hypothesis:
             raise DecompositionFailure(
                 f"no agent above threshold for goal {g.id!r} and structural "
                 "splitting is disabled"
             )
-        if depth >= max_depth:
+        if depth >= config.max_depth:
             raise DecompositionFailure(f"depth budget exhausted at goal {g.id!r}")
         parts = _cover_split(net, g)
         children: list[DecompositionTree] = []
@@ -314,7 +314,7 @@ def verify(candidate: wf.Workflow, target, mode: str = "oracle", eta: float = 0.
 
 def _novelty(net: AgentNetwork, goal: Goal) -> bool:
     """True when no training goal matches at similarity 1.0."""
-    return all(similarity(net.backend, g, goal) < 1.0 for g, _ in net.training)
+    return all(similarity(g, goal) < 1.0 for g, _ in net.training)
 
 
 def _localize_fault(verdict: Verdict, segments: list[tuple[str, int]]) -> str | None:
@@ -348,8 +348,11 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
     Every rank draws from its own derived seed, so the rank-1 candidate
     is identical for any k.  DecompositionFailure propagates only when
     hypotheses are disabled; with them enabled it is recorded as an
-    early failure.  Outcomes follow the attribution rules: the passing
-    path is rewarded, the fault-localized step of a failed candidate is
+    early failure.  A failed candidate goes to the repair loop only when
+    hypotheses are enabled and the repair budget is positive.  Without
+    verification one candidate is composed and scored, with no reward or
+    penalty.  Outcomes follow the attribution rules: the passing path is
+    rewarded, the fault-localized step of a failed candidate is
     penalized.
     """
     from .repair import repair_loop  # deferred to avoid an import cycle
@@ -363,17 +366,11 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
         steps=0, seed=config.seed,
     )
     novel = _novelty(net, goal)
-    max_rank = 1 if not config.verification else config.k
 
-    for rank in range(1, max_rank + 1):
+    for rank in range(1, config.k + 1):
         rng = random.Random(derive_seed(config.seed, goal.id, rank))
         try:
-            tree = decompose(
-                net, goal, config.theta, config.max_depth, rng,
-                allow_split=config.hypothesis,
-                scale_control=config.scale_control,
-                input_gate=config.input_goal,
-            )
+            tree = decompose(net, goal, config, rng)
         except DecompositionFailure:
             if not config.hypothesis:
                 raise
@@ -384,25 +381,15 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
         path_agents = [leaf.agent_id for leaf in tree_leaves(tree)]
         episode.steps += len(path_agents)
 
+        verdict = verify(candidate, target, config.mode, config.eta,
+                         output_goal=config.output_goal)
         if not config.verification:
-            verdict = verify(candidate, target, config.mode, config.eta,
-                             output_goal=config.output_goal)
             episode.candidates.append((candidate, verdict))
             break
 
-        verdict = verify(candidate, target, config.mode, config.eta,
-                         output_goal=config.output_goal)
-        if not verdict.passed and config.repair_budget >= 1:
-            repaired, verdict, trace = repair_loop(
-                net, goal, candidate, target, config.repair_budget,
-                mode=config.mode, eta=config.eta, theta=config.theta,
-                rng=rng, max_depth=config.max_depth,
-                scale_control=config.scale_control,
-                input_gate=config.input_goal,
-                output_goal=config.output_goal,
-                raise_on_abort=False,
-            )
-            candidate = repaired
+        if not verdict.passed and config.hypothesis and config.repair_budget >= 1:
+            candidate, verdict, trace, _ = repair_loop(net, goal, candidate, target,
+                                                       config, rng)
             for record in trace:
                 if record.agent_id is not None:
                     path_agents.append(record.agent_id)

@@ -6,8 +6,9 @@ agent's procedure, a missing branch attaches a guarded side path, an
 over-abstraction re-decomposes a goal under a Nest boundary, and a
 wrong order permutes siblings.  The loop applies the first applicable
 hypothesis, re-verifies, and insists on strict progress (shrinking
-oracle edit script, or shrinking missing-output set) until it passes
-or the budget runs out.
+oracle edit script, or shrinking missing-output set) until it passes,
+stalls, or the budget runs out.  Every setting comes from the
+episode's ``SolveConfig``.
 """
 
 from __future__ import annotations
@@ -17,15 +18,9 @@ from dataclasses import dataclass
 
 from . import workflow as wf
 from .agents import AgentNetwork, AtomicAgent, select
-from .errors import (
-    BudgetExhausted,
-    NoEligibleAgent,
-    NotAFailure,
-    RejectedRepair,
-    StalledRepair,
-)
+from .errors import NoEligibleAgent, NotAFailure, RejectedRepair
 from .goals import Goal, similarity
-from .orchestrator import RepairRecord, Verdict, compose, decompose, verify
+from .orchestrator import RepairRecord, SolveConfig, Verdict, compose, decompose, verify
 
 MISSING_STEP = "MissingStep"
 WRONG_ORDER = "WrongOrder"
@@ -138,7 +133,7 @@ def diagnose(verdict: Verdict, candidate: wf.Workflow, target) -> list[FailureHy
 
 
 def _match_agent(net: AgentNetwork, needed, rng: random.Random,
-                 scale_control: bool = True) -> AtomicAgent:
+                 scale_control: bool) -> AtomicAgent:
     """The best-matching agent for a need: top score group, then selection.
 
     A Goal need scores by token similarity; a field-set need scores by
@@ -148,7 +143,7 @@ def _match_agent(net: AgentNetwork, needed, rng: random.Random,
     scored: list[tuple[AtomicAgent, float]] = []
     for agent in sorted(net.active, key=lambda a: a.agent_id):
         if isinstance(needed, Goal):
-            score = similarity(net.backend, agent.goal, needed)
+            score = similarity(agent.goal, needed)
         else:
             fields = frozenset(needed)
             score = len(agent.goal.output_schema & fields) / len(fields) if fields else 0.0
@@ -161,15 +156,12 @@ def _match_agent(net: AgentNetwork, needed, rng: random.Random,
     return select(top, rng, use_life=scale_control)
 
 
-def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwork, *,
-          goal: Goal | None = None, theta: float = 0.8, rng: random.Random | None = None,
-          max_depth: int = 8, scale_control: bool = True,
-          input_gate: bool = True) -> tuple[wf.Workflow, RepairAction]:
+def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwork,
+          config: SolveConfig, rng: random.Random, *,
+          goal: Goal | None = None) -> tuple[wf.Workflow, RepairAction]:
     """Apply one hypothesis; the result must validate or the action is rejected."""
-    rng = rng or random.Random(net.rng_seed)
-
     if hypothesis.kind == MISSING_STEP:
-        agent = _match_agent(net, hypothesis.needed, rng, scale_control)
+        agent = _match_agent(net, hypothesis.needed, rng, config.scale_control)
         edit = wf.InsertNode(hypothesis.location, agent.procedure.root)
         repaired = wf.apply_edits((edit,), candidate)
         repaired = repaired.replace(
@@ -187,7 +179,7 @@ def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwo
         needed = hypothesis.needed if isinstance(hypothesis.needed, frozenset) else frozenset()
         if not needed:
             raise RejectedRepair("missing-branch hypothesis without needed fields")
-        agent = _match_agent(net, needed, rng, scale_control)
+        agent = _match_agent(net, needed, rng, config.scale_control)
         predicate = wf.Predicate(key=sorted(needed)[0], op="exists")
         node = wf.Branch(predicate, agent.procedure.root, None)
         repaired = wf.apply_edits((wf.InsertNode(hypothesis.location, node),), candidate)
@@ -207,9 +199,7 @@ def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwo
                     break
         if resolved is None:
             raise NoEligibleAgent(f"no known goal with id {needed.id!r}")
-        tree = decompose(net, resolved, theta, max_depth, rng,
-                         allow_split=True, scale_control=scale_control,
-                         input_gate=input_gate)
+        tree = decompose(net, resolved, config, rng)
         body = compose(tree, net)
         nest_node = wf.Nest(resolved.id, body.root)
         repaired = wf.apply_edits(
@@ -239,65 +229,49 @@ def _progress_metric(verdict: Verdict) -> int:
 
 
 def repair_loop(net: AgentNetwork, goal: Goal, candidate: wf.Workflow, target,
-                budget: int, *, mode: str = "oracle", eta: float = 0.95,
-                theta: float = 0.8, rng: random.Random | None = None,
-                max_depth: int = 8, scale_control: bool = True,
-                input_gate: bool = True, output_goal: bool = True,
-                raise_on_abort: bool = True
-                ) -> tuple[wf.Workflow, Verdict, list[RepairRecord]]:
-    """Diagnose / apply / verify until the candidate passes or budget is spent.
+                config: SolveConfig, rng: random.Random
+                ) -> tuple[wf.Workflow, Verdict, list[RepairRecord], str]:
+    """Diagnose / apply / verify for up to ``config.repair_budget`` iterations.
 
-    Every iteration must strictly shrink the oracle edit script (or the
-    missing-output set); otherwise the loop stops with StalledRepair.
-    With ``raise_on_abort`` off the partial state is returned instead of
-    raised, which is how the solve loop consumes it.
+    Returns the last candidate, its verdict, the trace of applied
+    repairs and why the loop stopped: ``"passed"``; ``"stalled"`` when
+    no hypothesis applies or an iteration fails to strictly shrink the
+    oracle edit script (or the missing-output set); ``"budget"`` when
+    the budget is spent first.
     """
-    if budget < 1:
+    if config.repair_budget < 1:
         raise ValueError("repair budget must be >= 1")
-    rng = rng or random.Random(net.rng_seed)
 
     trace: list[RepairRecord] = []
-    verdict = verify(candidate, target, mode, eta, output_goal=output_goal)
+    verdict = verify(candidate, target, config.mode, config.eta,
+                     output_goal=config.output_goal)
+    if verdict.passed:
+        return candidate, verdict, trace, "passed"
     last_metric = _progress_metric(verdict)
 
-    def abort(exc_type, message):
-        if raise_on_abort:
-            raise exc_type(message, candidate=candidate, verdict=verdict, trace=trace)
-        return candidate, verdict, trace
-
-    if verdict.passed:
-        return candidate, verdict, trace
-
-    for _ in range(budget):
-        try:
-            hypotheses = diagnose(verdict, candidate, target)
-        except NotAFailure:
-            break
+    for _ in range(config.repair_budget):
         applied = None
-        for hypothesis in hypotheses:
+        for hypothesis in diagnose(verdict, candidate, target):
             try:
-                repaired, action = apply(
-                    candidate, hypothesis, net, goal=goal, theta=theta, rng=rng,
-                    max_depth=max_depth, scale_control=scale_control,
-                    input_gate=input_gate,
-                )
+                repaired, action = apply(candidate, hypothesis, net, config, rng, goal=goal)
             except (NoEligibleAgent, RejectedRepair):
                 continue
             applied = (hypothesis, action, repaired)
             break
         if applied is None:
-            return abort(StalledRepair, f"no applicable hypothesis for goal {goal.id!r}")
+            return candidate, verdict, trace, "stalled"
         hypothesis, action, candidate = applied
-        verdict = verify(candidate, target, mode, eta, output_goal=output_goal)
+        verdict = verify(candidate, target, config.mode, config.eta,
+                         output_goal=config.output_goal)
         trace.append(RepairRecord(
             hypothesis=hypothesis.kind, location=hypothesis.location,
             action=action.op, agent_id=action.agent_id, score=verdict.score,
             candidate=candidate,
         ))
         if verdict.passed:
-            return candidate, verdict, trace
+            return candidate, verdict, trace, "passed"
         metric = _progress_metric(verdict)
         if metric >= last_metric:
-            return abort(StalledRepair, f"no structural progress for goal {goal.id!r}")
+            return candidate, verdict, trace, "stalled"
         last_metric = metric
-    return abort(BudgetExhausted, f"repair budget {budget} spent on goal {goal.id!r}")
+    return candidate, verdict, trace, "budget"

@@ -311,17 +311,20 @@ def node_metrics(node: WorkflowNode) -> StructMetrics:
 # --- normalization and flattening ------------------------------------------
 
 
-def normalize_node(node: WorkflowNode) -> WorkflowNode:
+def normalize_node(node: WorkflowNode, strip_nests: bool = False) -> WorkflowNode:
+    """Splice nested Sequences into their parent, drop empty ones and collapse
+    single-child ones; with ``strip_nests`` every Nest is inlined as well."""
     if isinstance(node, TaskNode):
         return node
     if isinstance(node, Nest):
-        return Nest(node.sub_goal_id, normalize_node(node.body))
+        body = normalize_node(node.body, strip_nests)
+        return body if strip_nests else Nest(node.sub_goal_id, body)
     if isinstance(node, Branch):
-        orelse = normalize_node(node.orelse) if node.orelse is not None else None
-        return Branch(node.cond, normalize_node(node.then), orelse)
+        orelse = normalize_node(node.orelse, strip_nests) if node.orelse is not None else None
+        return Branch(node.cond, normalize_node(node.then, strip_nests), orelse)
     out: list[WorkflowNode] = []
     for child in node.children:
-        norm = normalize_node(child)
+        norm = normalize_node(child, strip_nests)
         if isinstance(norm, Sequence):
             out.extend(norm.children)
         else:
@@ -335,29 +338,9 @@ def structurally_equal(a: Workflow, b: Workflow) -> bool:
     return normalize_node(a.root) == normalize_node(b.root)
 
 
-def flatten_node(node: WorkflowNode) -> WorkflowNode:
-    if isinstance(node, TaskNode):
-        return node
-    if isinstance(node, Nest):
-        return flatten_node(node.body)
-    if isinstance(node, Branch):
-        orelse = flatten_node(node.orelse) if node.orelse is not None else None
-        return Branch(node.cond, flatten_node(node.then), orelse)
-    out: list[WorkflowNode] = []
-    for child in node.children:
-        flat = flatten_node(child)
-        if isinstance(flat, Sequence):
-            out.extend(flat.children)
-        else:
-            out.append(flat)
-    if len(out) == 1:
-        return out[0]
-    return Sequence(tuple(out))
-
-
 def flatten(w: Workflow) -> Workflow:
     """Inline every Nest wrapper; task order is preserved and depth drops to 0."""
-    return w.replace(root=flatten_node(w.root))
+    return w.replace(root=normalize_node(w.root, strip_nests=True))
 
 
 # --- composition operators --------------------------------------------------
@@ -565,7 +548,7 @@ def find_subflows(w: Workflow, library: list[Workflow]) -> list[tuple[int, Path]
     A pattern matches on its tool_id sequence.  Results are
     (pattern_index, path-of-first-task) sorted lexicographically.
     """
-    flat_root = flatten_node(w.root)
+    flat_root = normalize_node(w.root, strip_nests=True)
     sites: list[tuple[Path, tuple[WorkflowNode, ...]]] = []
 
     def collect(node: WorkflowNode, path: Path) -> None:
@@ -627,7 +610,7 @@ def shape_signature(w: Workflow) -> tuple[str, tuple[str, ...]]:
             return "[" + skeleton(node.then) + "|" + alt + "]"
         return skeleton(node.body)
 
-    flat = flatten_node(w.root)
+    flat = normalize_node(w.root, strip_nests=True)
     tools = tuple(sorted(t.tool_id for t in task_order(flat)))
     return skeleton(flat), tools
 

@@ -244,4 +244,4 @@ def small_corpus():
 
 @pytest.fixture(scope="session")
 def trained_net(small_corpus):
-    return build_agents([(r.goal, r.workflow) for r in small_corpus], rng_seed=5)
+    return build_agents([(r.goal, r.workflow) for r in small_corpus])

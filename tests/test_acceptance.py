@@ -178,7 +178,7 @@ def test_criterion_3_ablation_ordering(acceptance_env):
             train_path=env["paths"]["train"], test_path=env["paths"]["novel200"],
             seed=SEED, disabled=disabled,
         )
-        net = build_agents([(r.goal, r.workflow) for r in train], rng_seed=SEED)
+        net = build_agents([(r.goal, r.workflow) for r in train])
         from flowsmith.evaluation import run_episodes
         episodes, _ = run_episodes(net, records, config.solve_config())
         return overall_pass_at_1(episodes)
@@ -331,8 +331,8 @@ def test_criterion_7_repair_completeness():
         goal = Goal(id=f"case{case}", tokens=frozenset({f"case{case}"}),
                     input_schema=expected.declared_inputs,
                     output_schema=expected.declared_outputs)
-        repaired, verdict, _ = repair_loop(net, goal, faulty, expected, budget=3,
-                                           rng=random.Random(case))
+        repaired, verdict, _, _ = repair_loop(net, goal, faulty, expected,
+                                              SolveConfig(repair_budget=3), random.Random(case))
         assert verdict.passed
         assert wf.structurally_equal(repaired, expected)
         recovered += 1

@@ -89,7 +89,7 @@ def test_retrieve_partial_overlap_brute_force():
     probe = _goal("probe", {"x", "y", "z", "w"})
     expected = []
     for agent in net.active:
-        score = similarity(net.backend, agent.goal, probe)
+        score = similarity(agent.goal, probe)
         if score > 0.4:
             expected.append((agent.agent_id, score))
     expected.sort(key=lambda p: (-p[1], p[0]))
@@ -105,14 +105,14 @@ def test_compatibility_hard_gate_zeroes_incompatible_agents():
     net = chain_pool(3)
     agent = net.active[1]  # needs o0
     transition = Transition(subgoal=agent.goal, available_inputs=frozenset())
-    assert compatibility(agent, transition, backend=net.backend) == 0.0
+    assert compatibility(agent, transition) == 0.0
 
 
 def test_compatibility_fresh_exact_match_is_half():
     net = chain_pool(3)
     agent = net.active[0]
     transition = Transition(subgoal=agent.goal, available_inputs=agent.goal.input_schema)
-    assert compatibility(agent, transition, backend=net.backend) == pytest.approx(0.5)
+    assert compatibility(agent, transition) == pytest.approx(0.5)
 
 
 def test_compatibility_blends_history_and_similarity():
@@ -120,10 +120,10 @@ def test_compatibility_blends_history_and_similarity():
     agent = net.active[0]
     agent.stats.successes, agent.stats.failures = 3, 1
     probe = _goal("p", set(list(agent.goal.tokens)[:2]) | {"zz"})
-    sim = similarity(net.backend, agent.goal, probe)
+    sim = similarity(agent.goal, probe)
     assert sim == pytest.approx(0.5)  # 2 shared of 4
     transition = Transition(subgoal=probe, available_inputs=agent.goal.input_schema)
-    got = compatibility(agent, transition, backend=net.backend)
+    got = compatibility(agent, transition)
     assert got == pytest.approx(0.5 * sim + 0.5 * 0.75)
 
 
@@ -131,7 +131,7 @@ def test_compatibility_gate_can_be_disabled():
     net = chain_pool(3)
     agent = net.active[1]
     transition = Transition(subgoal=agent.goal, available_inputs=frozenset())
-    assert compatibility(agent, transition, backend=net.backend, input_gate=False) > 0.0
+    assert compatibility(agent, transition, input_gate=False) > 0.0
 
 
 # --- select --------------------------------------------------------------------------
@@ -328,4 +328,4 @@ def test_compatibility_exact_example_point_675():
     # share all 3 agent tokens inside a 5-token probe: similarity 0.6
     probe = _goal("probe", set(agent.goal.tokens) | {"pp:1", "pp:2"})
     transition = Transition(subgoal=probe, available_inputs=agent.goal.input_schema)
-    assert compatibility(agent, transition, backend=net.backend) == pytest.approx(0.675)
+    assert compatibility(agent, transition) == pytest.approx(0.675)

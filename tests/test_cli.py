@@ -161,8 +161,15 @@ SOLVE = ["solve", "--train", "{train}", "--goals", "{test}"]
     ([{"theta": 0.6}], ["gen-corpus", "--config", "{file}"]),
     ({"l_init": 200.0}, SOLVE + ["--config", "{file}"]),
     (None, SOLVE + ["--k", "0"]),
+    (None, SOLVE + ["--theta", "2"]),
+    (None, SOLVE + ["--mode", "goal_anchored", "--eta", "7"]),
+    (None, SOLVE + ["--budget", "-3"]),
+    ({"theta": "abc"}, SOLVE + ["--config", "{file}"]),
+    ({"seed": "x"}, SOLVE + ["--config", "{file}"]),
+    (None, ["gen-corpus", "--n", "10", "--planted-length", "7"]),
 ], ids=["zero-records", "histogram-sum", "missing-total", "config-array",
-        "life-out-of-range", "k-zero"])
+        "life-out-of-range", "k-zero", "theta-out-of-range", "eta-out-of-range",
+        "negative-budget", "theta-not-a-number", "seed-not-a-number", "planted-length"])
 def test_bad_user_input_exits_two(corpora, capsys, input_doc, argv):
     tmp_path, train, test = corpora
     input_file = tmp_path / "input.json"
@@ -172,6 +179,16 @@ def test_bad_user_input_exits_two(corpora, capsys, input_doc, argv):
     assert cli.main([names.get(arg, arg) for arg in argv] + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_config_k_list_of_strings_exits_two(corpora, capsys):
+    tmp_path, train, test = corpora
+    config, report = tmp_path / "cfg.json", tmp_path / "r.json"
+    config.write_text(json.dumps({"k_list": "abc"}))
+    assert cli.main(["eval", "--train", train, "--test", test, "--report", str(report),
+                     "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not report.exists()
 
 
 def test_corrupt_corpus_line_exits_three(corpora, capsys):
@@ -215,6 +232,17 @@ def test_report_verb_reemits_csv(corpora, capsys):
     lines = csv.read_text().splitlines()
     assert lines[0] == "bucket,k,value" and len(lines) > 1
     assert csv.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("doc", [[1], {"per_bucket": [1]}, {"per_bucket": {"a": 1}},
+                                 {"per_bucket": {"a": {"x": 0.5}}}, {}],
+                         ids=["list", "bucket-list", "table-number", "bad-k", "no-table"])
+def test_report_verb_rejects_malformed_report(tmp_path, capsys, doc):
+    report, csv = tmp_path / "report.json", tmp_path / "out.csv"
+    report.write_text(json.dumps(doc))
+    assert cli.main(["report", "--report", str(report), "--csv", str(csv)]) == 3
+    assert "malformed report" in capsys.readouterr().err
+    assert not csv.exists()
 
 
 @pytest.mark.parametrize("sweep", ["abc", "-5", "61", "100000", "5,5"])

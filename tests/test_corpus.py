@@ -6,11 +6,10 @@ from flowsmith import corpus as cp
 from flowsmith import workflow as wf
 from flowsmith.agents import build_agents, retrieve
 from flowsmith.errors import InfeasibleProfile
-from flowsmith.goals import similarity, SimilarityBackend
+from flowsmith.goals import similarity
 
 from .conftest import oracle_validate
 
-JACCARD = SimilarityBackend()
 
 
 def _l1(empirical: dict, target: dict) -> float:
@@ -77,7 +76,7 @@ def test_atomic_goals_pairwise_dissimilar(small_corpus):
     goals = [r.goal for r in small_corpus[:30]]
     for i, a in enumerate(goals):
         for b in goals[i + 1:]:
-            assert similarity(JACCARD, a, b) < 0.5
+            assert similarity(a, b) < 0.5
 
 
 def test_planting_rate_within_tolerance():
@@ -173,7 +172,7 @@ def test_novel_goals_force_decomposition(small_corpus, trained_net):
         assert record.goal.id not in train_ids
         assert retrieve(trained_net, record.goal, theta=0.8) == []
         # brute force: no single trained goal contains the union
-        assert all(similarity(JACCARD, record.goal, g) < 1.0
+        assert all(similarity(record.goal, g) < 1.0
                    for g, _ in trained_net.training)
 
 

@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 
 from flowsmith import workflow as wf
 from flowsmith.errors import EmptyGoal
-from flowsmith.goals import Goal, SimilarityBackend, schema_compat, similarity
+from flowsmith.goals import Goal, schema_compat, similarity
 
 from .conftest import chain_flow, mk_flow, mk_task
-
-JACCARD = SimilarityBackend()
 
 
 def g(gid, tokens, ins=(), outs=()):
@@ -21,17 +19,17 @@ def g(gid, tokens, ins=(), outs=()):
 def test_identical_goals_score_one():
     a = g("a", {"query", "customer"})
     b = g("b", {"query", "customer"})
-    assert similarity(JACCARD, a, b) == 1.0
+    assert similarity(a, b) == 1.0
 
 
 def test_disjoint_token_sets_score_zero():
-    assert similarity(JACCARD, g("a", {"x"}), g("b", {"y"})) == 0.0
+    assert similarity(g("a", {"x"}), g("b", {"y"})) == 0.0
 
 
 def test_hand_computed_jaccard():
     a = g("a", {"query", "customer", "id"})
     b = g("b", {"query", "customer", "email"})
-    assert similarity(JACCARD, a, b) == pytest.approx(0.5)  # 2 shared of 4 total
+    assert similarity(a, b) == pytest.approx(0.5)  # 2 shared of 4 total
 
 
 def test_empty_goal_rejected_at_construction():
@@ -39,27 +37,17 @@ def test_empty_goal_rejected_at_construction():
         Goal(id="bad", tokens=frozenset())
 
 
-def test_weighted_overlap_backend():
-    backend = SimilarityBackend(kind="weighted-overlap", parameters={"query": 3.0})
-    a = g("a", {"query", "id"})
-    b = g("b", {"query", "email"})
-    # intersection weight 3, union weight 3 + 1 + 1
-    assert similarity(backend, a, b) == pytest.approx(3.0 / 5.0)
-    assert similarity(backend, a, a) == 1.0
-
-
 _token_sets = st.sets(st.sampled_from([f"tok{i}" for i in range(12)]), min_size=1, max_size=6)
 
 
-@given(_token_sets, _token_sets, st.sampled_from(["jaccard", "weighted-overlap"]))
+@given(_token_sets, _token_sets)
 @settings(max_examples=500, deadline=None)
-def test_similarity_symmetric_and_bounded(ta, tb, kind):
-    backend = SimilarityBackend(kind=kind, parameters={"tok0": 2.0, "tok1": 0.5})
+def test_similarity_symmetric_and_bounded(ta, tb):
     a, b = g("a", ta), g("b", tb)
-    ab = similarity(backend, a, b)
-    assert ab == similarity(backend, b, a)
+    ab = similarity(a, b)
+    assert ab == similarity(b, a)
     assert 0.0 <= ab <= 1.0
-    assert similarity(backend, a, a) == 1.0
+    assert similarity(a, a) == 1.0
 
 
 def test_schema_compat_trivials():
@@ -101,8 +89,8 @@ def test_threshold_monotonicity_of_retrieval_sets():
             for i in range(40)]
     probe = g("probe", {"tok0", "tok1", "tok2"})
     for theta_low, theta_high in [(0.1, 0.4), (0.3, 0.8), (0.0, 0.99)]:
-        low = {cand.id for cand in pool if similarity(JACCARD, cand, probe) > theta_low}
-        high = {cand.id for cand in pool if similarity(JACCARD, cand, probe) > theta_high}
+        low = {cand.id for cand in pool if similarity(cand, probe) > theta_low}
+        high = {cand.id for cand in pool if similarity(cand, probe) > theta_high}
         assert high <= low
 
 
@@ -127,4 +115,4 @@ def test_similarity_symmetry_over_ten_thousand_random_pairs():
     for _ in range(10000):
         a = g("a", {rng.choice(vocab) for _ in range(rng.randint(1, 6))})
         b = g("b", {rng.choice(vocab) for _ in range(rng.randint(1, 6))})
-        assert similarity(JACCARD, a, b) == similarity(JACCARD, b, a)
+        assert similarity(a, b) == similarity(b, a)

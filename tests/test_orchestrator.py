@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from flowsmith import corpus as cp
@@ -34,7 +36,7 @@ def _union_goal(gid, parts):
 def test_decompose_trained_goal_resolves_directly():
     net = chain_pool(6)
     goal = net.training[2][0]
-    tree = decompose(net, goal, theta=0.8, max_depth=8)
+    tree = decompose(net, goal, SolveConfig(), random.Random(0))
     assert isinstance(tree, Resolved)
     assert tree.agent_id == goal.id
 
@@ -43,7 +45,7 @@ def test_decompose_composite_recovers_ground_truth_parts():
     net = chain_pool(8)
     parts = [net.training[i][0] for i in (1, 4, 6)]
     composite = _union_goal("composite", parts)
-    tree = decompose(net, composite, theta=0.8, max_depth=8)
+    tree = decompose(net, composite, SolveConfig(), random.Random(0))
     assert isinstance(tree, Expanded)
     got = {leaf.agent_id for leaf in tree_leaves(tree)}
     assert got == {p.id for p in parts}
@@ -53,14 +55,14 @@ def test_decompose_empty_network_fails():
     net = build_agents([])
     goal = Goal(id="novel", tokens=frozenset({"a", "b"}))
     with pytest.raises(DecompositionFailure):
-        decompose(net, goal, theta=0.8, max_depth=8)
+        decompose(net, goal, SolveConfig(), random.Random(0))
 
 
 def test_decompose_split_disabled_fails_on_novel_goal():
     net = chain_pool(6)
     composite = _union_goal("c", [net.training[0][0], net.training[1][0]])
     with pytest.raises(DecompositionFailure):
-        decompose(net, composite, theta=0.8, max_depth=8, allow_split=False)
+        decompose(net, composite, SolveConfig(hypothesis=False), random.Random(0))
 
 
 def test_decompose_resolution_soundness():
@@ -68,10 +70,10 @@ def test_decompose_resolution_soundness():
     parts = [net.training[i][0] for i in (0, 3)]
     composite = _union_goal("c2", parts)
     theta = 0.8
-    tree = decompose(net, composite, theta=theta, max_depth=8)
+    tree = decompose(net, composite, SolveConfig(theta=theta), random.Random(0))
     for leaf in tree_leaves(tree):
         agent = net.agent_by_id(leaf.agent_id)
-        assert similarity(net.backend, agent.goal, leaf.goal) > theta
+        assert similarity(agent.goal, leaf.goal) > theta
 
 
 # --- compose ------------------------------------------------------------------------
@@ -80,7 +82,7 @@ def test_decompose_resolution_soundness():
 def test_compose_single_leaf_is_agent_procedure_verbatim():
     net = chain_pool(4)
     goal = net.training[1][0]
-    tree = decompose(net, goal, theta=0.8, max_depth=8)
+    tree = decompose(net, goal, SolveConfig(), random.Random(0))
     candidate = compose(tree, net)
     assert wf.structurally_equal(candidate, net.agent_by_id(goal.id).procedure)
 
@@ -204,6 +206,20 @@ def test_solve_novel_composite_with_hypothesis_disabled_propagates():
     config = SolveConfig(seed=11, hypothesis=False)
     with pytest.raises(DecompositionFailure):
         solve(net, novel.goal, config, expected=novel.workflow)
+
+
+def test_solve_hypothesis_disabled_never_repairs():
+    # g0 resolves directly, but the expected flow has one more task: one
+    # Insert repairs it with hypotheses on, and nothing may repair it off
+    goal = chain_pool(6).training[0][0]
+    expected = chain_flow([0, 1], gid=goal.id)
+    blocked = solve(chain_pool(6), goal, SolveConfig(seed=11, k=1, hypothesis=False),
+                    expected=expected)
+    assert blocked.repairs_applied == []
+    assert blocked.passed_rank() is None
+    repaired = solve(chain_pool(6), goal, SolveConfig(seed=11, k=1), expected=expected)
+    assert [r.action for r in repaired.repairs_applied] == ["Insert"]
+    assert repaired.passed_rank() == 1
 
 
 def test_solve_novel_composite_with_repair_passes_and_replays_identically():

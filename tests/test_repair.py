@@ -5,12 +5,7 @@ import pytest
 from flowsmith import corpus as cp
 from flowsmith import workflow as wf
 from flowsmith.agents import build_agents
-from flowsmith.errors import (
-    BudgetExhausted,
-    NoEligibleAgent,
-    NotAFailure,
-    StalledRepair,
-)
+from flowsmith.errors import NoEligibleAgent, NotAFailure
 from flowsmith.goals import Goal
 from flowsmith.orchestrator import SolveConfig, Verdict, solve, verify
 from flowsmith.repair import (
@@ -120,7 +115,7 @@ def test_apply_insert_with_unique_exact_match_restores_equality():
     faulty = _delete_task(expected, 1)
     verdict = verify(faulty, expected, mode="oracle")
     hypothesis = diagnose(verdict, faulty, expected)[0]
-    repaired, action = apply(faulty, hypothesis, net, rng=random.Random(0))
+    repaired, action = apply(faulty, hypothesis, net, SolveConfig(), random.Random(0))
     assert action.op == "Insert" and action.agent_id == "g1"
     assert wf.structurally_equal(repaired, expected)
 
@@ -131,7 +126,7 @@ def test_apply_reorder_restores_equality():
     faulty = _swap_adjacent(expected, 1)
     verdict = verify(faulty, expected, mode="oracle")
     hypothesis = diagnose(verdict, faulty, expected)[0]
-    repaired, action = apply(faulty, hypothesis, net, rng=random.Random(0))
+    repaired, action = apply(faulty, hypothesis, net, SolveConfig(), random.Random(0))
     assert action.op == "Reorder"
     assert wf.structurally_equal(repaired, expected)
 
@@ -143,7 +138,7 @@ def test_apply_missing_step_on_empty_network_raises():
     verdict = verify(faulty, expected, mode="oracle")
     hypothesis = diagnose(verdict, faulty, expected)[0]
     with pytest.raises(NoEligibleAgent):
-        apply(faulty, hypothesis, net, rng=random.Random(0))
+        apply(faulty, hypothesis, net, SolveConfig(), random.Random(0))
 
 
 def test_apply_branch_rebuilds_generated_branch_exactly():
@@ -156,7 +151,7 @@ def test_apply_branch_rebuilds_generated_branch_exactly():
     candidate = host.replace(declared_inputs=expected.declared_inputs)
     verdict = verify(candidate, expected, mode="oracle")
     hypothesis = diagnose(verdict, candidate, expected)[0]
-    repaired, action = apply(candidate, hypothesis, net, rng=random.Random(0))
+    repaired, action = apply(candidate, hypothesis, net, SolveConfig(), random.Random(0))
     assert action.op == "Branch"
     assert wf.structurally_equal(repaired, expected)
 
@@ -180,7 +175,8 @@ def test_repair_loop_budget_must_be_positive():
     net = chain_pool(2)
     flow = chain_flow([0])
     with pytest.raises(ValueError):
-        repair_loop(net, _flow_goal(flow, "g"), flow, flow, budget=0)
+        repair_loop(net, _flow_goal(flow, "g"), flow, flow, SolveConfig(repair_budget=0),
+                    random.Random(0))
 
 
 def test_repair_loop_one_insert_away_budget_one():
@@ -188,9 +184,9 @@ def test_repair_loop_one_insert_away_budget_one():
     expected = chain_flow([0, 1, 2], gid="case")
     faulty = _delete_task(expected, 2)
     goal = _flow_goal(expected, "case")
-    repaired, verdict, trace = repair_loop(net, goal, faulty, expected, budget=1,
-                                           rng=random.Random(0))
-    assert verdict.passed
+    repaired, verdict, trace, stop = repair_loop(net, goal, faulty, expected,
+                                                 SolveConfig(repair_budget=1), random.Random(0))
+    assert verdict.passed and stop == "passed"
     assert len(trace) == 1
     assert wf.structurally_equal(repaired, expected)
 
@@ -200,22 +196,24 @@ def test_repair_loop_two_independent_missing_steps_budget_two():
     expected = chain_flow([0, 2, 4, 6], gid="dual")  # chain inputs come from declared
     faulty = _delete_task(_delete_task(expected, 3), 1)
     goal = _flow_goal(expected, "dual")
-    repaired, verdict, trace = repair_loop(net, goal, faulty, expected, budget=2,
-                                           rng=random.Random(0))
-    assert verdict.passed
+    repaired, verdict, trace, stop = repair_loop(net, goal, faulty, expected,
+                                                 SolveConfig(repair_budget=2), random.Random(0))
+    assert verdict.passed and stop == "passed"
     assert len(trace) == 2
     assert all(r.action == "Insert" for r in trace)
     assert wf.structurally_equal(repaired, expected)
 
 
-def test_repair_loop_budget_exhausted_raises_with_trace():
+def test_repair_loop_budget_exhausted_returns_trace():
     net = chain_pool(8)
     expected = chain_flow([0, 2, 4, 6], gid="tight")
     faulty = _delete_task(_delete_task(expected, 3), 1)
     goal = _flow_goal(expected, "tight")
-    with pytest.raises(BudgetExhausted) as err:
-        repair_loop(net, goal, faulty, expected, budget=1, rng=random.Random(0))
-    assert len(err.value.trace) == 1
+    _, verdict, trace, stop = repair_loop(net, goal, faulty, expected,
+                                          SolveConfig(repair_budget=1), random.Random(0))
+    assert stop == "budget"
+    assert not verdict.passed
+    assert len(trace) == 1
 
 
 def test_repair_loop_stalls_without_actionable_hypothesis():
@@ -227,8 +225,11 @@ def test_repair_loop_stalls_without_actionable_hypothesis():
                      outs=expected.declared_outputs)
     goal = _flow_goal(expected, "stall")
     # the only fix is a deletion, which the hypothesis space cannot express
-    with pytest.raises(StalledRepair):
-        repair_loop(net, goal, faulty, expected, budget=3, rng=random.Random(0))
+    _, verdict, trace, stop = repair_loop(net, goal, faulty, expected,
+                                          SolveConfig(repair_budget=3), random.Random(0))
+    assert stop == "stalled"
+    assert not verdict.passed
+    assert trace == []
 
 
 def test_repair_loop_progress_is_strict_along_trace():
@@ -236,9 +237,9 @@ def test_repair_loop_progress_is_strict_along_trace():
     expected = chain_flow([0, 2, 4, 6, 8], gid="prog")
     faulty = _delete_task(_delete_task(_delete_task(expected, 4), 2), 0)
     goal = _flow_goal(expected, "prog")
-    repaired, verdict, trace = repair_loop(net, goal, faulty, expected, budget=3,
-                                           rng=random.Random(0))
-    assert verdict.passed
+    repaired, verdict, trace, stop = repair_loop(net, goal, faulty, expected,
+                                                 SolveConfig(repair_budget=3), random.Random(0))
+    assert verdict.passed and stop == "passed"
     distances = [len(wf.diff(faulty, expected))]
     for record in trace:
         distances.append(len(wf.diff(record.candidate, expected)))
@@ -264,7 +265,7 @@ def test_repair_loop_completeness_cross_checked_with_enumeration():
         variants = enumerate_single_edits(faulty, insertables)
         assert any(wf.structurally_equal(v, expected) for v in variants)
         goal = _flow_goal(expected, "enum")
-        repaired, verdict, _ = repair_loop(net, goal, faulty, expected, budget=3,
-                                           rng=random.Random(1))
-        assert verdict.passed
+        repaired, verdict, _, stop = repair_loop(net, goal, faulty, expected,
+                                                 SolveConfig(repair_budget=3), random.Random(1))
+        assert verdict.passed and stop == "passed"
         assert wf.structurally_equal(repaired, expected)

@@ -10,7 +10,6 @@ the decision trail.  Run directly: python3 demos/02_solve_and_repair.py
 from flowsmith import corpus as cp
 from flowsmith import workflow as wf
 from flowsmith.agents import build_agents
-from flowsmith.errors import DecompositionFailure
 from flowsmith.orchestrator import SolveConfig, solve
 
 profile = cp.CorpusProfile(
@@ -51,10 +50,9 @@ for rec in nested:
 
 print("\n== the same novel goal without structural hypotheses ==")
 blocked = SolveConfig(seed=42, hypothesis=False)
-try:
-    solve(net, novel[0].goal, blocked, expected=novel[0].workflow)
-except DecompositionFailure as exc:
-    print(f"DecompositionFailure: {exc}")
+episode = solve(net, novel[0].goal, blocked, expected=novel[0].workflow)
+print(f"goal {novel[0].goal.id}: early failure {episode.early_failure}, "
+      f"candidates {len(episode.candidates)}")
 
 print("\n== rewards issued on the passing path ==")
 episode = solve(net, novel[0].goal, config, expected=novel[0].workflow)

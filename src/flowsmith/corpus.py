@@ -452,20 +452,6 @@ def load_corpus(path: str | FsPath, strip_oracle: bool = False) -> list[CorpusRe
     return records
 
 
-def save_profile(profile: CorpusProfile, path: str | FsPath) -> None:
-    doc = {
-        "total": profile.total,
-        "node_histogram": {str(k): v for k, v in sorted(profile.node_histogram.items())},
-        "depth_histogram": {str(k): v for k, v in sorted(profile.depth_histogram.items())},
-        "tool_vocab_size": profile.tool_vocab_size,
-        "planted": (
-            {"length": profile.planted.length, "rate": profile.planted.rate}
-            if profile.planted is not None else None
-        ),
-    }
-    write_atomic(path, wf.canonical_json(doc))
-
-
 def load_profile(path: str | FsPath) -> CorpusProfile:
     """Read a profile file; missing keys and ill-typed values raise ConfigError."""
     with open(path, "r", encoding="utf-8") as handle:

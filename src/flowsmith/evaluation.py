@@ -19,7 +19,7 @@ from itertools import repeat
 from . import workflow as wf
 from .agents import AgentNetwork, LifeConfig, build_agents, eliminate_and_refresh
 from .corpus import CorpusRecord, load_corpus, write_atomic
-from .errors import ConfigError, DecompositionFailure
+from .errors import ConfigError
 from .orchestrator import EpisodeResult, SolveConfig, solve
 
 ABLATABLE = ("scale_control", "verification", "hypothesis", "input_goal", "output_goal")
@@ -189,14 +189,7 @@ def reuse_efficiency(episodes: list[BucketedEpisode], library: list[wf.Workflow]
 
 def run_episode(net: AgentNetwork, record: CorpusRecord,
                 solve_cfg: SolveConfig) -> BucketedEpisode:
-    try:
-        episode = solve(net, record.goal, solve_cfg, expected=record.workflow)
-    except DecompositionFailure:
-        # The no-hypothesis configuration cannot even propose a structure.
-        episode = EpisodeResult(
-            goal_id=record.goal.id, candidates=[], repairs_applied=[],
-            outcomes=[], steps=0, seed=solve_cfg.seed, early_failure=True,
-        )
+    episode = solve(net, record.goal, solve_cfg, expected=record.workflow)
     return BucketedEpisode(record=record, episode=episode)
 
 

@@ -11,6 +11,11 @@ Every stage reads its settings from one ``SolveConfig``.  Its
 ``hypothesis`` switch covers both kinds of structural hypothesis: with
 it off, an unmatched goal is not split and a failed candidate is not
 repaired.
+
+``solve`` is the one place a decomposition failure ends a rank: the
+episode becomes an early failure and keeps the ranks already run.  Each
+candidate is verified once, and a failing verdict is handed to the
+repair loop as it is.
 """
 
 from __future__ import annotations
@@ -177,7 +182,10 @@ def decompose(net: AgentNetwork, goal: Goal, config: SolveConfig,
 
     With hypotheses off an unmatched goal raises DecompositionFailure
     instead of splitting: proposing a subgoal structure is itself a
-    structural hypothesis.
+    structural hypothesis.  A goal whose split is one part with its own
+    token set also raises at once: retrieval, compatibility and selection
+    read only tokens, scope and life, so recursing into that part would
+    fail the same way at every level until the depth budget.
     """
     if config.max_depth < 1:
         raise ValueError("max_depth must be >= 1")
@@ -204,6 +212,8 @@ def decompose(net: AgentNetwork, goal: Goal, config: SolveConfig,
         if depth >= config.max_depth:
             raise DecompositionFailure(f"depth budget exhausted at goal {g.id!r}")
         parts = _cover_split(net, g)
+        if len(parts) == 1 and parts[0].tokens == g.tokens:
+            raise DecompositionFailure(f"goal {g.id!r} splits into itself")
         children: list[DecompositionTree] = []
         produced: frozenset[str] = frozenset()
         for part in parts:
@@ -254,17 +264,14 @@ def compose(tree: DecompositionTree, net: AgentNetwork) -> wf.Workflow:
 
 def compose_segments(tree: DecompositionTree, net: AgentNetwork) -> list[tuple[str, int]]:
     """(agent_id, top-level child count) per root part, for fault attribution."""
-    if isinstance(tree, Resolved):
-        proc = net.agent_by_id(tree.agent_id).procedure
-        return [(tree.agent_id, len(wf.child_list(proc.root)))]
+    parts = tree.children if isinstance(tree, Expanded) else (tree,)
     segments: list[tuple[str, int]] = []
-    for child in tree.children:
+    for child in parts:
         if isinstance(child, Resolved):
             proc = net.agent_by_id(child.agent_id).procedure
             segments.append((child.agent_id, len(wf.child_list(proc.root))))
         else:
-            leaves = tree_leaves(child)
-            segments.append((leaves[0].agent_id if leaves else "", 1))
+            segments.append((tree_leaves(child)[0].agent_id, 1))
     return segments
 
 
@@ -346,9 +353,9 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
     """Decompose, compose, verify, and repair up to k ranked candidates.
 
     Every rank draws from its own derived seed, so the rank-1 candidate
-    is identical for any k.  DecompositionFailure propagates only when
-    hypotheses are disabled; with them enabled it is recorded as an
-    early failure.  A failed candidate goes to the repair loop only when
+    is identical for any k.  A DecompositionFailure ends the episode as an
+    early failure that keeps the ranks already run, with hypotheses on or
+    off.  A failed candidate goes to the repair loop only when
     hypotheses are enabled and the repair budget is positive.  Without
     verification one candidate is composed and scored, with no reward or
     penalty.  Outcomes follow the attribution rules: the passing path is
@@ -372,8 +379,6 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
         try:
             tree = decompose(net, goal, config, rng)
         except DecompositionFailure:
-            if not config.hypothesis:
-                raise
             episode.early_failure = True
             break
         candidate = compose(tree, net)
@@ -388,8 +393,8 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
             break
 
         if not verdict.passed and config.hypothesis and config.repair_budget >= 1:
-            candidate, verdict, trace, _ = repair_loop(net, goal, candidate, target,
-                                                       config, rng)
+            candidate, verdict, trace, _ = repair_loop(net, goal, candidate, verdict,
+                                                       target, config, rng)
             for record in trace:
                 if record.agent_id is not None:
                     path_agents.append(record.agent_id)
@@ -413,11 +418,7 @@ def _reward_path(net: AgentNetwork, episode: EpisodeResult, goal: Goal,
     prior_goals = net.solved_shapes.get(signature, set())
     reused = any(g != goal.id for g in prior_goals)
     redundant = verdict.dead_node_ratio
-    seen: set[str] = set()
-    for agent_id in path_agents:
-        if agent_id in seen:
-            continue
-        seen.add(agent_id)
+    for agent_id in dict.fromkeys(path_agents):
         outcome = Outcome(
             r_correct=1,
             r_reuse=1 if reused else 0,
@@ -441,11 +442,7 @@ def _penalize_path(net: AgentNetwork, episode: EpisodeResult, goal: Goal,
         jaccard = (len(overlap) / len(union)) if union else 1.0
         drift = 1.0 - jaccard
     drifted = drift > net.config.drift_threshold
-    seen: set[str] = set()
-    for agent_id in path_agents:
-        if agent_id in seen:
-            continue
-        seen.add(agent_id)
+    for agent_id in dict.fromkeys(path_agents):
         p_fail = 1 if agent_id == blamed else 0
         p_drift = 1 if drifted else 0
         if not (p_fail or p_drift):

@@ -4,11 +4,14 @@ A failed verdict is mapped to ordered failure hypotheses; each
 hypothesis names one structural operator: a missing step inserts an
 agent's procedure, a missing branch attaches a guarded side path, an
 over-abstraction re-decomposes a goal under a Nest boundary, and a
-wrong order permutes siblings.  The loop applies the first applicable
-hypothesis, re-verifies, and insists on strict progress (shrinking
-oracle edit script, or shrinking missing-output set) until it passes,
-stalls, or the budget runs out.  Every setting comes from the
-episode's ``SolveConfig``.
+wrong order permutes siblings.  The loop starts from the verdict the
+solve loop already holds, applies the first applicable hypothesis,
+re-verifies, and insists on strict progress (shrinking oracle edit
+script, or shrinking missing-output set) until it passes, stalls, or
+the budget runs out.  A hypothesis that cannot be applied, because no
+agent matches, the result breaks dataflow or its re-decomposition
+fails, is skipped; no such failure leaves the loop.  Every setting
+comes from the episode's ``SolveConfig``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 from . import workflow as wf
 from .agents import AgentNetwork, AtomicAgent, select
-from .errors import NoEligibleAgent, NotAFailure, RejectedRepair
+from .errors import DecompositionFailure, NoEligibleAgent, NotAFailure, RejectedRepair
 from .goals import Goal, similarity
 from .orchestrator import RepairRecord, SolveConfig, Verdict, compose, decompose, verify
 
@@ -228,25 +231,23 @@ def _progress_metric(verdict: Verdict) -> int:
     return len(verdict.missing_outputs)
 
 
-def repair_loop(net: AgentNetwork, goal: Goal, candidate: wf.Workflow, target,
-                config: SolveConfig, rng: random.Random
+def repair_loop(net: AgentNetwork, goal: Goal, candidate: wf.Workflow, verdict: Verdict,
+                target, config: SolveConfig, rng: random.Random
                 ) -> tuple[wf.Workflow, Verdict, list[RepairRecord], str]:
     """Diagnose / apply / verify for up to ``config.repair_budget`` iterations.
 
-    Returns the last candidate, its verdict, the trace of applied
-    repairs and why the loop stopped: ``"passed"``; ``"stalled"`` when
-    no hypothesis applies or an iteration fails to strictly shrink the
-    oracle edit script (or the missing-output set); ``"budget"`` when
-    the budget is spent first.
+    ``verdict`` is the failing verdict of ``candidate`` against
+    ``target`` (a passing one raises NotAFailure); only a repaired
+    candidate is verified again.  Returns the last candidate, its
+    verdict, the trace of applied repairs and why the loop stopped:
+    ``"passed"``; ``"stalled"`` when no hypothesis applies or an
+    iteration fails to strictly shrink the oracle edit script (or the
+    missing-output set); ``"budget"`` when the budget is spent first.
     """
     if config.repair_budget < 1:
         raise ValueError("repair budget must be >= 1")
 
     trace: list[RepairRecord] = []
-    verdict = verify(candidate, target, config.mode, config.eta,
-                     output_goal=config.output_goal)
-    if verdict.passed:
-        return candidate, verdict, trace, "passed"
     last_metric = _progress_metric(verdict)
 
     for _ in range(config.repair_budget):
@@ -254,7 +255,7 @@ def repair_loop(net: AgentNetwork, goal: Goal, candidate: wf.Workflow, target,
         for hypothesis in diagnose(verdict, candidate, target):
             try:
                 repaired, action = apply(candidate, hypothesis, net, config, rng, goal=goal)
-            except (NoEligibleAgent, RejectedRepair):
+            except (DecompositionFailure, NoEligibleAgent, RejectedRepair):
                 continue
             applied = (hypothesis, action, repaired)
             break

@@ -37,7 +37,7 @@ from flowsmith.evaluation import (
     run_experiment,
 )
 from flowsmith.goals import Goal
-from flowsmith.orchestrator import EpisodeResult, SolveConfig, Verdict, solve
+from flowsmith.orchestrator import EpisodeResult, SolveConfig, Verdict, solve, verify
 from flowsmith.repair import repair_loop
 
 from .conftest import chain_flow, chain_pool, enumerate_single_edits, mk_flow
@@ -331,8 +331,9 @@ def test_criterion_7_repair_completeness():
         goal = Goal(id=f"case{case}", tokens=frozenset({f"case{case}"}),
                     input_schema=expected.declared_inputs,
                     output_schema=expected.declared_outputs)
-        repaired, verdict, _, _ = repair_loop(net, goal, faulty, expected,
-                                              SolveConfig(repair_budget=3), random.Random(case))
+        repaired, verdict, _, _ = repair_loop(net, goal, faulty, verify(faulty, expected),
+                                              expected, SolveConfig(repair_budget=3),
+                                              random.Random(case))
         assert verdict.passed
         assert wf.structurally_equal(repaired, expected)
         recovered += 1

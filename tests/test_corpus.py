@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -218,10 +219,16 @@ def test_corpus_loader_reports_corrupt_line_number(tmp_path, small_corpus):
 def test_profile_file_round_trip(tmp_path):
     profile = cp.default_profile(total=1234,
                                  planted=cp.PlantedSubflowSpec(length=4, rate=0.1))
+    doc = {
+        "total": profile.total,
+        "node_histogram": {str(k): v for k, v in profile.node_histogram.items()},
+        "depth_histogram": {str(k): v for k, v in profile.depth_histogram.items()},
+        "tool_vocab_size": profile.tool_vocab_size,
+        "planted": {"length": 4, "rate": 0.1},
+    }
     path = tmp_path / "profile.json"
-    cp.save_profile(profile, path)
-    back = cp.load_profile(path)
-    assert back == profile
+    path.write_text(json.dumps(doc))
+    assert cp.load_profile(path) == profile
 
 
 def test_failed_save_keeps_the_old_file(tmp_path, small_corpus, monkeypatch):

@@ -13,13 +13,14 @@ from flowsmith.evaluation import (
     ablate,
     pass_at_k,
     reuse_efficiency,
+    run_episode,
     run_experiment,
     write_atomic,
 )
 from flowsmith.goals import Goal
-from flowsmith.orchestrator import EpisodeResult, Verdict
+from flowsmith.orchestrator import EpisodeResult, SolveConfig, Verdict
 
-from .conftest import chain_flow, mk_flow, mk_task
+from .conftest import chain_flow, chain_pool, mk_flow, mk_task
 
 
 def _episode(goal_id: str, pass_rank: int | None, k: int = 5,
@@ -323,6 +324,19 @@ def test_scale_control_ablation_freezes_life(experiment_files):
     assert report.life_summary == {"eliminations": 0, "revivals": 0, "spawns": 0}
     for table in report.per_bucket.values():
         assert table[1] >= 0.9
+
+
+def test_run_episode_keeps_the_ranks_before_an_early_failure():
+    # g0 resolves directly but misses a task: with hypotheses off every rank
+    # is penalised until g0's life reaches 0 and rank 4 cannot resolve
+    net = chain_pool(6)
+    goal = net.training[0][0]
+    record = cp.CorpusRecord(goal, chain_flow([0, 1], gid=goal.id), "linear", "2-3")
+    episode = run_episode(net, record, SolveConfig(seed=11, k=5, hypothesis=False)).episode
+    assert episode.early_failure
+    assert len(episode.candidates) == 3
+    assert [agent_id for agent_id, _ in episode.outcomes] == ["g0"] * 3
+    assert net.agent_by_id("g0").life == 0.0
 
 
 # --- write_atomic ---------------------------------------------------------------------------

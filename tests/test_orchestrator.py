@@ -3,6 +3,7 @@ import random
 import pytest
 
 from flowsmith import corpus as cp
+from flowsmith import orchestrator, repair
 from flowsmith import workflow as wf
 from flowsmith.agents import build_agents
 from flowsmith.errors import DecompositionFailure, MissingOracle
@@ -63,6 +64,24 @@ def test_decompose_split_disabled_fails_on_novel_goal():
     composite = _union_goal("c", [net.training[0][0], net.training[1][0]])
     with pytest.raises(DecompositionFailure):
         decompose(net, composite, SolveConfig(hypothesis=False), random.Random(0))
+
+
+def test_decompose_goal_that_splits_into_itself_fails_at_once(monkeypatch):
+    # g1's only agent has life 0: the cover split returns g1 itself, which
+    # would fail the same way at every level down to max_depth
+    net = chain_pool(4)
+    net.agent_by_id("g1").life = 0.0
+    calls = []
+    original = orchestrator.retrieve
+
+    def counted(pool, goal, theta):
+        calls.append(goal.id)
+        return original(pool, goal, theta)
+
+    monkeypatch.setattr(orchestrator, "retrieve", counted)
+    with pytest.raises(DecompositionFailure):
+        decompose(net, net.training[1][0], SolveConfig(max_depth=8), random.Random(0))
+    assert calls == ["g1"]
 
 
 def test_decompose_resolution_soundness():
@@ -199,13 +218,32 @@ def test_solve_requires_expected_in_oracle_mode():
         solve(net, net.training[0][0], SolveConfig(seed=1), expected=None)
 
 
-def test_solve_novel_composite_with_hypothesis_disabled_propagates():
+def test_solve_novel_composite_with_hypothesis_disabled_is_an_early_failure():
     net = chain_pool(6)
     records = [cp.CorpusRecord(g, w, "linear", "1") for g, w in net.training]
     novel = cp.make_novel_goals(records, seed=3, count=1, parts_range=(2, 2))[0]
     config = SolveConfig(seed=11, hypothesis=False)
-    with pytest.raises(DecompositionFailure):
-        solve(net, novel.goal, config, expected=novel.workflow)
+    episode = solve(net, novel.goal, config, expected=novel.workflow)
+    assert episode.early_failure
+    assert episode.candidates == [] and episode.outcomes == []
+
+
+def test_solve_counts_one_verify_per_candidate(monkeypatch):
+    # g0 resolves directly and misses one task; one Insert repairs it
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "verify", counted)
+    monkeypatch.setattr(repair, "verify", counted)
+    goal = chain_pool(6).training[0][0]
+    episode = solve(chain_pool(6), goal, SolveConfig(seed=11),
+                    expected=chain_flow([0, 1], gid=goal.id))
+    assert episode.passed_rank() == 1
+    assert [r.action for r in episode.repairs_applied] == ["Insert"]
+    assert len(calls) == 2  # the composed candidate, then the repaired one
 
 
 def test_solve_hypothesis_disabled_never_repairs():

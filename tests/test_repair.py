@@ -21,6 +21,7 @@ from flowsmith.repair import (
 from .conftest import (
     chain_flow,
     chain_pool,
+    chain_tasks,
     enumerate_single_edits,
     mk_flow,
 )
@@ -175,8 +176,8 @@ def test_repair_loop_budget_must_be_positive():
     net = chain_pool(2)
     flow = chain_flow([0])
     with pytest.raises(ValueError):
-        repair_loop(net, _flow_goal(flow, "g"), flow, flow, SolveConfig(repair_budget=0),
-                    random.Random(0))
+        repair_loop(net, _flow_goal(flow, "g"), flow, verify(flow, flow), flow,
+                    SolveConfig(repair_budget=0), random.Random(0))
 
 
 def test_repair_loop_one_insert_away_budget_one():
@@ -184,8 +185,9 @@ def test_repair_loop_one_insert_away_budget_one():
     expected = chain_flow([0, 1, 2], gid="case")
     faulty = _delete_task(expected, 2)
     goal = _flow_goal(expected, "case")
-    repaired, verdict, trace, stop = repair_loop(net, goal, faulty, expected,
-                                                 SolveConfig(repair_budget=1), random.Random(0))
+    repaired, verdict, trace, stop = repair_loop(net, goal, faulty, verify(faulty, expected),
+                                                 expected, SolveConfig(repair_budget=1),
+                                                 random.Random(0))
     assert verdict.passed and stop == "passed"
     assert len(trace) == 1
     assert wf.structurally_equal(repaired, expected)
@@ -196,8 +198,9 @@ def test_repair_loop_two_independent_missing_steps_budget_two():
     expected = chain_flow([0, 2, 4, 6], gid="dual")  # chain inputs come from declared
     faulty = _delete_task(_delete_task(expected, 3), 1)
     goal = _flow_goal(expected, "dual")
-    repaired, verdict, trace, stop = repair_loop(net, goal, faulty, expected,
-                                                 SolveConfig(repair_budget=2), random.Random(0))
+    repaired, verdict, trace, stop = repair_loop(net, goal, faulty, verify(faulty, expected),
+                                                 expected, SolveConfig(repair_budget=2),
+                                                 random.Random(0))
     assert verdict.passed and stop == "passed"
     assert len(trace) == 2
     assert all(r.action == "Insert" for r in trace)
@@ -209,8 +212,8 @@ def test_repair_loop_budget_exhausted_returns_trace():
     expected = chain_flow([0, 2, 4, 6], gid="tight")
     faulty = _delete_task(_delete_task(expected, 3), 1)
     goal = _flow_goal(expected, "tight")
-    _, verdict, trace, stop = repair_loop(net, goal, faulty, expected,
-                                          SolveConfig(repair_budget=1), random.Random(0))
+    _, verdict, trace, stop = repair_loop(net, goal, faulty, verify(faulty, expected),
+                                          expected, SolveConfig(repair_budget=1), random.Random(0))
     assert stop == "budget"
     assert not verdict.passed
     assert len(trace) == 1
@@ -225,8 +228,25 @@ def test_repair_loop_stalls_without_actionable_hypothesis():
                      outs=expected.declared_outputs)
     goal = _flow_goal(expected, "stall")
     # the only fix is a deletion, which the hypothesis space cannot express
-    _, verdict, trace, stop = repair_loop(net, goal, faulty, expected,
-                                          SolveConfig(repair_budget=3), random.Random(0))
+    _, verdict, trace, stop = repair_loop(net, goal, faulty, verify(faulty, expected),
+                                          expected, SolveConfig(repair_budget=3), random.Random(0))
+    assert stop == "stalled"
+    assert not verdict.passed
+    assert trace == []
+
+
+def test_repair_loop_stalls_when_the_nest_goal_cannot_be_decomposed():
+    net = chain_pool(4)
+    net.agent_by_id("g1").life = 0.0
+    t00, t01 = chain_tasks([0, 1])
+    expected = mk_flow([t00, wf.Nest("g1", t01)], ins={"seed"}, outs={"o0", "o1"},
+                       gid="nest")
+    candidate = chain_flow([0, 1], gid="nest")
+    verdict = verify(candidate, expected)
+    assert [h.kind for h in diagnose(verdict, candidate, expected)] == [OVER_ABSTRACTION]
+    _, verdict, trace, stop = repair_loop(net, _flow_goal(expected, "nest"), candidate,
+                                          verdict, expected, SolveConfig(repair_budget=3),
+                                          random.Random(0))
     assert stop == "stalled"
     assert not verdict.passed
     assert trace == []
@@ -237,8 +257,9 @@ def test_repair_loop_progress_is_strict_along_trace():
     expected = chain_flow([0, 2, 4, 6, 8], gid="prog")
     faulty = _delete_task(_delete_task(_delete_task(expected, 4), 2), 0)
     goal = _flow_goal(expected, "prog")
-    repaired, verdict, trace, stop = repair_loop(net, goal, faulty, expected,
-                                                 SolveConfig(repair_budget=3), random.Random(0))
+    repaired, verdict, trace, stop = repair_loop(net, goal, faulty, verify(faulty, expected),
+                                                 expected, SolveConfig(repair_budget=3),
+                                                 random.Random(0))
     assert verdict.passed and stop == "passed"
     distances = [len(wf.diff(faulty, expected))]
     for record in trace:
@@ -265,7 +286,8 @@ def test_repair_loop_completeness_cross_checked_with_enumeration():
         variants = enumerate_single_edits(faulty, insertables)
         assert any(wf.structurally_equal(v, expected) for v in variants)
         goal = _flow_goal(expected, "enum")
-        repaired, verdict, _, stop = repair_loop(net, goal, faulty, expected,
-                                                 SolveConfig(repair_budget=3), random.Random(1))
+        repaired, verdict, _, stop = repair_loop(net, goal, faulty, verify(faulty, expected),
+                                                 expected, SolveConfig(repair_budget=3),
+                                                 random.Random(1))
         assert verdict.passed and stop == "passed"
         assert wf.structurally_equal(repaired, expected)

@@ -16,7 +16,6 @@ from .agents import (
     ChangeLog,
     LifeConfig,
     Outcome,
-    Transition,
     build_agents,
     compatibility,
     eliminate_and_refresh,
@@ -68,7 +67,7 @@ from .orchestrator import (
     solve,
     verify,
 )
-from .repair import FailureHypothesis, RepairAction, diagnose, repair_loop
+from .repair import FailureHypothesis, diagnose, repair_loop
 from .repair import apply as apply_repair
 from .workflow import (
     Branch,

@@ -1,10 +1,10 @@
 """Atomic agents and the self-regulating agent pool.
 
-Each agent pairs one goal with the minimal workflow that fulfills it,
-plus the tools that workflow touches and a scalar life value.  The pool
-supports threshold retrieval, compatibility-weighted probabilistic
-selection, life updates from execution outcomes, and periodic
-elimination / refresh against an archive.
+Each agent pairs one goal with the minimal workflow that fulfills it
+and a scalar life value.  The pool supports threshold retrieval,
+compatibility-weighted probabilistic selection, life updates from
+execution outcomes, and periodic elimination / refresh against an
+archive.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from .goals import Goal, schema_compat, similarity
 class AgentStats:
     successes: int = 0
     failures: int = 0
-    reuses: int = 0
-    generalizations: int = 0
 
     def success_ratio(self) -> float:
         total = self.successes + self.failures
@@ -71,12 +69,13 @@ class Outcome:
             raise ValueError("p_redundant must lie in [0, 1]")
 
 
-@dataclass
+@dataclass(eq=False)
 class AtomicAgent:
+    """A mutable pool member: it compares and hashes by identity."""
+
     agent_id: str
     goal: Goal
     procedure: wf.Workflow
-    toolset: frozenset[str]
     life: float
     stats: AgentStats = field(default_factory=AgentStats)
 
@@ -92,17 +91,8 @@ class AtomicAgent:
             agent_id=agent_id or goal.id,
             goal=goal,
             procedure=procedure,
-            toolset=wf.tools_in(procedure.root),
             life=config.l_init,
         )
-
-
-@dataclass
-class Transition:
-    """The next unresolved subgoal slot during composition."""
-
-    subgoal: Goal
-    available_inputs: frozenset[str]
 
 
 @dataclass
@@ -123,15 +113,6 @@ class AgentNetwork:
     config: LifeConfig
     training: list[tuple[Goal, wf.Workflow]] = field(default_factory=list)
     solved_shapes: dict = field(default_factory=dict)
-
-    def agent_by_id(self, agent_id: str) -> AtomicAgent:
-        for agent in self.active:
-            if agent.agent_id == agent_id:
-                return agent
-        for agent in self.archive:
-            if agent.agent_id == agent_id:
-                return agent
-        raise KeyError(agent_id)
 
 
 def build_agents(dataset: list[tuple[Goal, wf.Workflow]],
@@ -171,14 +152,13 @@ def retrieve(net: AgentNetwork, goal: Goal, theta: float) -> list[tuple[AtomicAg
     return scored
 
 
-def compatibility(agent: AtomicAgent, transition: Transition,
+def compatibility(agent: AtomicAgent, subgoal: Goal, available_inputs: frozenset[str],
                   input_gate: bool = True) -> float:
     """Hard schema gate times an even blend of goal familiarity and success prior."""
-    if input_gate and not schema_compat(transition.available_inputs, agent.goal):
+    if input_gate and not schema_compat(available_inputs, agent.goal):
         return 0.0
-    familiar = similarity(agent.goal, transition.subgoal)
-    prior = agent.stats.successes / max(1, agent.stats.successes + agent.stats.failures)
-    return 0.5 * familiar + 0.5 * prior
+    familiar = similarity(agent.goal, subgoal)
+    return 0.5 * familiar + 0.5 * agent.stats.success_ratio()
 
 
 def _weights(candidates: list[tuple[AtomicAgent, float]], use_life: bool) -> list[float]:
@@ -222,8 +202,6 @@ def selection_probabilities(candidates: list[tuple[AtomicAgent, float]],
 def apply_stats(agent: AtomicAgent, outcome: Outcome) -> None:
     agent.stats.successes += outcome.r_correct
     agent.stats.failures += outcome.p_fail
-    agent.stats.reuses += outcome.r_reuse
-    agent.stats.generalizations += outcome.r_general
 
 
 def update_life(agent: AtomicAgent, outcome: Outcome, config: LifeConfig) -> float:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from . import corpus as corpus_mod
 from .agents import LifeConfig
 from .errors import ConfigError, EngineError
-from .evaluation import ExperimentConfig, MetricsReport, csv_text
+from .evaluation import ABLATABLE, ExperimentConfig, MetricsReport, csv_text
 from .evaluation import run_experiment as _run_experiment
 
 DEFAULT_CONFIG_ENV = "FLOWSMITH_CONFIG"
@@ -41,7 +41,6 @@ BUILTIN_DEFAULTS = {
 }
 
 _CONFIG_KEYS = set(BUILTIN_DEFAULTS)
-_CONFIG_ALIASES = {"L_init": "l_init", "L_max": "l_max"}
 
 
 @dataclass
@@ -69,7 +68,6 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"config file {candidate!r} must hold a JSON object")
     out = {}
     for key, value in raw.items():
-        key = _CONFIG_ALIASES.get(key, key)
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r} in {candidate!r}")
         out[key] = value
@@ -138,9 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("ablate", help="run the protocol with one component disabled")
     eval_flags(a)
-    a.add_argument("--disable", required=True,
-                   choices=("scale_control", "verification", "hypothesis",
-                            "input_goal", "output_goal"))
+    a.add_argument("--disable", required=True, choices=ABLATABLE)
 
     r = sub.add_parser("report", help="re-emit the flat CSV from a report JSON")
     r.add_argument("--report", required=True)

@@ -30,7 +30,7 @@ from pathlib import Path as FsPath
 
 from . import workflow as wf
 from .errors import ConfigError, InfeasibleProfile
-from .goals import ORACLE_SUBGOALS_KEY, Goal, goal_from_doc, goal_to_doc
+from .goals import Goal, goal_from_doc, goal_to_doc
 from .seeds import derive_seed
 
 CONTEXT_POOL = tuple(f"ctx_{i:02d}" for i in range(12))
@@ -415,9 +415,6 @@ def record_to_doc(record: CorpusRecord) -> dict:
 
 
 def record_from_doc(doc: dict, strip_oracle: bool = False) -> CorpusRecord:
-    goal_doc = dict(doc["goal"])
-    if strip_oracle:
-        goal_doc.pop(ORACLE_SUBGOALS_KEY, None)
     planted: tuple[tuple[int, wf.Path], ...] = ()
     if not strip_oracle:
         planted = tuple(
@@ -425,7 +422,7 @@ def record_from_doc(doc: dict, strip_oracle: bool = False) -> CorpusRecord:
             for idx, path in doc.get("oracle", {}).get("planted", ())
         )
     return CorpusRecord(
-        goal=goal_from_doc(goal_doc, strip_oracle=strip_oracle),
+        goal=goal_from_doc(doc["goal"], strip_oracle=strip_oracle),
         workflow=wf.from_doc(doc["workflow"]),
         bucket_kind=doc["bucket"]["kind"],
         bucket_size=doc["bucket"]["size"],

@@ -21,14 +21,14 @@ repair loop as it is.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from . import workflow as wf
 from .agents import (
     AgentNetwork,
+    AtomicAgent,
     Outcome,
-    Transition,
     apply_stats,
     compatibility,
     retrieve,
@@ -43,7 +43,7 @@ from .seeds import derive_seed
 @dataclass(frozen=True)
 class Resolved:
     goal: Goal
-    agent_id: str
+    agent: AtomicAgent
 
 
 @dataclass(frozen=True)
@@ -93,10 +93,12 @@ class Verdict:
 
 @dataclass
 class RepairRecord:
+    """One applied repair; ``agent`` is the agent whose procedure it spliced in."""
+
     hypothesis: str
     location: wf.Path
     action: str
-    agent_id: str | None
+    agent: AtomicAgent | None
     score: float
     candidate: wf.Workflow | None = None
 
@@ -105,7 +107,7 @@ class RepairRecord:
             "hypothesis": self.hypothesis,
             "location": list(self.location),
             "action": self.action,
-            "agent_id": self.agent_id,
+            "agent_id": self.agent.agent_id if self.agent is not None else None,
             "score": self.score,
         }
 
@@ -193,9 +195,8 @@ def decompose(net: AgentNetwork, goal: Goal, config: SolveConfig,
     def walk(g: Goal, depth: int, scope: frozenset[str]) -> tuple[DecompositionTree, frozenset[str]]:
         candidates = retrieve(net, g, config.theta)
         if candidates:
-            transition = Transition(subgoal=g, available_inputs=scope)
             weighted = [
-                (agent, compatibility(agent, transition, input_gate=config.input_goal))
+                (agent, compatibility(agent, g, scope, input_gate=config.input_goal))
                 for agent, _ in candidates
             ]
             try:
@@ -203,7 +204,7 @@ def decompose(net: AgentNetwork, goal: Goal, config: SolveConfig,
             except NoEligibleAgent:
                 chosen = None
             if chosen is not None:
-                return Resolved(g, chosen.agent_id), wf.produced_fields(chosen.procedure.root)
+                return Resolved(g, chosen), wf.produced_fields(chosen.procedure.root)
         if not config.hypothesis:
             raise DecompositionFailure(
                 f"no agent above threshold for goal {g.id!r} and structural "
@@ -235,8 +236,8 @@ def tree_leaves(tree: DecompositionTree) -> list[Resolved]:
     return out
 
 
-def compose(tree: DecompositionTree, net: AgentNetwork) -> wf.Workflow:
-    """Left-to-right fold of leaf procedures.
+def compose(tree: DecompositionTree) -> wf.Workflow:
+    """Left-to-right fold of the procedures of the leaves' agents.
 
     A non-root Expanded node marks a recursive sub-decomposition and is
     wrapped in a Nest under its goal id; the root composes flat.  The
@@ -245,7 +246,7 @@ def compose(tree: DecompositionTree, net: AgentNetwork) -> wf.Workflow:
 
     def go(node: DecompositionTree, is_root: bool) -> wf.Workflow:
         if isinstance(node, Resolved):
-            return net.agent_by_id(node.agent_id).procedure
+            return node.agent.procedure
         parts = [go(child, False) for child in node.children]
         acc = parts[0]
         for part in parts[1:]:
@@ -262,16 +263,15 @@ def compose(tree: DecompositionTree, net: AgentNetwork) -> wf.Workflow:
     )
 
 
-def compose_segments(tree: DecompositionTree, net: AgentNetwork) -> list[tuple[str, int]]:
-    """(agent_id, top-level child count) per root part, for fault attribution."""
+def compose_segments(tree: DecompositionTree) -> list[tuple[AtomicAgent, int]]:
+    """(agent, top-level child count) per root part, for fault attribution."""
     parts = tree.children if isinstance(tree, Expanded) else (tree,)
-    segments: list[tuple[str, int]] = []
+    segments: list[tuple[AtomicAgent, int]] = []
     for child in parts:
         if isinstance(child, Resolved):
-            proc = net.agent_by_id(child.agent_id).procedure
-            segments.append((child.agent_id, len(wf.child_list(proc.root))))
+            segments.append((child.agent, len(wf.child_list(child.agent.procedure.root))))
         else:
-            segments.append((tree_leaves(child)[0].agent_id, 1))
+            segments.append((tree_leaves(child)[0].agent, 1))
     return segments
 
 
@@ -324,24 +324,24 @@ def _novelty(net: AgentNetwork, goal: Goal) -> bool:
     return all(similarity(g, goal) < 1.0 for g, _ in net.training)
 
 
-def _localize_fault(verdict: Verdict, segments: list[tuple[str, int]]) -> str | None:
+def _localize_fault(verdict: Verdict,
+                    segments: list[tuple[AtomicAgent, int]]) -> AtomicAgent | None:
     """Map the first oracle edit to the agent owning that top-level slot."""
     if not verdict.edit_script or not segments:
         return None
     path = verdict.edit_script[0].path
     index = path[0] if path else 0
     acc = 0
-    for agent_id, width in segments:
+    for agent, width in segments:
         acc += width
         if index < acc:
-            return agent_id
+            return agent
     return segments[-1][0]
 
 
-def _issue(net: AgentNetwork, episode: EpisodeResult, agent_id: str,
+def _issue(net: AgentNetwork, episode: EpisodeResult, agent: AtomicAgent,
            outcome: Outcome, scale_control: bool) -> None:
-    episode.outcomes.append((agent_id, outcome))
-    agent = net.agent_by_id(agent_id)
+    episode.outcomes.append((agent.agent_id, outcome))
     if scale_control:
         update_life(agent, outcome, net.config)
     else:
@@ -381,9 +381,9 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
         except DecompositionFailure:
             episode.early_failure = True
             break
-        candidate = compose(tree, net)
-        segments = compose_segments(tree, net)
-        path_agents = [leaf.agent_id for leaf in tree_leaves(tree)]
+        candidate = compose(tree)
+        segments = compose_segments(tree)
+        path_agents = [leaf.agent for leaf in tree_leaves(tree)]
         episode.steps += len(path_agents)
 
         verdict = verify(candidate, target, config.mode, config.eta,
@@ -396,8 +396,8 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
             candidate, verdict, trace, _ = repair_loop(net, goal, candidate, verdict,
                                                        target, config, rng)
             for record in trace:
-                if record.agent_id is not None:
-                    path_agents.append(record.agent_id)
+                if record.agent is not None:
+                    path_agents.append(record.agent)
             episode.repairs_applied.extend(trace)
             episode.steps += len(trace)
         episode.candidates.append((candidate, verdict))
@@ -412,26 +412,26 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
 
 
 def _reward_path(net: AgentNetwork, episode: EpisodeResult, goal: Goal,
-                 candidate: wf.Workflow, path_agents: list[str], verdict: Verdict,
+                 candidate: wf.Workflow, path_agents: list[AtomicAgent], verdict: Verdict,
                  novel: bool, scale_control: bool) -> None:
     signature = wf.shape_signature(candidate)
     prior_goals = net.solved_shapes.get(signature, set())
     reused = any(g != goal.id for g in prior_goals)
     redundant = verdict.dead_node_ratio
-    for agent_id in dict.fromkeys(path_agents):
+    for agent in dict.fromkeys(path_agents):
         outcome = Outcome(
             r_correct=1,
             r_reuse=1 if reused else 0,
             r_general=1 if novel else 0,
             p_redundant=redundant,
         )
-        _issue(net, episode, agent_id, outcome, scale_control)
+        _issue(net, episode, agent, outcome, scale_control)
     net.solved_shapes.setdefault(signature, set()).add(goal.id)
 
 
 def _penalize_path(net: AgentNetwork, episode: EpisodeResult, goal: Goal,
-                   candidate: wf.Workflow, path_agents: list[str], verdict: Verdict,
-                   segments: list[tuple[str, int]], config: SolveConfig) -> None:
+                   candidate: wf.Workflow, path_agents: list[AtomicAgent], verdict: Verdict,
+                   segments: list[tuple[AtomicAgent, int]], config: SolveConfig) -> None:
     blamed = _localize_fault(verdict, segments) if verdict.mode == "oracle" else None
     drift = 0.0
     if verdict.mode == "goal_anchored" and 0.0 < verdict.score < 1.0:
@@ -442,10 +442,10 @@ def _penalize_path(net: AgentNetwork, episode: EpisodeResult, goal: Goal,
         jaccard = (len(overlap) / len(union)) if union else 1.0
         drift = 1.0 - jaccard
     drifted = drift > net.config.drift_threshold
-    for agent_id in dict.fromkeys(path_agents):
-        p_fail = 1 if agent_id == blamed else 0
+    for agent in dict.fromkeys(path_agents):
+        p_fail = 1 if agent is blamed else 0
         p_drift = 1 if drifted else 0
         if not (p_fail or p_drift):
             continue
         outcome = Outcome(p_fail=p_fail, p_drift=p_drift)
-        _issue(net, episode, agent_id, outcome, config.scale_control)
+        _issue(net, episode, agent, outcome, config.scale_control)

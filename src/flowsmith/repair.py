@@ -1,14 +1,17 @@
 """Feedback-driven structural repair of failed candidate workflows.
 
 A failed verdict is mapped to ordered failure hypotheses; each
-hypothesis names one structural operator: a missing step inserts an
-agent's procedure, a missing branch attaches a guarded side path, an
-over-abstraction re-decomposes a goal under a Nest boundary, and a
-wrong order permutes siblings.  The loop starts from the verdict the
-solve loop already holds, applies the first applicable hypothesis,
-re-verifies, and insists on strict progress (shrinking oracle edit
-script, or shrinking missing-output set) until it passes, stalls, or
-the budget runs out.  A hypothesis that cannot be applied, because no
+hypothesis kind names one structural operator (``OPERATORS``): a
+missing step inserts an agent's procedure, a missing branch attaches
+a guarded side path, an over-abstraction re-decomposes a goal under a
+Nest boundary, and a wrong order permutes siblings.  The loop starts
+from the verdict the solve loop already holds, applies the first
+applicable hypothesis, re-verifies, and insists on strict progress
+(shrinking oracle edit script, or shrinking missing-output set) until
+it passes, stalls, or the budget runs out.  Each applied repair is
+recorded with the agent whose procedure it spliced in (none for a
+reorder or a nest), so the solve loop rewards or penalises that agent
+object directly.  A hypothesis that cannot be applied, because no
 agent matches, the result breaks dataflow or its re-decomposition
 fails, is skipped; no such failure leaves the loop.  Every setting
 comes from the episode's ``SolveConfig``.
@@ -32,6 +35,10 @@ OVER_ABSTRACTION = "OverAbstraction"
 
 _KIND_ORDER = {MISSING_STEP: 0, WRONG_ORDER: 1, MISSING_BRANCH: 2, OVER_ABSTRACTION: 3}
 
+# Hypothesis kind -> the structural operator that repairs it.
+OPERATORS = {MISSING_STEP: "Insert", WRONG_ORDER: "Reorder",
+             MISSING_BRANCH: "Branch", OVER_ABSTRACTION: "Nest"}
+
 
 @dataclass(frozen=True)
 class FailureHypothesis:
@@ -39,16 +46,6 @@ class FailureHypothesis:
     location: wf.Path
     needed: "Goal | frozenset[str] | None" = None
     evidence: "wf.Edit | str | None" = None
-
-
-@dataclass(frozen=True)
-class RepairAction:
-    op: str  # Insert | Branch | Nest | Reorder
-    location: wf.Path
-    agent_id: str | None = None
-    predicate: wf.Predicate | None = None
-    permutation: tuple[int, ...] | None = None
-    sub_goal: str | None = None
 
 
 def _subtree_outputs(node: wf.WorkflowNode) -> frozenset[str]:
@@ -161,8 +158,14 @@ def _match_agent(net: AgentNetwork, needed, rng: random.Random,
 
 def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwork,
           config: SolveConfig, rng: random.Random, *,
-          goal: Goal | None = None) -> tuple[wf.Workflow, RepairAction]:
-    """Apply one hypothesis; the result must validate or the action is rejected."""
+          goal: Goal | None = None) -> tuple[wf.Workflow, AtomicAgent | None]:
+    """Apply one hypothesis; the result must validate or the repair is rejected.
+
+    Returns the repaired workflow and the agent whose procedure was
+    spliced in (Insert, Branch), or None for a reorder or a nest, whose
+    content comes from the candidate or a fresh decomposition.
+    """
+    agent = None
     if hypothesis.kind == MISSING_STEP:
         agent = _match_agent(net, hypothesis.needed, rng, config.scale_control)
         edit = wf.InsertNode(hypothesis.location, agent.procedure.root)
@@ -170,14 +173,10 @@ def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwo
         repaired = repaired.replace(
             declared_outputs=repaired.declared_outputs | agent.goal.output_schema
         )
-        action = RepairAction(op="Insert", location=hypothesis.location,
-                              agent_id=agent.agent_id)
     elif hypothesis.kind == WRONG_ORDER:
         if not isinstance(hypothesis.evidence, wf.ReorderChildren):
             raise RejectedRepair("wrong-order hypothesis without a permutation")
         repaired = wf.apply_edits((hypothesis.evidence,), candidate)
-        action = RepairAction(op="Reorder", location=hypothesis.location,
-                              permutation=hypothesis.evidence.permutation)
     elif hypothesis.kind == MISSING_BRANCH:
         needed = hypothesis.needed if isinstance(hypothesis.needed, frozenset) else frozenset()
         if not needed:
@@ -186,8 +185,6 @@ def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwo
         predicate = wf.Predicate(key=sorted(needed)[0], op="exists")
         node = wf.Branch(predicate, agent.procedure.root, None)
         repaired = wf.apply_edits((wf.InsertNode(hypothesis.location, node),), candidate)
-        action = RepairAction(op="Branch", location=hypothesis.location,
-                              agent_id=agent.agent_id, predicate=predicate)
     elif hypothesis.kind == OVER_ABSTRACTION:
         needed = hypothesis.needed
         if not isinstance(needed, Goal):
@@ -196,14 +193,14 @@ def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwo
         if goal is not None and goal.id == needed.id:
             resolved = goal
         else:
-            for agent in sorted(net.active, key=lambda a: a.agent_id):
-                if agent.goal.id == needed.id:
-                    resolved = agent.goal
+            for known in sorted(net.active, key=lambda a: a.agent_id):
+                if known.goal.id == needed.id:
+                    resolved = known.goal
                     break
         if resolved is None:
             raise NoEligibleAgent(f"no known goal with id {needed.id!r}")
         tree = decompose(net, resolved, config, rng)
-        body = compose(tree, net)
+        body = compose(tree)
         nest_node = wf.Nest(resolved.id, body.root)
         repaired = wf.apply_edits(
             (wf.ReplaceSubtree(hypothesis.location, nest_node),), candidate
@@ -211,18 +208,16 @@ def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwo
         repaired = repaired.replace(
             declared_outputs=repaired.declared_outputs | body.declared_outputs
         )
-        action = RepairAction(op="Nest", location=hypothesis.location,
-                              sub_goal=resolved.id)
     else:
         raise RejectedRepair(f"unknown hypothesis kind {hypothesis.kind!r}")
 
     report = wf.validate(repaired)
     if not report.ok:
         raise RejectedRepair(
-            f"{action.op} at {list(hypothesis.location)} breaks dataflow: "
+            f"{OPERATORS[hypothesis.kind]} at {list(hypothesis.location)} breaks dataflow: "
             + "; ".join(report.violations)
         )
-    return repaired, action
+    return repaired, agent
 
 
 def _progress_metric(verdict: Verdict) -> int:
@@ -254,19 +249,19 @@ def repair_loop(net: AgentNetwork, goal: Goal, candidate: wf.Workflow, verdict: 
         applied = None
         for hypothesis in diagnose(verdict, candidate, target):
             try:
-                repaired, action = apply(candidate, hypothesis, net, config, rng, goal=goal)
+                repaired, agent = apply(candidate, hypothesis, net, config, rng, goal=goal)
             except (DecompositionFailure, NoEligibleAgent, RejectedRepair):
                 continue
-            applied = (hypothesis, action, repaired)
+            applied = (hypothesis, agent, repaired)
             break
         if applied is None:
             return candidate, verdict, trace, "stalled"
-        hypothesis, action, candidate = applied
+        hypothesis, agent, candidate = applied
         verdict = verify(candidate, target, config.mode, config.eta,
                          output_goal=config.output_goal)
         trace.append(RepairRecord(
             hypothesis=hypothesis.kind, location=hypothesis.location,
-            action=action.op, agent_id=action.agent_id, score=verdict.score,
+            action=OPERATORS[hypothesis.kind], agent=agent, score=verdict.score,
             candidate=candidate,
         ))
         if verdict.passed:

@@ -211,10 +211,6 @@ def task_order(node: WorkflowNode) -> tuple[TaskNode, ...]:
     return task_order(node.body)
 
 
-def tools_in(node: WorkflowNode) -> frozenset[str]:
-    return frozenset(t.tool_id for t in task_order(node))
-
-
 # --- validation ------------------------------------------------------------
 
 

@@ -67,6 +67,11 @@ def chain_pool(size: int, life: LifeConfig | None = None):
     return build_agents(dataset, config=life)
 
 
+def agent_named(net, agent_id: str):
+    """The active or archived agent with this id."""
+    return next(a for a in net.active + net.archive if a.agent_id == agent_id)
+
+
 # --- independent oracles ---------------------------------------------------------
 
 

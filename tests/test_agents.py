@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from flowsmith import workflow as wf
 from flowsmith.agents import (
     AgentNetwork,
+    AtomicAgent,
     LifeConfig,
     Outcome,
-    Transition,
     build_agents,
     compatibility,
     eliminate_and_refresh,
@@ -56,10 +55,13 @@ def test_build_agents_rejects_invalid_procedure():
         build_agents([(_goal("g", {"a"}), bad)])
 
 
-def test_agent_toolset_mirrors_procedure():
-    net = chain_pool(4)
-    for agent in net.active:
-        assert agent.toolset == wf.tools_in(agent.procedure.root)
+def test_agents_built_from_one_pair_are_distinct_and_hashable():
+    flow = chain_flow([0])
+    goal = _goal("g", {"a"}, ins=flow.declared_inputs, outs=flow.declared_outputs)
+    first = AtomicAgent.from_pair(goal, flow, LifeConfig())
+    second = AtomicAgent.from_pair(goal, flow, LifeConfig())
+    assert first != second
+    assert list(dict.fromkeys([first, second, first])) == [first, second]
 
 
 # --- retrieve ---------------------------------------------------------------------
@@ -104,15 +106,13 @@ def test_retrieve_partial_overlap_brute_force():
 def test_compatibility_hard_gate_zeroes_incompatible_agents():
     net = chain_pool(3)
     agent = net.active[1]  # needs o0
-    transition = Transition(subgoal=agent.goal, available_inputs=frozenset())
-    assert compatibility(agent, transition) == 0.0
+    assert compatibility(agent, agent.goal, frozenset()) == 0.0
 
 
 def test_compatibility_fresh_exact_match_is_half():
     net = chain_pool(3)
     agent = net.active[0]
-    transition = Transition(subgoal=agent.goal, available_inputs=agent.goal.input_schema)
-    assert compatibility(agent, transition) == pytest.approx(0.5)
+    assert compatibility(agent, agent.goal, agent.goal.input_schema) == pytest.approx(0.5)
 
 
 def test_compatibility_blends_history_and_similarity():
@@ -122,16 +122,14 @@ def test_compatibility_blends_history_and_similarity():
     probe = _goal("p", set(list(agent.goal.tokens)[:2]) | {"zz"})
     sim = similarity(agent.goal, probe)
     assert sim == pytest.approx(0.5)  # 2 shared of 4
-    transition = Transition(subgoal=probe, available_inputs=agent.goal.input_schema)
-    got = compatibility(agent, transition)
+    got = compatibility(agent, probe, agent.goal.input_schema)
     assert got == pytest.approx(0.5 * sim + 0.5 * 0.75)
 
 
 def test_compatibility_gate_can_be_disabled():
     net = chain_pool(3)
     agent = net.active[1]
-    transition = Transition(subgoal=agent.goal, available_inputs=frozenset())
-    assert compatibility(agent, transition, input_gate=False) > 0.0
+    assert compatibility(agent, agent.goal, frozenset(), input_gate=False) > 0.0
 
 
 # --- select --------------------------------------------------------------------------
@@ -327,5 +325,4 @@ def test_compatibility_exact_example_point_675():
     agent.stats.successes, agent.stats.failures = 3, 1  # prior 0.75
     # share all 3 agent tokens inside a 5-token probe: similarity 0.6
     probe = _goal("probe", set(agent.goal.tokens) | {"pp:1", "pp:2"})
-    transition = Transition(subgoal=probe, available_inputs=agent.goal.input_schema)
-    assert compatibility(agent, transition) == pytest.approx(0.675)
+    assert compatibility(agent, probe, agent.goal.input_schema) == pytest.approx(0.675)

@@ -167,9 +167,11 @@ SOLVE = ["solve", "--train", "{train}", "--goals", "{test}"]
     ({"theta": "abc"}, SOLVE + ["--config", "{file}"]),
     ({"seed": "x"}, SOLVE + ["--config", "{file}"]),
     (None, ["gen-corpus", "--n", "10", "--planted-length", "7"]),
+    ({"L_init": 5}, SOLVE + ["--config", "{file}"]),
 ], ids=["zero-records", "histogram-sum", "missing-total", "config-array",
         "life-out-of-range", "k-zero", "theta-out-of-range", "eta-out-of-range",
-        "negative-budget", "theta-not-a-number", "seed-not-a-number", "planted-length"])
+        "negative-budget", "theta-not-a-number", "seed-not-a-number", "planted-length",
+        "unknown-config-key"])
 def test_bad_user_input_exits_two(corpora, capsys, input_doc, argv):
     tmp_path, train, test = corpora
     input_file = tmp_path / "input.json"

@@ -20,7 +20,7 @@ from flowsmith.evaluation import (
 from flowsmith.goals import Goal
 from flowsmith.orchestrator import EpisodeResult, SolveConfig, Verdict
 
-from .conftest import chain_flow, chain_pool, mk_flow, mk_task
+from .conftest import agent_named, chain_flow, chain_pool, mk_flow, mk_task
 
 
 def _episode(goal_id: str, pass_rank: int | None, k: int = 5,
@@ -336,7 +336,7 @@ def test_run_episode_keeps_the_ranks_before_an_early_failure():
     assert episode.early_failure
     assert len(episode.candidates) == 3
     assert [agent_id for agent_id, _ in episode.outcomes] == ["g0"] * 3
-    assert net.agent_by_id("g0").life == 0.0
+    assert agent_named(net, "g0").life == 0.0
 
 
 # --- write_atomic ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from flowsmith.orchestrator import (
     verify,
 )
 
-from .conftest import chain_flow, chain_pool, mk_flow, mk_task, oracle_equal
+from .conftest import agent_named, chain_flow, chain_pool, mk_flow, mk_task, oracle_equal
 
 
 def _union_goal(gid, parts):
@@ -39,7 +39,7 @@ def test_decompose_trained_goal_resolves_directly():
     goal = net.training[2][0]
     tree = decompose(net, goal, SolveConfig(), random.Random(0))
     assert isinstance(tree, Resolved)
-    assert tree.agent_id == goal.id
+    assert tree.agent.agent_id == goal.id
 
 
 def test_decompose_composite_recovers_ground_truth_parts():
@@ -48,8 +48,10 @@ def test_decompose_composite_recovers_ground_truth_parts():
     composite = _union_goal("composite", parts)
     tree = decompose(net, composite, SolveConfig(), random.Random(0))
     assert isinstance(tree, Expanded)
-    got = {leaf.agent_id for leaf in tree_leaves(tree)}
-    assert got == {p.id for p in parts}
+    leaves = tree_leaves(tree)
+    assert {leaf.goal.id for leaf in leaves} == {p.id for p in parts}
+    # each leaf holds the pool's own agent object, not a copy or an id
+    assert all(leaf.agent is agent_named(net, leaf.goal.id) for leaf in leaves)
 
 
 def test_decompose_empty_network_fails():
@@ -70,7 +72,7 @@ def test_decompose_goal_that_splits_into_itself_fails_at_once(monkeypatch):
     # g1's only agent has life 0: the cover split returns g1 itself, which
     # would fail the same way at every level down to max_depth
     net = chain_pool(4)
-    net.agent_by_id("g1").life = 0.0
+    agent_named(net, "g1").life = 0.0
     calls = []
     original = orchestrator.retrieve
 
@@ -91,8 +93,7 @@ def test_decompose_resolution_soundness():
     theta = 0.8
     tree = decompose(net, composite, SolveConfig(theta=theta), random.Random(0))
     for leaf in tree_leaves(tree):
-        agent = net.agent_by_id(leaf.agent_id)
-        assert similarity(agent.goal, leaf.goal) > theta
+        assert similarity(leaf.agent.goal, leaf.goal) > theta
 
 
 # --- compose ------------------------------------------------------------------------
@@ -102,17 +103,17 @@ def test_compose_single_leaf_is_agent_procedure_verbatim():
     net = chain_pool(4)
     goal = net.training[1][0]
     tree = decompose(net, goal, SolveConfig(), random.Random(0))
-    candidate = compose(tree, net)
-    assert wf.structurally_equal(candidate, net.agent_by_id(goal.id).procedure)
+    candidate = compose(tree)
+    assert wf.structurally_equal(candidate, agent_named(net, goal.id).procedure)
 
 
 def test_compose_linear_tree_length_is_additive():
     net = chain_pool(8)
     parts = [net.training[i][0] for i in (2, 5, 7)]
     tree = Expanded(_union_goal("lin", parts),
-                    tuple(Resolved(p, p.id) for p in parts))
-    candidate = compose(tree, net)
-    total = sum(wf.metrics(net.agent_by_id(p.id).procedure, check=False).length
+                    tuple(Resolved(p, agent_named(net, p.id)) for p in parts))
+    candidate = compose(tree)
+    total = sum(wf.metrics(agent_named(net, p.id).procedure, check=False).length
                 for p in parts)
     assert wf.metrics(candidate, check=False).length == total
 
@@ -121,15 +122,15 @@ def test_compose_inner_expansion_adds_one_nest_level():
     net = chain_pool(8)
     inner_parts = [net.training[i][0] for i in (1, 2)]
     inner = Expanded(_union_goal("sub", inner_parts),
-                     tuple(Resolved(p, p.id) for p in inner_parts))
+                     tuple(Resolved(p, agent_named(net, p.id)) for p in inner_parts))
     outer_parts = [net.training[3][0]]
     tree = Expanded(
         _union_goal("outer", inner_parts + outer_parts),
-        (Resolved(outer_parts[0], outer_parts[0].id), inner),
+        (Resolved(outer_parts[0], agent_named(net, outer_parts[0].id)), inner),
     )
-    candidate = compose(tree, net)
+    candidate = compose(tree)
     child_depth = max(
-        wf.metrics(net.agent_by_id(p.id).procedure, check=False).depth
+        wf.metrics(agent_named(net, p.id).procedure, check=False).depth
         for p in inner_parts
     )
     assert wf.metrics(candidate, check=False).depth == child_depth + 1
@@ -139,8 +140,8 @@ def test_compose_redeclares_goal_interface():
     net = chain_pool(6)
     parts = [net.training[i][0] for i in (0, 4)]
     goal = _union_goal("iface", parts)
-    tree = Expanded(goal, tuple(Resolved(p, p.id) for p in parts))
-    candidate = compose(tree, net)
+    tree = Expanded(goal, tuple(Resolved(p, agent_named(net, p.id)) for p in parts))
+    candidate = compose(tree)
     assert candidate.declared_inputs == goal.input_schema
     assert candidate.goal_id == goal.id
     assert wf.validate(candidate).ok

@@ -19,6 +19,7 @@ from flowsmith.repair import (
 )
 
 from .conftest import (
+    agent_named,
     chain_flow,
     chain_pool,
     chain_tasks,
@@ -116,8 +117,8 @@ def test_apply_insert_with_unique_exact_match_restores_equality():
     faulty = _delete_task(expected, 1)
     verdict = verify(faulty, expected, mode="oracle")
     hypothesis = diagnose(verdict, faulty, expected)[0]
-    repaired, action = apply(faulty, hypothesis, net, SolveConfig(), random.Random(0))
-    assert action.op == "Insert" and action.agent_id == "g1"
+    repaired, agent = apply(faulty, hypothesis, net, SolveConfig(), random.Random(0))
+    assert hypothesis.kind == MISSING_STEP and agent is agent_named(net, "g1")
     assert wf.structurally_equal(repaired, expected)
 
 
@@ -127,8 +128,8 @@ def test_apply_reorder_restores_equality():
     faulty = _swap_adjacent(expected, 1)
     verdict = verify(faulty, expected, mode="oracle")
     hypothesis = diagnose(verdict, faulty, expected)[0]
-    repaired, action = apply(faulty, hypothesis, net, SolveConfig(), random.Random(0))
-    assert action.op == "Reorder"
+    repaired, agent = apply(faulty, hypothesis, net, SolveConfig(), random.Random(0))
+    assert hypothesis.kind == WRONG_ORDER and agent is None
     assert wf.structurally_equal(repaired, expected)
 
 
@@ -145,15 +146,15 @@ def test_apply_missing_step_on_empty_network_raises():
 def test_apply_branch_rebuilds_generated_branch_exactly():
     net = chain_pool(8)
     host = chain_flow([0, 1])
-    alt = net.agent_by_id("g2").procedure  # consumes o1, produced by the host
+    alt = agent_named(net, "g2").procedure  # consumes o1, produced by the host
     cond = wf.Predicate(sorted(alt.declared_outputs)[0], "exists")
     expected = wf.branch(host, cond, alt)
     assert wf.validate(expected).ok
     candidate = host.replace(declared_inputs=expected.declared_inputs)
     verdict = verify(candidate, expected, mode="oracle")
     hypothesis = diagnose(verdict, candidate, expected)[0]
-    repaired, action = apply(candidate, hypothesis, net, SolveConfig(), random.Random(0))
-    assert action.op == "Branch"
+    repaired, agent = apply(candidate, hypothesis, net, SolveConfig(), random.Random(0))
+    assert hypothesis.kind == MISSING_BRANCH and agent is agent_named(net, "g2")
     assert wf.structurally_equal(repaired, expected)
 
 
@@ -207,6 +208,24 @@ def test_repair_loop_two_independent_missing_steps_budget_two():
     assert wf.structurally_equal(repaired, expected)
 
 
+def test_repair_records_hold_the_spliced_agent():
+    net = chain_pool(6)
+    expected = chain_flow([0, 1, 2], gid="rec")
+    goal = _flow_goal(expected, "rec")
+    config = SolveConfig(repair_budget=1)
+    records = []
+    for faulty in (_delete_task(expected, 1), _swap_adjacent(expected, 1)):
+        _, verdict, trace, _ = repair_loop(net, goal, faulty, verify(faulty, expected),
+                                           expected, config, random.Random(0))
+        assert verdict.passed
+        records.extend(trace)
+    insert, reorder = records
+    assert insert.hypothesis == MISSING_STEP and insert.agent is agent_named(net, "g1")
+    assert insert.to_doc()["agent_id"] == "g1"
+    assert reorder.hypothesis == WRONG_ORDER and reorder.agent is None
+    assert reorder.to_doc()["agent_id"] is None
+
+
 def test_repair_loop_budget_exhausted_returns_trace():
     net = chain_pool(8)
     expected = chain_flow([0, 2, 4, 6], gid="tight")
@@ -223,7 +242,7 @@ def test_repair_loop_stalls_without_actionable_hypothesis():
     net = chain_pool(4)
     expected = chain_flow([0, 1], gid="stall")
     kids = list(wf.child_list(wf.normalize_node(expected.root)))
-    extra = net.agent_by_id("g3").procedure.root
+    extra = agent_named(net, "g3").procedure.root
     faulty = mk_flow(kids + [extra], ins=expected.declared_inputs,
                      outs=expected.declared_outputs)
     goal = _flow_goal(expected, "stall")
@@ -237,7 +256,7 @@ def test_repair_loop_stalls_without_actionable_hypothesis():
 
 def test_repair_loop_stalls_when_the_nest_goal_cannot_be_decomposed():
     net = chain_pool(4)
-    net.agent_by_id("g1").life = 0.0
+    agent_named(net, "g1").life = 0.0
     t00, t01 = chain_tasks([0, 1])
     expected = mk_flow([t00, wf.Nest("g1", t01)], ins={"seed"}, outs={"o0", "o1"},
                        gid="nest")

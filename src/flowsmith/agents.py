@@ -4,7 +4,10 @@ Each agent pairs one goal with the minimal workflow that fulfills it
 and a scalar life value.  The pool supports threshold retrieval,
 compatibility-weighted probabilistic selection, life updates from
 execution outcomes, and periodic elimination / refresh against an
-archive.
+archive.  It is the only module that reads the pool lists: the solve
+stack asks ``retrieve``, ``cover_split``, ``is_novel``,
+``best_producers`` and ``goal_named``, and every scan breaks ties by
+ascending agent id.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import workflow as wf
-from .errors import DuplicateGoal, InvalidWorkflow, NoEligibleAgent
+from .errors import DecompositionFailure, DuplicateGoal, InvalidWorkflow, NoEligibleAgent
 from .goals import Goal, schema_compat, similarity
 
 
@@ -25,6 +28,10 @@ class AgentStats:
     def success_ratio(self) -> float:
         total = self.successes + self.failures
         return self.successes / total if total else 0.0
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -39,12 +46,23 @@ class LifeConfig:
     refresh_period: int = 10
 
     def __post_init__(self):
+        # Config files give ints and lists: store floats and tuples, so a
+        # report echoes one form whatever the file held.
+        for name in ("l_init", "l_max", "drift_threshold"):
+            if not _is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("alphas", "betas"):
+            value = getattr(self, name)
+            if (not isinstance(value, (list, tuple)) or len(value) != 3
+                    or not all(_is_number(w) and w >= 0 for w in value)):
+                raise ValueError(f"{name} must hold three non-negative numbers, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         if not 0 < self.l_init <= self.l_max:
             raise ValueError("l_init must lie in (0, l_max]")
-        if any(a < 0 for a in self.alphas) or any(b < 0 for b in self.betas):
-            raise ValueError("reward/penalty weights must be non-negative")
-        if self.refresh_period < 1:
-            raise ValueError("refresh_period must be >= 1")
+        if (isinstance(self.refresh_period, bool) or not isinstance(self.refresh_period, int)
+                or self.refresh_period < 1):
+            raise ValueError(f"refresh_period must be an integer >= 1, got {self.refresh_period!r}")
 
 
 @dataclass(frozen=True)
@@ -136,6 +154,10 @@ def build_agents(dataset: list[tuple[Goal, wf.Workflow]],
     )
 
 
+def _by_id(agents: list[AtomicAgent]) -> list[AtomicAgent]:
+    return sorted(agents, key=lambda a: a.agent_id)
+
+
 def retrieve(net: AgentNetwork, goal: Goal, theta: float) -> list[tuple[AtomicAgent, float]]:
     """Active agents with similarity strictly above theta, best first.
 
@@ -150,6 +172,50 @@ def retrieve(net: AgentNetwork, goal: Goal, theta: float) -> list[tuple[AtomicAg
             scored.append((agent, score))
     scored.sort(key=lambda pair: (-pair[1], pair[0].agent_id))
     return scored
+
+
+def cover_split(net: AgentNetwork, goal: Goal) -> list[Goal]:
+    """Greedy set-cover of the goal's tokens by active agents' goal tokens.
+
+    Largest remaining overlap wins, ties by ascending agent id; the pick
+    order is the subgoal order.  DecompositionFailure if a token has no cover.
+    """
+    residual = set(goal.tokens)
+    pool = _by_id(net.active)
+    parts: list[Goal] = []
+    while residual:
+        best = None
+        best_overlap = 0
+        for agent in pool:
+            overlap = len(agent.goal.tokens & residual)
+            if overlap > best_overlap:
+                best, best_overlap = agent, overlap
+        if best is None:
+            raise DecompositionFailure(
+                f"tokens {sorted(residual)} of goal {goal.id!r} are not coverable"
+            )
+        parts.append(best.goal)
+        residual -= best.goal.tokens
+    return parts
+
+
+def is_novel(net: AgentNetwork, goal: Goal) -> bool:
+    """True when no training goal matches at similarity 1.0."""
+    return all(similarity(g, goal) < 1.0 for g, _ in net.training)
+
+
+def best_producers(net: AgentNetwork, fields: frozenset[str]) -> list[tuple[AtomicAgent, float]]:
+    """(agent, share) for the active agents tied at the top share of ``fields``
+    their goals output, in id order for ``select``; [] when none outputs any."""
+    scored = [(agent, len(agent.goal.output_schema & fields) / len(fields))
+              for agent in _by_id(net.active)] if fields else []
+    best = max((score for _, score in scored), default=0.0)
+    return [(agent, score) for agent, score in scored if best > 0.0 and score == best]
+
+
+def goal_named(net: AgentNetwork, goal_id: str) -> Goal | None:
+    """The goal of the lowest-id active agent whose goal has this id, if any."""
+    return next((agent.goal for agent in _by_id(net.active) if agent.goal.id == goal_id), None)
 
 
 def compatibility(agent: AtomicAgent, subgoal: Goal, available_inputs: frozenset[str],

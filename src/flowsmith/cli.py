@@ -164,7 +164,10 @@ def parse_args(argv: list[str]) -> Command:
     if verb in ("eval", "ablate"):
         raw = options.get("k_list")
         if raw is None:
-            options["k_list"] = tuple(file_defaults.get("k_list", BUILTIN_DEFAULTS["k_list"]))
+            k_list = file_defaults.get("k_list", BUILTIN_DEFAULTS["k_list"])
+            if not isinstance(k_list, (list, tuple)):  # ExperimentConfig checks the items
+                raise ConfigError(f"k_list must be a list of integers, got {k_list!r}")
+            options["k_list"] = tuple(k_list)
         else:
             options["k_list"] = _parse_int_list(raw, "k")
         if options.get("sweep"):
@@ -176,15 +179,8 @@ def parse_args(argv: list[str]) -> Command:
 
 def _life_config(cmd: Command) -> LifeConfig:
     try:
-        return LifeConfig(
-            l_init=float(cmd.options["l_init"]),
-            l_max=float(cmd.options["l_max"]),
-            alphas=tuple(cmd.options["alphas"]),
-            betas=tuple(cmd.options["betas"]),
-            drift_threshold=float(cmd.options["drift_threshold"]),
-            refresh_period=int(cmd.options["refresh_period"]),
-        )
-    except (TypeError, ValueError) as exc:
+        return LifeConfig(**{key: cmd.options[key] for key in _LIFE_DEFAULTS})
+    except ValueError as exc:
         raise ConfigError(f"bad life config: {exc}") from exc
 
 

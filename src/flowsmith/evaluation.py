@@ -32,7 +32,6 @@ class ExperimentConfig:
     k_list: tuple[int, ...] = (1, 3, 5)
     theta: float = 0.8
     eta: float = 0.95
-    max_depth: int = 8
     repair_budget: int = 5
     mode: str = "oracle"
     seed: int = 0
@@ -50,10 +49,9 @@ class ExperimentConfig:
             if (isinstance(value, bool) or not isinstance(value, (int, float))
                     or not 0.0 <= value <= 1.0):
                 raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
-        for name, value, low in (("max_depth", self.max_depth, 1),
-                                 ("repair_budget", self.repair_budget, 0)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        if (isinstance(self.repair_budget, bool) or not isinstance(self.repair_budget, int)
+                or self.repair_budget < 0):
+            raise ConfigError(f"repair_budget must be an integer >= 0, got {self.repair_budget!r}")
         if not self.k_list:
             raise ConfigError("k_list must not be empty")
         if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.seed, *self.k_list)):
@@ -73,7 +71,6 @@ class ExperimentConfig:
         return SolveConfig(
             theta=self.theta,
             eta=self.eta,
-            max_depth=self.max_depth,
             k=max(self.k_list),
             repair_budget=self.repair_budget,
             mode=self.mode,
@@ -227,7 +224,6 @@ def _config_echo(config: ExperimentConfig) -> dict:
         "k_list": list(config.k_list),
         "theta": config.theta,
         "eta": config.eta,
-        "max_depth": config.max_depth,
         "repair_budget": config.repair_budget,
         "mode": config.mode,
         "seed": config.seed,

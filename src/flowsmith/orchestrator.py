@@ -2,8 +2,9 @@
 
 A goal that retrieves above threshold resolves to one agent.  Anything
 else is split by greedy token set-cover over the active pool, each part
-decomposed recursively, and the parts composed left to right.  The
-candidate is then verified either against the expected workflow
+decomposed recursively (at most ``MAX_DEPTH`` levels), and the parts
+composed left to right; ``agents`` answers every read of the pool.
+The candidate is then verified either against the expected workflow
 (oracle mode, structural equality on normalized trees) or against the
 goal's declared interface (goal-anchored mode).
 
@@ -31,13 +32,20 @@ from .agents import (
     Outcome,
     apply_stats,
     compatibility,
+    cover_split,
+    is_novel,
     retrieve,
     select,
     update_life,
 )
 from .errors import DecompositionFailure, MissingOracle, NoEligibleAgent
+# ``similarity`` is unused here; the benchmark tracer counts its calls
+# at this module attribute (perfbench/spans.py, COUNT_SITES).
 from .goals import Goal, similarity
 from .seeds import derive_seed
+
+# Levels of recursive splitting before a decomposition gives up.
+MAX_DEPTH = 8
 
 
 @dataclass(frozen=True)
@@ -59,7 +67,6 @@ DecompositionTree = Union[Resolved, Expanded]
 class SolveConfig:
     theta: float = 0.8
     eta: float = 0.95
-    max_depth: int = 8
     k: int = 5
     repair_budget: int = 5
     mode: str = "oracle"  # or "goal_anchored"
@@ -153,31 +160,6 @@ class EpisodeResult:
 # --- decomposition ------------------------------------------------------------
 
 
-def _cover_split(net: AgentNetwork, goal: Goal) -> list[Goal]:
-    """Greedy set-cover of the goal's tokens by active agents' goal tokens.
-
-    Largest remaining overlap wins, ties by ascending agent id; the pick
-    order is the subgoal order.
-    """
-    residual = set(goal.tokens)
-    pool = sorted(net.active, key=lambda a: a.agent_id)
-    parts: list[Goal] = []
-    while residual:
-        best = None
-        best_overlap = 0
-        for agent in pool:
-            overlap = len(agent.goal.tokens & residual)
-            if overlap > best_overlap:
-                best, best_overlap = agent, overlap
-        if best is None:
-            raise DecompositionFailure(
-                f"tokens {sorted(residual)} of goal {goal.id!r} are not coverable"
-            )
-        parts.append(best.goal)
-        residual -= best.goal.tokens
-    return parts
-
-
 def decompose(net: AgentNetwork, goal: Goal, config: SolveConfig,
               rng: random.Random) -> DecompositionTree:
     """Resolve the goal directly when retrieval clears theta, else split.
@@ -189,9 +171,6 @@ def decompose(net: AgentNetwork, goal: Goal, config: SolveConfig,
     read only tokens, scope and life, so recursing into that part would
     fail the same way at every level until the depth budget.
     """
-    if config.max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
-
     def walk(g: Goal, depth: int, scope: frozenset[str]) -> tuple[DecompositionTree, frozenset[str]]:
         candidates = retrieve(net, g, config.theta)
         if candidates:
@@ -210,9 +189,9 @@ def decompose(net: AgentNetwork, goal: Goal, config: SolveConfig,
                 f"no agent above threshold for goal {g.id!r} and structural "
                 "splitting is disabled"
             )
-        if depth >= config.max_depth:
+        if depth >= MAX_DEPTH:
             raise DecompositionFailure(f"depth budget exhausted at goal {g.id!r}")
-        parts = _cover_split(net, g)
+        parts = cover_split(net, g)
         if len(parts) == 1 and parts[0].tokens == g.tokens:
             raise DecompositionFailure(f"goal {g.id!r} splits into itself")
         children: list[DecompositionTree] = []
@@ -319,11 +298,6 @@ def verify(candidate: wf.Workflow, target, mode: str = "oracle", eta: float = 0.
 # --- the episode loop ------------------------------------------------------------
 
 
-def _novelty(net: AgentNetwork, goal: Goal) -> bool:
-    """True when no training goal matches at similarity 1.0."""
-    return all(similarity(g, goal) < 1.0 for g, _ in net.training)
-
-
 def _localize_fault(verdict: Verdict,
                     segments: list[tuple[AtomicAgent, int]]) -> AtomicAgent | None:
     """Map the first oracle edit to the agent owning that top-level slot."""
@@ -372,7 +346,7 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
         goal_id=goal.id, candidates=[], repairs_applied=[], outcomes=[],
         steps=0, seed=config.seed,
     )
-    novel = _novelty(net, goal)
+    novel = is_novel(net, goal)
 
     for rank in range(1, config.k + 1):
         rng = random.Random(derive_seed(config.seed, goal.id, rank))

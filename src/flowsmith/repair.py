@@ -11,10 +11,11 @@ applicable hypothesis, re-verifies, and insists on strict progress
 it passes, stalls, or the budget runs out.  Each applied repair is
 recorded with the agent whose procedure it spliced in (none for a
 reorder or a nest), so the solve loop rewards or penalises that agent
-object directly.  A hypothesis that cannot be applied, because no
-agent matches, the result breaks dataflow or its re-decomposition
-fails, is skipped; no such failure leaves the loop.  Every setting
-comes from the episode's ``SolveConfig``.
+object directly; ``agents`` names the agents and goals to splice in.
+A hypothesis that cannot be applied, because no agent or goal matches,
+the result breaks dataflow or its re-decomposition fails, is skipped;
+no such failure leaves the loop.  Every setting comes from the
+episode's ``SolveConfig``.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ import random
 from dataclasses import dataclass
 
 from . import workflow as wf
-from .agents import AgentNetwork, AtomicAgent, select
+from .agents import AgentNetwork, AtomicAgent, best_producers, goal_named, select
 from .errors import DecompositionFailure, NoEligibleAgent, NotAFailure, RejectedRepair
+# ``similarity`` is unused here; the benchmark tracer counts its calls
+# at this module attribute (perfbench/spans.py, COUNT_SITES).
 from .goals import Goal, similarity
 from .orchestrator import RepairRecord, SolveConfig, Verdict, compose, decompose, verify
 
@@ -44,7 +47,7 @@ OPERATORS = {MISSING_STEP: "Insert", WRONG_ORDER: "Reorder",
 class FailureHypothesis:
     kind: str
     location: wf.Path
-    needed: "Goal | frozenset[str] | None" = None
+    needed: "frozenset[str] | str | None" = None  # fields to produce, or a sub-goal id
     evidence: "wf.Edit | str | None" = None
 
 
@@ -65,10 +68,6 @@ def _crosses_branch(root: wf.WorkflowNode, path: wf.Path) -> bool:
             return False
         node = kids[step]
     return isinstance(node, wf.Branch)
-
-
-def _goal_ref(sub_goal_id: str) -> Goal:
-    return Goal(id=sub_goal_id, tokens=frozenset({sub_goal_id}))
 
 
 def diagnose(verdict: Verdict, candidate: wf.Workflow, target) -> list[FailureHypothesis]:
@@ -92,7 +91,7 @@ def diagnose(verdict: Verdict, candidate: wf.Workflow, target) -> list[FailureHy
             # The whole flow should live under a sub-workflow boundary.
             return [FailureHypothesis(
                 kind=OVER_ABSTRACTION, location=(),
-                needed=_goal_ref(expected_root.sub_goal_id),
+                needed=expected_root.sub_goal_id,
                 evidence="root nest missing",
             )]
         for edit in verdict.edit_script:
@@ -105,7 +104,7 @@ def diagnose(verdict: Verdict, candidate: wf.Workflow, target) -> list[FailureHy
                 if isinstance(node, wf.Nest):
                     hypotheses.append(FailureHypothesis(
                         kind=OVER_ABSTRACTION, location=edit.path,
-                        needed=_goal_ref(node.sub_goal_id), evidence=edit,
+                        needed=node.sub_goal_id, evidence=edit,
                     ))
                 elif isinstance(edit, wf.InsertNode) and (
                     isinstance(node, wf.Branch) or _crosses_branch(cand_root, edit.path)
@@ -132,30 +131,6 @@ def diagnose(verdict: Verdict, candidate: wf.Workflow, target) -> list[FailureHy
     return hypotheses
 
 
-def _match_agent(net: AgentNetwork, needed, rng: random.Random,
-                 scale_control: bool) -> AtomicAgent:
-    """The best-matching agent for a need: top score group, then selection.
-
-    A Goal need scores by token similarity; a field-set need scores by
-    output-schema coverage.  With a unique best match the choice is
-    deterministic regardless of the draw.
-    """
-    scored: list[tuple[AtomicAgent, float]] = []
-    for agent in sorted(net.active, key=lambda a: a.agent_id):
-        if isinstance(needed, Goal):
-            score = similarity(agent.goal, needed)
-        else:
-            fields = frozenset(needed)
-            score = len(agent.goal.output_schema & fields) / len(fields) if fields else 0.0
-        if score > 0.0:
-            scored.append((agent, score))
-    if not scored:
-        raise NoEligibleAgent(f"no agent matches needed {needed!r}")
-    best = max(score for _, score in scored)
-    top = [(agent, score) for agent, score in scored if score == best]
-    return select(top, rng, use_life=scale_control)
-
-
 def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwork,
           config: SolveConfig, rng: random.Random, *,
           goal: Goal | None = None) -> tuple[wf.Workflow, AtomicAgent | None]:
@@ -163,11 +138,12 @@ def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwo
 
     Returns the repaired workflow and the agent whose procedure was
     spliced in (Insert, Branch), or None for a reorder or a nest, whose
-    content comes from the candidate or a fresh decomposition.
+    content comes from the candidate or a fresh decomposition.  The
+    spliced agent is drawn from the best producers of the needed fields.
     """
     agent = None
     if hypothesis.kind == MISSING_STEP:
-        agent = _match_agent(net, hypothesis.needed, rng, config.scale_control)
+        agent = select(best_producers(net, hypothesis.needed), rng, use_life=config.scale_control)
         edit = wf.InsertNode(hypothesis.location, agent.procedure.root)
         repaired = wf.apply_edits((edit,), candidate)
         repaired = repaired.replace(
@@ -178,27 +154,15 @@ def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwo
             raise RejectedRepair("wrong-order hypothesis without a permutation")
         repaired = wf.apply_edits((hypothesis.evidence,), candidate)
     elif hypothesis.kind == MISSING_BRANCH:
-        needed = hypothesis.needed if isinstance(hypothesis.needed, frozenset) else frozenset()
-        if not needed:
-            raise RejectedRepair("missing-branch hypothesis without needed fields")
-        agent = _match_agent(net, needed, rng, config.scale_control)
-        predicate = wf.Predicate(key=sorted(needed)[0], op="exists")
+        agent = select(best_producers(net, hypothesis.needed), rng, use_life=config.scale_control)
+        predicate = wf.Predicate(key=sorted(hypothesis.needed)[0], op="exists")
         node = wf.Branch(predicate, agent.procedure.root, None)
         repaired = wf.apply_edits((wf.InsertNode(hypothesis.location, node),), candidate)
     elif hypothesis.kind == OVER_ABSTRACTION:
         needed = hypothesis.needed
-        if not isinstance(needed, Goal):
-            raise RejectedRepair("over-abstraction hypothesis without a goal")
-        resolved = None
-        if goal is not None and goal.id == needed.id:
-            resolved = goal
-        else:
-            for known in sorted(net.active, key=lambda a: a.agent_id):
-                if known.goal.id == needed.id:
-                    resolved = known.goal
-                    break
+        resolved = goal if goal is not None and goal.id == needed else goal_named(net, needed)
         if resolved is None:
-            raise NoEligibleAgent(f"no known goal with id {needed.id!r}")
+            raise NoEligibleAgent(f"no known goal with id {needed!r}")
         tree = decompose(net, resolved, config, rng)
         body = compose(tree)
         nest_node = wf.Nest(resolved.id, body.root)

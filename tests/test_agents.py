@@ -7,9 +7,11 @@ from flowsmith.agents import (
     AtomicAgent,
     LifeConfig,
     Outcome,
+    best_producers,
     build_agents,
     compatibility,
     eliminate_and_refresh,
+    goal_named,
     retrieve,
     select,
     selection_probabilities,
@@ -18,7 +20,7 @@ from flowsmith.agents import (
 from flowsmith.errors import DuplicateGoal, InvalidWorkflow, NoEligibleAgent
 from flowsmith.goals import Goal, similarity
 
-from .conftest import chain_flow, chain_pool, mk_flow, mk_task
+from .conftest import agent_named, chain_flow, chain_pool, mk_flow, mk_task
 
 
 def _goal(gid, tokens, ins=(), outs=()):
@@ -98,6 +100,32 @@ def test_retrieve_partial_overlap_brute_force():
     got = [(a.agent_id, s) for a, s in retrieve(net, probe, theta=0.4)]
     assert got == expected
     assert [a for a, _ in got] == ["a1", "a2"]
+
+
+# --- repair queries -----------------------------------------------------------------
+
+
+def test_best_producers_returns_every_agent_tied_at_the_top_in_id_order():
+    outputs = {"c": {"x", "y"}, "a": {"x", "y", "z"}, "d": {"x"}, "b": {"y", "w"}, "e": {"q"}}
+    net = build_agents([(_goal(gid, {gid}, outs=outs), chain_flow([0]))
+                        for gid, outs in outputs.items()])
+    named = {agent.agent_id: agent for agent in net.active}
+    assert best_producers(net, frozenset({"x", "y"})) == [(named["a"], 1.0), (named["c"], 1.0)]
+    assert best_producers(net, frozenset({"w", "x"})) == [
+        (named[gid], 0.5) for gid in ("a", "b", "c", "d")
+    ]
+    assert best_producers(net, frozenset({"nothing"})) == []
+    assert best_producers(net, frozenset()) == []
+
+
+def test_goal_named_reads_only_active_agents():
+    net = chain_pool(3, life=LifeConfig(refresh_period=100))
+    net.epoch = 1  # off the refresh tick, so the archive keeps the agent
+    assert goal_named(net, "g1") is agent_named(net, "g1").goal
+    agent_named(net, "g1").life = 0.0
+    eliminate_and_refresh(net)
+    assert goal_named(net, "g1") is None
+    assert goal_named(net, "ghost") is None
 
 
 # --- compatibility ------------------------------------------------------------------

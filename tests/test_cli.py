@@ -168,10 +168,15 @@ SOLVE = ["solve", "--train", "{train}", "--goals", "{test}"]
     ({"seed": "x"}, SOLVE + ["--config", "{file}"]),
     (None, ["gen-corpus", "--n", "10", "--planted-length", "7"]),
     ({"L_init": 5}, SOLVE + ["--config", "{file}"]),
+    ({"alphas": [1, 2]}, SOLVE + ["--config", "{file}"]),
+    ({"alphas": [1, 2, 3, 4]}, SOLVE + ["--config", "{file}"]),
+    ({"refresh_period": 1.5}, SOLVE + ["--config", "{file}"]),
+    ({"l_init": True}, SOLVE + ["--config", "{file}"]),
 ], ids=["zero-records", "histogram-sum", "missing-total", "config-array",
         "life-out-of-range", "k-zero", "theta-out-of-range", "eta-out-of-range",
         "negative-budget", "theta-not-a-number", "seed-not-a-number", "planted-length",
-        "unknown-config-key"])
+        "unknown-config-key", "two-alphas", "four-alphas", "fractional-refresh-period",
+        "boolean-l-init"])
 def test_bad_user_input_exits_two(corpora, capsys, input_doc, argv):
     tmp_path, train, test = corpora
     input_file = tmp_path / "input.json"
@@ -183,14 +188,22 @@ def test_bad_user_input_exits_two(corpora, capsys, input_doc, argv):
     assert not out.exists()
 
 
-def test_config_k_list_of_strings_exits_two(corpora, capsys):
+def _assert_eval_config_exits_two(corpora, capsys, config_doc):
     tmp_path, train, test = corpora
     config, report = tmp_path / "cfg.json", tmp_path / "r.json"
-    config.write_text(json.dumps({"k_list": "abc"}))
+    config.write_text(json.dumps(config_doc))
     assert cli.main(["eval", "--train", train, "--test", test, "--report", str(report),
                      "--config", str(config)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not report.exists()
+
+
+def test_config_k_list_of_strings_exits_two(corpora, capsys):
+    _assert_eval_config_exits_two(corpora, capsys, {"k_list": "abc"})
+
+
+def test_config_k_list_number_exits_two(corpora, capsys):
+    _assert_eval_config_exits_two(corpora, capsys, {"k_list": 3})
 
 
 def test_corrupt_corpus_line_exits_three(corpora, capsys):

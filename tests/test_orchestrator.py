@@ -70,7 +70,7 @@ def test_decompose_split_disabled_fails_on_novel_goal():
 
 def test_decompose_goal_that_splits_into_itself_fails_at_once(monkeypatch):
     # g1's only agent has life 0: the cover split returns g1 itself, which
-    # would fail the same way at every level down to max_depth
+    # would fail the same way at every level down to MAX_DEPTH
     net = chain_pool(4)
     agent_named(net, "g1").life = 0.0
     calls = []
@@ -82,7 +82,7 @@ def test_decompose_goal_that_splits_into_itself_fails_at_once(monkeypatch):
 
     monkeypatch.setattr(orchestrator, "retrieve", counted)
     with pytest.raises(DecompositionFailure):
-        decompose(net, net.training[1][0], SolveConfig(max_depth=8), random.Random(0))
+        decompose(net, net.training[1][0], SolveConfig(), random.Random(0))
     assert calls == ["g1"]
 
 

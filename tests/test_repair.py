@@ -94,7 +94,7 @@ def test_diagnose_root_nest_maps_to_over_abstraction():
     hyps = diagnose(verdict, flat, expected)
     assert [h.kind for h in hyps] == [OVER_ABSTRACTION]
     assert hyps[0].location == ()
-    assert hyps[0].needed.id == "gnest"
+    assert hyps[0].needed == "gnest"
 
 
 def test_diagnose_goal_anchored_missing_outputs():
@@ -263,6 +263,24 @@ def test_repair_loop_stalls_when_the_nest_goal_cannot_be_decomposed():
     candidate = chain_flow([0, 1], gid="nest")
     verdict = verify(candidate, expected)
     assert [h.kind for h in diagnose(verdict, candidate, expected)] == [OVER_ABSTRACTION]
+    _, verdict, trace, stop = repair_loop(net, _flow_goal(expected, "nest"), candidate,
+                                          verdict, expected, SolveConfig(repair_budget=3),
+                                          random.Random(0))
+    assert stop == "stalled"
+    assert not verdict.passed
+    assert trace == []
+
+
+def test_repair_loop_skips_a_nest_whose_goal_is_unknown():
+    # "ghost" is neither the episode goal nor the goal of any pool agent
+    net = chain_pool(4)
+    t00, t01 = chain_tasks([0, 1])
+    expected = mk_flow([t00, wf.Nest("ghost", t01)], ins={"seed"}, outs={"o0", "o1"},
+                       gid="nest")
+    candidate = chain_flow([0, 1], gid="nest")
+    verdict = verify(candidate, expected)
+    hyps = diagnose(verdict, candidate, expected)
+    assert [(h.kind, h.needed) for h in hyps] == [(OVER_ABSTRACTION, "ghost")]
     _, verdict, trace, stop = repair_loop(net, _flow_goal(expected, "nest"), candidate,
                                           verdict, expected, SolveConfig(repair_budget=3),
                                           random.Random(0))

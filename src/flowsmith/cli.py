@@ -1,31 +1,26 @@
 """Command-line entry point for corpus generation, solving, and evaluation.
 
-Verbs: gen-corpus, solve, eval, ablate, report.  Numeric defaults may
-come from a JSON config file (``--config``, else the
-``FLOWSMITH_CONFIG`` environment variable, else ``./flowsmith.json``
-when present); explicit flags win over the file, the file wins over
-built-ins.  ``solve``, ``eval`` and ``ablate`` all run through
-``evaluation.run_experiment``.  Outputs are written atomically.  Exit
-codes: 0 success, 2 usage or configuration error, 3 I/O failure,
-4 internal invariant breach.
+Verbs: gen-corpus, solve, eval, ablate, report.  A knob left unset on
+the command line takes its value from the JSON file named by
+``--config``, else from the built-in default (``BUILTIN_DEFAULTS``);
+no other file and no environment variable is read.  ``solve``,
+``eval`` and ``ablate`` all build their ``ExperimentConfig`` in one
+place and run through ``evaluation.run_experiment``.  Outputs are
+written atomically.  Exit codes: 0 success, 2 usage or configuration
+error, 3 I/O failure, 4 internal invariant breach.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, replace
 
 from . import corpus as corpus_mod
 from .agents import LifeConfig
 from .errors import ConfigError, EngineError
-from .evaluation import ABLATABLE, ExperimentConfig, MetricsReport, csv_text
-from .evaluation import run_experiment as _run_experiment
-
-DEFAULT_CONFIG_ENV = "FLOWSMITH_CONFIG"
-DEFAULT_CONFIG_FILE = "flowsmith.json"
+from .evaluation import ABLATABLE, ExperimentConfig, MetricsReport, csv_text, run_experiment
 
 _EXPERIMENT_DEFAULTS = ExperimentConfig()
 _LIFE_DEFAULTS = asdict(LifeConfig())
@@ -40,48 +35,34 @@ BUILTIN_DEFAULTS = {
     **_LIFE_DEFAULTS,
 }
 
-_CONFIG_KEYS = set(BUILTIN_DEFAULTS)
 
-
-@dataclass
-class Command:
-    verb: str
-    options: dict
-
-    def get(self, key, default=None):
-        value = self.options.get(key)
-        return default if value is None else value
-
-
-def _load_config_file(path: str | None) -> dict:
-    candidate = path or os.environ.get(DEFAULT_CONFIG_ENV) or DEFAULT_CONFIG_FILE
-    if not os.path.exists(candidate):
-        if path:  # an explicitly named file must exist
-            raise ConfigError(f"config file not found: {candidate!r}")
-        return {}
+def _load_config_file(path: str) -> dict:
     try:
-        with open(candidate, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"config file not found: {path!r}") from exc
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"unreadable config file {candidate!r}: {exc}") from exc
+        raise ConfigError(f"unreadable config file {path!r}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"config file {candidate!r} must hold a JSON object")
-    out = {}
-    for key, value in raw.items():
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r} in {candidate!r}")
-        out[key] = value
-    return out
+        raise ConfigError(f"config file {path!r} must hold a JSON object")
+    for key in raw:
+        if key not in BUILTIN_DEFAULTS:
+            raise ConfigError(f"unknown config key {key!r} in {path!r}")
+    return raw
 
 
-def _parse_int_list(text: str, label: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad {label} list {text!r}") from exc
-    if not values:
-        raise ConfigError(f"{label} list must not be empty")
-    return values
+def _int_list(label: str):
+    """An argparse ``type`` for comma-separated integers; a bad list is a ConfigError."""
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            values = tuple(int(part) for part in text.split(",") if part.strip())
+        except ValueError as exc:
+            raise ConfigError(f"bad {label} list {text!r}") from exc
+        if not values:
+            raise ConfigError(f"{label} list must not be empty")
+        return values
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,11 +95,14 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--budget", type=int)
     s.add_argument("--k", type=int, default=1)
 
-    def eval_flags(p: argparse.ArgumentParser) -> None:
+    for verb, summary in (("eval", "run the full evaluation protocol"),
+                          ("ablate", "run the protocol with one component disabled")):
+        p = sub.add_parser(verb, help=summary)
         common(p)
         p.add_argument("--train", required=True)
         p.add_argument("--test", required=True)
-        p.add_argument("--k", dest="k_list", help="comma-separated, e.g. 1,3,5")
+        p.add_argument("--k", dest="k_list", type=_int_list("k"),
+                       help="comma-separated, e.g. 1,3,5")
         p.add_argument("--report", required=True)
         p.add_argument("--csv")
         p.add_argument("--transcripts")
@@ -129,14 +113,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--parallelism", type=int, default=1,
                        help="worker processes for --sweep points")
         p.add_argument("--library", help="JSONL of pattern workflows for reuse metrics")
-        p.add_argument("--sweep", help="comma-separated pool sizes, e.g. 1,10,20")
-
-    e = sub.add_parser("eval", help="run the full evaluation protocol")
-    eval_flags(e)
-
-    a = sub.add_parser("ablate", help="run the protocol with one component disabled")
-    eval_flags(a)
-    a.add_argument("--disable", required=True, choices=ABLATABLE)
+        p.add_argument("--sweep", type=_int_list("sweep"),
+                       help="comma-separated pool sizes, e.g. 1,10,20")
+        if verb == "ablate":
+            p.add_argument("--disable", required=True, choices=ABLATABLE)
 
     r = sub.add_parser("report", help="re-emit the flat CSV from a report JSON")
     r.add_argument("--report", required=True)
@@ -144,107 +124,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv: list[str]) -> Command:
-    """Parse argv into a Command; usage errors exit 2 on the diagnostic stream."""
-    namespace = _build_parser().parse_args(argv)
-    options = vars(namespace)
-    verb = options.pop("verb")
-    file_defaults = _load_config_file(options.get("config")) if verb != "report" else {}
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; fill each unset knob from the ``--config`` file, else the built-ins.
 
-    def fill(key: str, flag: str | None = None):
-        flag = flag or key
-        if options.get(flag) is None:
-            options[flag] = file_defaults.get(key, BUILTIN_DEFAULTS.get(key))
-
-    if verb != "report":
-        fill("seed")
-        fill("theta")
-        fill("eta")
-        fill("budget")
-    if verb in ("eval", "ablate"):
-        raw = options.get("k_list")
-        if raw is None:
-            k_list = file_defaults.get("k_list", BUILTIN_DEFAULTS["k_list"])
-            if not isinstance(k_list, (list, tuple)):  # ExperimentConfig checks the items
-                raise ConfigError(f"k_list must be a list of integers, got {k_list!r}")
-            options["k_list"] = tuple(k_list)
-        else:
-            options["k_list"] = _parse_int_list(raw, "k")
-        if options.get("sweep"):
-            options["sweep"] = _parse_int_list(options["sweep"], "sweep")
-    for key in _LIFE_DEFAULTS:
-        options.setdefault(key, file_defaults.get(key, BUILTIN_DEFAULTS[key]))
-    return Command(verb=verb, options=options)
+    Usage errors exit 2 on the diagnostic stream; a bad config file or
+    integer list raises ConfigError.
+    """
+    args = _build_parser().parse_args(argv)
+    if args.verb == "report":
+        return args
+    file_defaults = _load_config_file(args.config) if args.config else {}
+    for key, default in BUILTIN_DEFAULTS.items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, file_defaults.get(key, default))
+    return args
 
 
-def _life_config(cmd: Command) -> LifeConfig:
+def _experiment_config(args: argparse.Namespace, **run) -> ExperimentConfig:
+    """The config every run shares, plus the verb's own fields in ``run``."""
     try:
-        return LifeConfig(**{key: cmd.options[key] for key in _LIFE_DEFAULTS})
+        life = LifeConfig(**{key: getattr(args, key) for key in _LIFE_DEFAULTS})
     except ValueError as exc:
         raise ConfigError(f"bad life config: {exc}") from exc
-
-
-def _cmd_gen_corpus(cmd: Command) -> int:
-    planted = None
-    if cmd.get("planted_length") is not None:
-        planted = corpus_mod.PlantedSubflowSpec(
-            length=cmd.options["planted_length"],
-            rate=cmd.get("planted_rate", 0.2),
-        )
-    if cmd.options["profile"] == "default":
-        profile = corpus_mod.default_profile(total=cmd.get("n", 10000), planted=planted)
-    else:
-        profile = corpus_mod.load_profile(cmd.options["profile"])
-        if cmd.get("n") is not None or planted is not None:
-            from dataclasses import replace as dc_replace
-            profile = dc_replace(
-                profile,
-                total=cmd.get("n", profile.total),
-                planted=planted if planted is not None else profile.planted,
-            )
-    records = corpus_mod.generate(profile, cmd.options["seed"])
-    corpus_mod.save_corpus(records, cmd.options["out"])
-    print(f"wrote {len(records)} records to {cmd.options['out']}")
-    return 0
-
-
-def _cmd_solve(cmd: Command) -> int:
-    report = _run_experiment(ExperimentConfig(
-        train_path=cmd.options["train"],
-        test_path=cmd.options["goals"],
-        k_list=tuple(range(1, cmd.options["k"] + 1)),
-        theta=cmd.options["theta"],
-        eta=cmd.options["eta"],
-        repair_budget=cmd.options["budget"],
-        mode=cmd.options["mode"],
-        seed=cmd.options["seed"],
-        transcripts_path=cmd.options["out"],
-        life=_life_config(cmd),
-    ))
-    print(f"solved {report.runtime['episodes']} goals, {_summarize(report)}, "
-          f"transcripts in {cmd.options['out']}")
-    return 0
-
-
-def _experiment_config(cmd: Command, disabled: frozenset[str]) -> ExperimentConfig:
-    return ExperimentConfig(
-        train_path=cmd.options["train"],
-        test_path=cmd.options["test"],
-        k_list=tuple(cmd.options["k_list"]),
-        theta=cmd.options["theta"],
-        eta=cmd.options["eta"],
-        repair_budget=cmd.options["budget"],
-        mode=cmd.options["mode"],
-        seed=cmd.options["seed"],
-        parallelism=cmd.options["parallelism"],
-        disabled=disabled,
-        library_path=cmd.get("library"),
-        sweep_sizes=cmd.get("sweep"),
-        report_path=cmd.options["report"],
-        csv_path=cmd.get("csv"),
-        transcripts_path=cmd.get("transcripts"),
-        life=_life_config(cmd),
-    )
+    return ExperimentConfig(train_path=args.train, theta=args.theta, eta=args.eta,
+                            repair_budget=args.budget, mode=args.mode, seed=args.seed,
+                            life=life, **run)
 
 
 def _summarize(report: MetricsReport) -> str:
@@ -253,23 +157,53 @@ def _summarize(report: MetricsReport) -> str:
     return f"mean bucket pass@1={head:.3f}"
 
 
-def _cmd_eval(cmd: Command) -> int:
-    report = _run_experiment(_experiment_config(cmd, frozenset()))
-    print(f"report written to {cmd.options['report']}, {_summarize(report)}")
+def _cmd_gen_corpus(args: argparse.Namespace) -> int:
+    if args.planted_rate is not None and args.planted_length is None:
+        raise ConfigError("--planted-rate needs --planted-length")
+    planted = None
+    if args.planted_length is not None:
+        planted = corpus_mod.PlantedSubflowSpec(
+            length=args.planted_length,
+            rate=0.2 if args.planted_rate is None else args.planted_rate,
+        )
+    if args.profile == "default":
+        profile = corpus_mod.default_profile(planted=planted)
+    else:
+        profile = corpus_mod.load_profile(args.profile)
+    profile = replace(profile, total=profile.total if args.n is None else args.n,
+                      planted=planted or profile.planted)
+    records = corpus_mod.generate(profile, args.seed)
+    corpus_mod.save_corpus(records, args.out)
+    print(f"wrote {len(records)} records to {args.out}")
     return 0
 
 
-def _cmd_ablate(cmd: Command) -> int:
-    disabled = frozenset({cmd.options["disable"]})
-    report = _run_experiment(_experiment_config(cmd, disabled))
-    print(f"ablation {cmd.options['disable']}: report written to "
-          f"{cmd.options['report']}, {_summarize(report)}")
+def _cmd_solve(args: argparse.Namespace) -> int:
+    report = run_experiment(_experiment_config(
+        args, test_path=args.goals, k_list=tuple(range(1, args.k + 1)),
+        transcripts_path=args.out,
+    ))
+    print(f"solved {report.runtime['episodes']} goals, {_summarize(report)}, "
+          f"transcripts in {args.out}")
     return 0
 
 
-def _cmd_report(cmd: Command) -> int:
-    path = cmd.options["report"]
-    with open(path, "r", encoding="utf-8") as handle:
+def _cmd_eval(args: argparse.Namespace) -> int:
+    """``eval``, and ``ablate`` with its one ``--disable`` component."""
+    disable = getattr(args, "disable", None)
+    report = run_experiment(_experiment_config(
+        args, test_path=args.test, k_list=args.k_list, parallelism=args.parallelism,
+        disabled=frozenset({disable} if disable else ()), library_path=args.library,
+        sweep_sizes=args.sweep, report_path=args.report, csv_path=args.csv,
+        transcripts_path=args.transcripts,
+    ))
+    prefix = f"ablation {disable}: " if disable else ""
+    print(f"{prefix}report written to {args.report}, {_summarize(report)}")
+    return 0
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    with open(args.report, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     try:
         per_bucket = {
@@ -277,9 +211,9 @@ def _cmd_report(cmd: Command) -> int:
             for bucket, table in doc["per_bucket"].items()
         }
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed report {path!r}: {type(exc).__name__}: {exc}") from exc
-    corpus_mod.write_atomic(cmd.options["csv"], csv_text(per_bucket))
-    print(f"csv written to {cmd.options['csv']}")
+        raise ValueError(f"malformed report {args.report!r}: {type(exc).__name__}: {exc}") from exc
+    corpus_mod.write_atomic(args.csv, csv_text(per_bucket))
+    print(f"csv written to {args.csv}")
     return 0
 
 
@@ -287,15 +221,15 @@ _HANDLERS = {
     "gen-corpus": _cmd_gen_corpus,
     "solve": _cmd_solve,
     "eval": _cmd_eval,
-    "ablate": _cmd_ablate,
+    "ablate": _cmd_eval,
     "report": _cmd_report,
 }
 
 
-def dispatch(cmd: Command) -> int:
-    """Route a parsed command; map failures onto the documented exit codes."""
+def dispatch(args: argparse.Namespace) -> int:
+    """Route parsed arguments; map failures onto the documented exit codes."""
     try:
-        return _HANDLERS[cmd.verb](cmd)
+        return _HANDLERS[args.verb](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -310,11 +244,11 @@ def dispatch(cmd: Command) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        cmd = parse_args(argv)
+        args = parse_args(argv)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return dispatch(cmd)
+    return dispatch(args)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 from . import workflow as wf
-from .errors import ConfigError, InfeasibleProfile
+from .errors import ConfigError, EngineError, InfeasibleProfile
 from .goals import Goal, goal_from_doc, goal_to_doc
 from .seeds import derive_seed
 
@@ -435,18 +435,24 @@ def save_corpus(records: list[CorpusRecord], path: str | FsPath) -> None:
     write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def load_corpus(path: str | FsPath, strip_oracle: bool = False) -> list[CorpusRecord]:
-    records: list[CorpusRecord] = []
+def read_jsonl(path: str | FsPath, parse, label: str) -> list:
+    """``parse`` each non-blank line's JSON document; a line that does not
+    parse raises ValueError naming the file and the line."""
+    items = []
     with open(path, "r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                records.append(record_from_doc(json.loads(line), strip_oracle=strip_oracle))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"corrupt corpus line {number}: {exc}") from exc
-    return records
+                items.append(parse(json.loads(line)))
+            except (AttributeError, EngineError, LookupError, TypeError, ValueError) as exc:
+                raise ValueError(f"corrupt {label} {str(path)!r} line {number}: "
+                                 f"{type(exc).__name__}: {exc}") from exc
+    return items
+
+
+def load_corpus(path: str | FsPath, strip_oracle: bool = False) -> list[CorpusRecord]:
+    return read_jsonl(path, lambda doc: record_from_doc(doc, strip_oracle=strip_oracle), "corpus")
 
 
 def load_profile(path: str | FsPath) -> CorpusProfile:

@@ -11,15 +11,14 @@ points of a pool-size sweep run in worker processes.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 
 from . import workflow as wf
 from .agents import AgentNetwork, LifeConfig, build_agents, eliminate_and_refresh
-from .corpus import CorpusRecord, load_corpus, write_atomic
-from .errors import ConfigError
+from .corpus import CorpusRecord, load_corpus, read_jsonl, write_atomic
+from .errors import ConfigError, DuplicateGoal, InvalidWorkflow
 from .orchestrator import EpisodeResult, SolveConfig, solve
 
 ABLATABLE = ("scale_control", "verification", "hypothesis", "input_goal", "output_goal")
@@ -52,6 +51,9 @@ class ExperimentConfig:
         if (isinstance(self.repair_budget, bool) or not isinstance(self.repair_budget, int)
                 or self.repair_budget < 0):
             raise ConfigError(f"repair_budget must be an integer >= 0, got {self.repair_budget!r}")
+        if not isinstance(self.k_list, (list, tuple)):
+            raise ConfigError(f"k_list must be a list of integers, got {self.k_list!r}")
+        object.__setattr__(self, "k_list", tuple(self.k_list))  # a config file gives a list
         if not self.k_list:
             raise ConfigError("k_list must not be empty")
         if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.seed, *self.k_list)):
@@ -247,8 +249,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
     if config.library_path:
         if not os.path.exists(config.library_path):
             raise ConfigError(f"library file missing: {config.library_path!r}")
-        with open(config.library_path, "r", encoding="utf-8") as handle:
-            library = [wf.from_doc(json.loads(line)) for line in handle if line.strip()]
+        library = read_jsonl(config.library_path, wf.from_doc, "library")
 
     sizes = config.sweep_sizes or ()
     bad = [size for size in sizes if not 0 <= size <= len(train)]
@@ -258,7 +259,10 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
         raise ConfigError(f"sweep sizes must be distinct: {list(sizes)}")
 
     solve_cfg = config.solve_config()
-    net = build_agents([(r.goal, r.workflow) for r in train], config=config.life)
+    try:
+        net = build_agents([(r.goal, r.workflow) for r in train], config=config.life)
+    except (DuplicateGoal, InvalidWorkflow) as exc:
+        raise ValueError(f"bad train corpus {config.train_path!r}: {exc}") from exc
     episodes, life_summary = run_episodes(net, test, solve_cfg)
 
     sweep = None

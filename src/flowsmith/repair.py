@@ -13,8 +13,9 @@ recorded with the agent whose procedure it spliced in (none for a
 reorder or a nest), so the solve loop rewards or penalises that agent
 object directly; ``agents`` names the agents and goals to splice in.
 A hypothesis that cannot be applied, because no agent or goal matches,
-the result breaks dataflow or its re-decomposition fails, is skipped;
-no such failure leaves the loop.  Every setting comes from the
+its location assumes an earlier edit that was skipped, the result
+breaks dataflow or its re-decomposition fails, is skipped; no such
+failure leaves the loop.  Every setting comes from the
 episode's ``SolveConfig``.
 """
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from . import workflow as wf
 from .agents import AgentNetwork, AtomicAgent, best_producers, goal_named, select
-from .errors import DecompositionFailure, NoEligibleAgent, NotAFailure, RejectedRepair
+from .errors import BadPath, DecompositionFailure, NoEligibleAgent, NotAFailure, RejectedRepair
 # ``similarity`` is unused here; the benchmark tracer counts its calls
 # at this module attribute (perfbench/spans.py, COUNT_SITES).
 from .goals import Goal, similarity
@@ -214,7 +215,7 @@ def repair_loop(net: AgentNetwork, goal: Goal, candidate: wf.Workflow, verdict: 
         for hypothesis in diagnose(verdict, candidate, target):
             try:
                 repaired, agent = apply(candidate, hypothesis, net, config, rng, goal=goal)
-            except (DecompositionFailure, NoEligibleAgent, RejectedRepair):
+            except (BadPath, DecompositionFailure, NoEligibleAgent, RejectedRepair):
                 continue
             applied = (hypothesis, agent, repaired)
             break

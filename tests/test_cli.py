@@ -37,12 +37,12 @@ def _life_file(tmp_path) -> str:
 
 
 def test_parse_gen_corpus_command():
-    cmd = cli.parse_args(["gen-corpus", "--profile", "default", "--n", "2000",
-                          "--seed", "7", "--out", "corpus.jsonl"])
-    assert cmd.verb == "gen-corpus"
-    assert cmd.options["n"] == 2000
-    assert cmd.options["seed"] == 7
-    assert cmd.options["out"] == "corpus.jsonl"
+    args = cli.parse_args(["gen-corpus", "--profile", "default", "--n", "2000",
+                           "--seed", "7", "--out", "corpus.jsonl"])
+    assert args.verb == "gen-corpus"
+    assert args.n == 2000
+    assert args.seed == 7
+    assert args.out == "corpus.jsonl"
 
 
 def test_missing_required_flag_exits_two(capsys):
@@ -58,16 +58,29 @@ def test_unknown_flag_rejected(capsys):
     assert err.value.code == 2
 
 
-def test_config_file_supplies_defaults_and_flags_win(tmp_path, monkeypatch):
+def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     config = tmp_path / "flowsmith.json"
     config.write_text(json.dumps({"theta": 0.6, "seed": 42}))
-    monkeypatch.setenv(cli.DEFAULT_CONFIG_ENV, str(config))
-    from_file = cli.parse_args(["eval", "--train", "a", "--test", "b", "--report", "r"])
-    assert from_file.options["theta"] == 0.6
-    assert from_file.options["seed"] == 42
-    overridden = cli.parse_args(["eval", "--train", "a", "--test", "b", "--report", "r",
-                                 "--theta", "0.9"])
-    assert overridden.options["theta"] == 0.9
+    base = ["eval", "--train", "a", "--test", "b", "--report", "r", "--config", str(config)]
+    from_file = cli.parse_args(base)
+    assert from_file.theta == 0.6
+    assert from_file.seed == 42
+    overridden = cli.parse_args(base + ["--theta", "0.9"])
+    assert overridden.theta == 0.9
+
+
+def test_environment_and_working_directory_are_not_read(tmp_path, monkeypatch):
+    argv = ["eval", "--train", "a", "--test", "b", "--report", "r"]
+    defaults = (cli.BUILTIN_DEFAULTS["theta"], cli.BUILTIN_DEFAULTS["seed"])
+    (tmp_path / "flowsmith.json").write_text(json.dumps({"theta": 0.75}))
+    monkeypatch.chdir(tmp_path)
+    args = cli.parse_args(argv)
+    assert (args.theta, args.seed) == defaults
+    named = tmp_path / "named.json"
+    named.write_text(json.dumps({"seed": 99}))
+    monkeypatch.setenv("FLOWSMITH_CONFIG", str(named))
+    args = cli.parse_args(argv)
+    assert (args.theta, args.seed) == defaults
 
 
 def test_unknown_config_key_is_a_usage_error(tmp_path):
@@ -78,12 +91,11 @@ def test_unknown_config_key_is_a_usage_error(tmp_path):
     assert code == 2
 
 
-def test_builtin_defaults_fill_in(monkeypatch, tmp_path):
-    monkeypatch.chdir(tmp_path)  # no flowsmith.json here
-    cmd = cli.parse_args(["eval", "--train", "a", "--test", "b", "--report", "r"])
-    assert cmd.options["theta"] == 0.8
-    assert cmd.options["eta"] == 0.95
-    assert tuple(cmd.options["k_list"]) == (1, 3, 5)
+def test_builtin_defaults_fill_in():
+    args = cli.parse_args(["eval", "--train", "a", "--test", "b", "--report", "r"])
+    assert args.theta == 0.8
+    assert args.eta == 0.95
+    assert tuple(args.k_list) == (1, 3, 5)
 
 
 # --- dispatch ----------------------------------------------------------------------
@@ -172,11 +184,12 @@ SOLVE = ["solve", "--train", "{train}", "--goals", "{test}"]
     ({"alphas": [1, 2, 3, 4]}, SOLVE + ["--config", "{file}"]),
     ({"refresh_period": 1.5}, SOLVE + ["--config", "{file}"]),
     ({"l_init": True}, SOLVE + ["--config", "{file}"]),
+    (None, ["gen-corpus", "--n", "10", "--planted-rate", "0.5"]),
 ], ids=["zero-records", "histogram-sum", "missing-total", "config-array",
         "life-out-of-range", "k-zero", "theta-out-of-range", "eta-out-of-range",
         "negative-budget", "theta-not-a-number", "seed-not-a-number", "planted-length",
         "unknown-config-key", "two-alphas", "four-alphas", "fractional-refresh-period",
-        "boolean-l-init"])
+        "boolean-l-init", "planted-rate-alone"])
 def test_bad_user_input_exits_two(corpora, capsys, input_doc, argv):
     tmp_path, train, test = corpora
     input_file = tmp_path / "input.json"
@@ -208,14 +221,38 @@ def test_config_k_list_number_exits_two(corpora, capsys):
 
 def test_corrupt_corpus_line_exits_three(corpora, capsys):
     tmp_path, train, test = corpora
-    broken = tmp_path / "broken.jsonl"
     lines = open(train).read().splitlines()
-    lines[4] = "{oops"
-    broken.write_text("\n".join(lines) + "\n")
-    code = cli.main(["eval", "--train", str(broken), "--test", test,
-                     "--report", str(tmp_path / "r.json")])
-    assert code == 3
-    assert "line 5" in capsys.readouterr().err
+
+    def with_line(number, edit):
+        doc = json.loads(lines[number - 1])
+        edit(doc)
+        return lines[:number - 1] + [json.dumps(doc)] + lines[number:]
+
+    bound = next(n for n, line in enumerate(lines, 1)
+                 if json.loads(line)["workflow"]["declared_inputs"])
+    cases = [  # name, train lines, library lines, the line the error names (if any)
+        ("bad-json", lines[:4] + ["{oops"] + lines[5:], None, 5),
+        ("empty-tokens", with_line(3, lambda d: d["goal"].update(tokens=[])), None, 3),
+        ("loop-node", with_line(3, lambda d: d["workflow"]["root"].update(kind="loop")),
+         None, 3),
+        ("repeated-record", lines[:3] + [lines[2]] + lines[3:], None, None),
+        ("unbound-inputs", with_line(bound, lambda d: d["workflow"].update(declared_inputs=[])),
+         None, None),
+        ("empty-library-record", lines, ["{}"], 1),
+    ]
+    for name, train_lines, library_lines, line in cases:
+        named = broken = tmp_path / f"{name}.jsonl"
+        broken.write_text("\n".join(train_lines) + "\n")
+        argv = ["eval", "--train", str(broken), "--test", test,
+                "--report", str(tmp_path / "r.json")]
+        if library_lines is not None:
+            named = tmp_path / f"{name}-library.jsonl"
+            named.write_text("\n".join(library_lines) + "\n")
+            argv += ["--library", str(named)]
+        assert cli.main(argv) == 3, name
+        err = capsys.readouterr().err
+        assert str(named) in err, name
+        assert line is None or f"line {line}:" in err, name
 
 
 def test_missing_test_file_exits_two(corpora, capsys):

@@ -289,6 +289,25 @@ def test_repair_loop_skips_a_nest_whose_goal_is_unknown():
     assert trace == []
 
 
+def test_repair_loop_skips_an_insert_whose_location_is_gone():
+    # Each hypothesis location assumes the earlier edits were applied; with the
+    # Nest skipped, the Insert at (2,) points past the one-child candidate.
+    net = chain_pool(4)
+    t00, t01, t02 = chain_tasks([0, 1, 2])
+    expected = mk_flow([t00, wf.Nest("ghost", t01), t02], ins={"seed"},
+                       outs={"o0", "o1", "o2"}, gid="gap")
+    candidate = chain_flow([0], gid="gap")
+    verdict = verify(candidate, expected)
+    hyps = diagnose(verdict, candidate, expected)
+    assert [(h.kind, h.location) for h in hyps] == [(OVER_ABSTRACTION, (1,)), (MISSING_STEP, (2,))]
+    _, verdict, trace, stop = repair_loop(net, _flow_goal(expected, "gap"), candidate,
+                                          verdict, expected, SolveConfig(repair_budget=3),
+                                          random.Random(0))
+    assert stop == "stalled"
+    assert not verdict.passed
+    assert trace == []
+
+
 def test_repair_loop_progress_is_strict_along_trace():
     net = chain_pool(10)
     expected = chain_flow([0, 2, 4, 6, 8], gid="prog")

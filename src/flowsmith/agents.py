@@ -4,10 +4,21 @@ Each agent pairs one goal with the minimal workflow that fulfills it
 and a scalar life value.  The pool supports threshold retrieval,
 compatibility-weighted probabilistic selection, life updates from
 execution outcomes, and periodic elimination / refresh against an
-archive.  It is the only module that reads the pool lists: the solve
-stack asks ``retrieve``, ``cover_split``, ``is_novel``,
-``best_producers`` and ``goal_named``, and every scan breaks ties by
-ascending agent id.
+archive.  It is the only module that reads the pool lists and their
+indexes: the solve stack asks ``retrieve``, ``cover_split``,
+``is_novel``, ``best_producers`` and ``goal_named``, and every read
+breaks ties by ascending agent id.
+
+``AgentNetwork`` keeps two indexes beside its lists: ``by_token``
+(goal token -> active agents) and ``training_tokens`` (the training
+goals' token sets).  The network builds them when ``build_agents``
+makes it, and ``eliminate_and_refresh``, the one place the active list
+changes, updates ``by_token`` for each agent it archives, revives or
+spawns.  ``retrieve``, ``cover_split`` and ``is_novel`` answer from
+them, so an episode touches only the agents that share a token with
+the goal.  ``best_producers`` and ``goal_named`` serve only repairs and
+still scan the active list, and so does the refresh that re-covers the
+training goals.
 """
 
 from __future__ import annotations
@@ -131,6 +142,30 @@ class AgentNetwork:
     config: LifeConfig
     training: list[tuple[Goal, wf.Workflow]] = field(default_factory=list)
     solved_shapes: dict = field(default_factory=dict)
+    by_token: dict[str, set[AtomicAgent]] = field(init=False, repr=False)
+    training_tokens: set[frozenset[str]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.by_token = {}
+        for agent in self.active:
+            _index(self, agent)
+        self.training_tokens = {goal.tokens for goal, _ in self.training}
+
+
+def _index(net: AgentNetwork, agent: AtomicAgent) -> None:
+    for token in agent.goal.tokens:
+        net.by_token.setdefault(token, set()).add(agent)
+
+
+def _unindex(net: AgentNetwork, agent: AtomicAgent) -> None:
+    for token in agent.goal.tokens:
+        net.by_token[token].discard(agent)
+
+
+def _holders(net: AgentNetwork, tokens) -> set[AtomicAgent]:
+    """The active agents whose goals hold any of ``tokens``.  The set
+    iterates in no fixed order, so every caller imposes its own."""
+    return set().union(*(net.by_token.get(token, ()) for token in tokens))
 
 
 def build_agents(dataset: list[tuple[Goal, wf.Workflow]],
@@ -154,19 +189,17 @@ def build_agents(dataset: list[tuple[Goal, wf.Workflow]],
     )
 
 
-def _by_id(agents: list[AtomicAgent]) -> list[AtomicAgent]:
-    return sorted(agents, key=lambda a: a.agent_id)
-
-
 def retrieve(net: AgentNetwork, goal: Goal, theta: float) -> list[tuple[AtomicAgent, float]]:
     """Active agents with similarity strictly above theta, best first.
 
-    Ties break by ascending agent id; archived agents never appear.
+    Ties break by ascending agent id; archived agents never appear.  Only
+    agents sharing a token with the goal are scored: the rest score 0.0,
+    which is never above theta.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
     scored = []
-    for agent in net.active:
+    for agent in _holders(net, goal.tokens):
         score = similarity(agent.goal, goal)
         if score > theta:
             scored.append((agent, score))
@@ -181,41 +214,38 @@ def cover_split(net: AgentNetwork, goal: Goal) -> list[Goal]:
     order is the subgoal order.  DecompositionFailure if a token has no cover.
     """
     residual = set(goal.tokens)
-    pool = _by_id(net.active)
     parts: list[Goal] = []
     while residual:
-        best = None
-        best_overlap = 0
-        for agent in pool:
-            overlap = len(agent.goal.tokens & residual)
-            if overlap > best_overlap:
-                best, best_overlap = agent, overlap
-        if best is None:
+        holders = _holders(net, residual)
+        if not holders:
             raise DecompositionFailure(
                 f"tokens {sorted(residual)} of goal {goal.id!r} are not coverable"
             )
+        best = min(holders, key=lambda a: (-len(a.goal.tokens & residual), a.agent_id))
         parts.append(best.goal)
         residual -= best.goal.tokens
     return parts
 
 
 def is_novel(net: AgentNetwork, goal: Goal) -> bool:
-    """True when no training goal matches at similarity 1.0."""
-    return all(similarity(g, goal) < 1.0 for g, _ in net.training)
+    """True when no training goal matches at similarity 1.0, which only an
+    equal token set reaches."""
+    return goal.tokens not in net.training_tokens
 
 
 def best_producers(net: AgentNetwork, fields: frozenset[str]) -> list[tuple[AtomicAgent, float]]:
     """(agent, share) for the active agents tied at the top share of ``fields``
     their goals output, in id order for ``select``; [] when none outputs any."""
     scored = [(agent, len(agent.goal.output_schema & fields) / len(fields))
-              for agent in _by_id(net.active)] if fields else []
+              for agent in sorted(net.active, key=lambda a: a.agent_id)] if fields else []
     best = max((score for _, score in scored), default=0.0)
     return [(agent, score) for agent, score in scored if best > 0.0 and score == best]
 
 
 def goal_named(net: AgentNetwork, goal_id: str) -> Goal | None:
     """The goal of the lowest-id active agent whose goal has this id, if any."""
-    return next((agent.goal for agent in _by_id(net.active) if agent.goal.id == goal_id), None)
+    named = [agent for agent in net.active if agent.goal.id == goal_id]
+    return min(named, key=lambda a: a.agent_id).goal if named else None
 
 
 def compatibility(agent: AtomicAgent, subgoal: Goal, available_inputs: frozenset[str],
@@ -293,6 +323,7 @@ def eliminate_and_refresh(net: AgentNetwork) -> ChangeLog:
     survivors = []
     for agent in net.active:
         if agent.life <= 0.0:
+            _unindex(net, agent)
             net.archive.append(agent)
             log.archived.append(agent.agent_id)
         else:
@@ -315,6 +346,7 @@ def eliminate_and_refresh(net: AgentNetwork) -> ChangeLog:
                 chosen = matching[0]
                 net.archive.remove(chosen)
                 chosen.life = net.config.l_init
+                _index(net, chosen)
                 net.active.append(chosen)
                 log.revived.append(chosen.agent_id)
             else:
@@ -322,6 +354,7 @@ def eliminate_and_refresh(net: AgentNetwork) -> ChangeLog:
                     goal, procedure, net.config,
                     agent_id=f"{goal.id}@e{net.epoch}",
                 )
+                _index(net, spawned)
                 net.active.append(spawned)
                 log.spawned.append(spawned.agent_id)
     net.epoch += 1

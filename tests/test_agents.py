@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from flowsmith import corpus as cp
 from flowsmith.agents import (
     AgentNetwork,
     AtomicAgent,
@@ -10,14 +11,16 @@ from flowsmith.agents import (
     best_producers,
     build_agents,
     compatibility,
+    cover_split,
     eliminate_and_refresh,
     goal_named,
+    is_novel,
     retrieve,
     select,
     selection_probabilities,
     update_life,
 )
-from flowsmith.errors import DuplicateGoal, InvalidWorkflow, NoEligibleAgent
+from flowsmith.errors import DecompositionFailure, DuplicateGoal, InvalidWorkflow, NoEligibleAgent
 from flowsmith.goals import Goal, similarity
 
 from .conftest import agent_named, chain_flow, chain_pool, mk_flow, mk_task
@@ -327,7 +330,11 @@ def test_refresh_revives_best_success_ratio_from_archive():
 def test_refresh_spawns_when_archive_has_no_cover():
     net = chain_pool(2)
     goal = net.training[0][0]
-    net.active = [a for a in net.active if a.goal.id != goal.id]  # hole, empty archive
+    agent_named(net, goal.id).life = 0.0
+    net.epoch = 1  # off the refresh tick, so the hole stays open
+    eliminate_and_refresh(net)
+    net.archive.clear()  # nothing left to revive; the archive has no index
+    net.epoch = net.config.refresh_period  # force the refresh tick
     log = eliminate_and_refresh(net)
     assert len(log.spawned) == 1
     assert any(a.goal.id == goal.id and a.life == net.config.l_init for a in net.active)
@@ -345,6 +352,91 @@ def test_partition_invariant_under_random_event_stream():
         assert _partition_holds(net)
         assert all(a.life > 0 for a in net.active)
         assert all(0.0 <= a.life <= net.config.l_max for a in net.active + net.archive)
+
+
+# The full-pool scans that the indexed reads replaced, kept as the reference they must equal.
+
+
+def _scan_retrieve(net, goal, theta):
+    scored = [(a, similarity(a.goal, goal)) for a in net.active]
+    scored = [(a, s) for a, s in scored if s > theta]
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0].agent_id))
+
+
+def _scan_cover_split(net, goal):
+    residual = set(goal.tokens)
+    pool = sorted(net.active, key=lambda a: a.agent_id)
+    parts = []
+    while residual:
+        best, best_overlap = None, 0
+        for agent in pool:
+            overlap = len(agent.goal.tokens & residual)
+            if overlap > best_overlap:
+                best, best_overlap = agent, overlap
+        if best is None:
+            raise DecompositionFailure(
+                f"tokens {sorted(residual)} of goal {goal.id!r} are not coverable"
+            )
+        parts.append(best.goal)
+        residual -= best.goal.tokens
+    return parts
+
+
+def _scan_is_novel(net, goal):
+    return all(similarity(g, goal) < 1.0 for g, _ in net.training)
+
+
+def _split_or_error(split, net, goal):
+    try:
+        return split(net, goal)
+    except DecompositionFailure as exc:
+        return str(exc)
+
+
+def _random_probe(rng, net, index):
+    """A whole training goal, a union of two, or a token mix, sometimes with a token
+    no agent holds."""
+    goals = [g for g, _ in net.training]
+    kind = rng.randrange(3)
+    if kind == 0:
+        tokens = set(rng.choice(goals).tokens)
+    elif kind == 1:
+        tokens = set().union(*(g.tokens for g in rng.sample(goals, 2)))
+    else:
+        vocab = sorted(set().union(*(g.tokens for g in goals)))
+        tokens = set(rng.sample(vocab, rng.randint(1, min(6, len(vocab)))))
+    if rng.random() < 0.2:
+        tokens.add("unheld:token")
+    return _goal(f"probe-{index}", tokens)
+
+
+@pytest.mark.parametrize("pool", ["chain", "default-profile"])
+def test_indexed_reads_equal_a_full_scan_under_random_churn(pool):
+    if pool == "chain":
+        net = chain_pool(8, life=LifeConfig(refresh_period=3))
+    else:
+        records = cp.generate(cp.default_profile(total=120), seed=7)
+        net = build_agents([(r.goal, r.workflow) for r in records],
+                           config=LifeConfig(refresh_period=3))
+    rng = random.Random(12)
+    totals = {"archived": 0, "revived": 0, "spawned": 0}
+    for _ in range(60):
+        for agent in rng.sample(net.active[:10], 3):  # churn a few agents hard
+            outcome = Outcome(p_fail=1) if rng.random() < 0.7 else Outcome(r_correct=1)
+            update_life(agent, outcome, net.config)
+        if rng.random() < 0.15:
+            net.archive.clear()  # the next refresh tick must spawn, not revive
+        log = eliminate_and_refresh(net)
+        for name in totals:
+            totals[name] += len(getattr(log, name))
+        for index in range(8):
+            probe = _random_probe(rng, net, index)
+            for theta in (0.0, 0.5, 1.0):
+                assert retrieve(net, probe, theta) == _scan_retrieve(net, probe, theta)
+            assert (_split_or_error(cover_split, net, probe)
+                    == _split_or_error(_scan_cover_split, net, probe))
+            assert is_novel(net, probe) == _scan_is_novel(net, probe)
+    assert all(count > 0 for count in totals.values()), totals
 
 
 def test_compatibility_exact_example_point_675():

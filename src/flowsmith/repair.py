@@ -86,8 +86,8 @@ def diagnose(verdict: Verdict, candidate: wf.Workflow, target) -> list[FailureHy
 
     hypotheses: list[FailureHypothesis] = []
     if verdict.mode == "oracle":
-        cand_root = wf.normalize_node(candidate.root)
-        expected_root = wf.normalize_node(target.root)
+        cand_root = candidate.normal_root
+        expected_root = target.normal_root
         if isinstance(expected_root, wf.Nest) and not isinstance(cand_root, wf.Nest):
             # The whole flow should live under a sub-workflow boundary.
             return [FailureHypothesis(
@@ -122,7 +122,7 @@ def diagnose(verdict: Verdict, candidate: wf.Workflow, target) -> list[FailureHy
                 # ReplaceSubtree of non-Nest content is not expressible as a
                 # single repair operator; leave it to later iterations.
     else:
-        frontier = (len(wf.child_list(wf.normalize_node(candidate.root))),)
+        frontier = (len(wf.child_list(candidate.normal_root)),)
         for name in sorted(verdict.missing_outputs):
             hypotheses.append(FailureHypothesis(
                 kind=MISSING_STEP, location=frontier, needed=frozenset({name}),

@@ -18,15 +18,19 @@ The module provides:
 Conventions: a flat workflow has depth 0 and each Nest wrapper adds one
 level; Branch adds none.  Structural equality compares normalized trees,
 where nested Sequences are spliced into their parent, empty Sequences
-are dropped, and single-child Sequences collapse to the child.
+are dropped, and single-child Sequences collapse to the child.  Each
+:class:`Workflow` computes its normal form at most once
+(:attr:`Workflow.normal_root`), and normalization returns every subtree
+that is already normal as the same object, so the normal form of a
+normal tree is its root.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 from .errors import BadPath, InvalidWorkflow
@@ -128,6 +132,15 @@ class Workflow:
     def replace(self, **changes) -> "Workflow":
         return dataclasses.replace(self, **changes)
 
+    @cached_property
+    def normal_root(self) -> "WorkflowNode":
+        """``normalize_node(root)``, computed on first use and kept.
+
+        Not a dataclass field: equality, hashing and serialization ignore
+        it, and :meth:`replace` builds a new object with its own cache.
+        """
+        return normalize_node(self.root)
+
 
 @dataclass(frozen=True)
 class StructMetrics:
@@ -196,19 +209,23 @@ def replace_at(root: WorkflowNode, path: Path, new: WorkflowNode) -> WorkflowNod
 
 def task_order(node: WorkflowNode) -> tuple[TaskNode, ...]:
     """All task nodes in execution order (branch arms included, then before else)."""
+    out: list[TaskNode] = []
+    _collect_tasks(node, out)
+    return tuple(out)
+
+
+def _collect_tasks(node: WorkflowNode, out: list[TaskNode]) -> None:
     if isinstance(node, TaskNode):
-        return (node,)
-    if isinstance(node, Sequence):
-        out: list[TaskNode] = []
+        out.append(node)
+    elif isinstance(node, Sequence):
         for child in node.children:
-            out.extend(task_order(child))
-        return tuple(out)
-    if isinstance(node, Branch):
-        out = list(task_order(node.then))
+            _collect_tasks(child, out)
+    elif isinstance(node, Branch):
+        _collect_tasks(node.then, out)
         if node.orelse is not None:
-            out.extend(task_order(node.orelse))
-        return tuple(out)
-    return task_order(node.body)
+            _collect_tasks(node.orelse, out)
+    else:
+        _collect_tasks(node.body, out)
 
 
 # --- validation ------------------------------------------------------------
@@ -309,29 +326,43 @@ def node_metrics(node: WorkflowNode) -> StructMetrics:
 
 def normalize_node(node: WorkflowNode, strip_nests: bool = False) -> WorkflowNode:
     """Splice nested Sequences into their parent, drop empty ones and collapse
-    single-child ones; with ``strip_nests`` every Nest is inlined as well."""
+    single-child ones; with ``strip_nests`` every Nest is inlined as well.
+
+    A subtree that is already normal comes back as the same object, so
+    normalizing a normal tree builds nothing.
+    """
     if isinstance(node, TaskNode):
         return node
     if isinstance(node, Nest):
         body = normalize_node(node.body, strip_nests)
-        return body if strip_nests else Nest(node.sub_goal_id, body)
+        if strip_nests:
+            return body
+        return node if body is node.body else Nest(node.sub_goal_id, body)
     if isinstance(node, Branch):
+        then = normalize_node(node.then, strip_nests)
         orelse = normalize_node(node.orelse, strip_nests) if node.orelse is not None else None
-        return Branch(node.cond, normalize_node(node.then, strip_nests), orelse)
+        if then is node.then and orelse is node.orelse:
+            return node
+        return Branch(node.cond, then, orelse)
     out: list[WorkflowNode] = []
+    changed = False
     for child in node.children:
         norm = normalize_node(child, strip_nests)
         if isinstance(norm, Sequence):
             out.extend(norm.children)
+            changed = True
         else:
             out.append(norm)
+            changed = changed or norm is not child
     if len(out) == 1:
         return out[0]
-    return Sequence(tuple(out))
+    return Sequence(tuple(out)) if changed else node
 
 
 def structurally_equal(a: Workflow, b: Workflow) -> bool:
-    return normalize_node(a.root) == normalize_node(b.root)
+    """Equality of the normal forms; each is computed once per Workflow and
+    shares every subtree that was already normal."""
+    return a.normal_root == b.normal_root
 
 
 def flatten(w: Workflow) -> Workflow:
@@ -436,19 +467,29 @@ def _lcs_pairs(s: tuple, t: tuple) -> list[tuple[int, int]]:
     return pairs
 
 
+def _permutation(s: tuple, t: tuple) -> "tuple[int, ...] | None":
+    """Source indices in target order, or None unless s and t hold the same
+    multiset (each target item takes the first unused equal source item)."""
+    used = [False] * len(s)
+    perm = []
+    for item in t:
+        for j, src in enumerate(s):
+            if not used[j] and src == item:
+                used[j] = True
+                perm.append(j)
+                break
+        else:
+            return None
+    return tuple(perm)
+
+
 def _diff_children(s: tuple, t: tuple, path: Path) -> list[Edit]:
     if s == t:
         return []
-    if len(s) == len(t) and Counter(s) == Counter(t):
-        used = [False] * len(s)
-        perm = []
-        for item in t:
-            for j, src in enumerate(s):
-                if not used[j] and src == item:
-                    used[j] = True
-                    perm.append(j)
-                    break
-        return [ReorderChildren(path, tuple(perm))]
+    if len(s) == len(t):
+        perm = _permutation(s, t)
+        if perm is not None:
+            return [ReorderChildren(path, perm)]
     pairs = _lcs_pairs(s, t)
     matched_s = {i for i, _ in pairs}
     matched_t = {j for _, j in pairs}
@@ -491,15 +532,16 @@ def _diff_nodes(src: WorkflowNode, tgt: WorkflowNode, path: Path) -> list[Edit]:
 def diff(source: Workflow, target: Workflow) -> EditScript:
     """Edit script turning source into target, computed on normalized trees.
 
+    Both normal forms are read from :attr:`Workflow.normal_root`, so each
+    is computed once per Workflow, however often that Workflow is diffed.
     Paths address the promoted-root view used by :func:`apply_edits` (the
     root seen as its splice list).  Single-edit faults (one insertion, one
     deletion, one transposition of siblings) yield single-edit scripts;
     arbitrary pairs still round-trip through apply_edits up to
     normalization.
     """
-    src = normalize_node(source.root)
-    tgt = normalize_node(target.root)
-    return tuple(_diff_children(child_list(src), child_list(tgt), ()))
+    return tuple(_diff_children(child_list(source.normal_root),
+                                child_list(target.normal_root), ()))
 
 
 def _apply_one(root: WorkflowNode, edit: Edit) -> WorkflowNode:
@@ -528,8 +570,13 @@ def _apply_one(root: WorkflowNode, edit: Edit) -> WorkflowNode:
 
 
 def apply_edits(script: Iterable[Edit], w: Workflow) -> Workflow:
-    """Apply an edit script; paths address the normalized tree with a promoted root."""
-    root: WorkflowNode = Sequence(child_list(normalize_node(w.root)))
+    """Apply an edit script; paths address the normalized tree with a promoted root.
+
+    The input's normal form is :attr:`Workflow.normal_root`, computed once
+    per Workflow and sharing the subtrees that were already normal; only
+    the edited tree is normalized again.
+    """
+    root: WorkflowNode = Sequence(child_list(w.normal_root))
     for edit in script:
         root = _apply_one(root, edit)
     return w.replace(root=normalize_node(root))
@@ -582,12 +629,11 @@ def dead_node_ratio(w: Workflow) -> float:
     tasks = task_order(w.root)
     if not tasks:
         return 0.0
-    need = set(w.declared_outputs)
+    need = w.declared_outputs
     dead = 0
     for task in reversed(tasks):
-        outs = set(task.output_schema)
-        if outs & need:
-            need = (need - outs) | set(task.input_schema)
+        if not need.isdisjoint(task.output_schema):
+            need = (need - task.output_schema) | task.input_schema
         else:
             dead += 1
     return dead / len(tasks)

@@ -1,8 +1,13 @@
 import random
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsmith import workflow as wf
 
 from .conftest import chain_flow, chain_tasks, corpus_flows, mk_flow
+from .test_workflow import _node_strategy
 
 
 def _random_small_flow(rng: random.Random) -> wf.Workflow:
@@ -113,3 +118,90 @@ def test_diff_recurses_into_nest_bodies():
     assert len(script) == 1
     assert isinstance(script[0], wf.InsertNode)
     assert wf.structurally_equal(wf.apply_edits(script, a), b)
+
+
+# --- against the previous diff, which prechecked reorders with Counter ---------------
+
+
+def _reference_diff_children(s, t, path):
+    if s == t:
+        return []
+    if len(s) == len(t) and Counter(s) == Counter(t):
+        used = [False] * len(s)
+        perm = []
+        for item in t:
+            for j, src in enumerate(s):
+                if not used[j] and src == item:
+                    used[j] = True
+                    perm.append(j)
+                    break
+        return [wf.ReorderChildren(path, tuple(perm))]
+    pairs = wf._lcs_pairs(s, t)
+    matched_s = {i for i, _ in pairs}
+    matched_t = {j for _, j in pairs}
+    unmatched_s = [i for i in range(len(s)) if i not in matched_s]
+    unmatched_t = [j for j in range(len(t)) if j not in matched_t]
+    if len(s) == len(t) and unmatched_s == unmatched_t:
+        edits = []
+        for i in unmatched_s:
+            edits.extend(_reference_diff_nodes(s[i], t[i], path + (i,)))
+        return edits
+    edits = [wf.DeleteNode(path + (i,)) for i in reversed(unmatched_s)]
+    edits.extend(wf.InsertNode(path + (j,), t[j]) for j in unmatched_t)
+    return edits
+
+
+def _reference_diff_nodes(src, tgt, path):
+    if src == tgt:
+        return []
+    if isinstance(src, wf.Sequence) or isinstance(tgt, wf.Sequence):
+        return _reference_diff_children(wf.child_list(src), wf.child_list(tgt), path)
+    if type(src) is not type(tgt) or isinstance(src, wf.TaskNode):
+        return [wf.ReplaceSubtree(path, tgt)]
+    if isinstance(src, wf.Nest):
+        if src.sub_goal_id != tgt.sub_goal_id:
+            return [wf.ReplaceSubtree(path, tgt)]
+        return _reference_diff_nodes(src.body, tgt.body, path + (0,))
+    if src.cond != tgt.cond or (src.orelse is None) != (tgt.orelse is None):
+        return [wf.ReplaceSubtree(path, tgt)]
+    edits = _reference_diff_nodes(src.then, tgt.then, path + (0,))
+    if src.orelse is not None:
+        edits.extend(_reference_diff_nodes(src.orelse, tgt.orelse, path + (1,)))
+    return edits
+
+
+def _reference_diff(source, target):
+    src = wf.normalize_node(source.root)
+    tgt = wf.normalize_node(target.root)
+    return tuple(_reference_diff_children(wf.child_list(src), wf.child_list(tgt), ()))
+
+
+def _shuffle_siblings(node, rng):
+    """The same tree with the children of every Sequence in a random order."""
+    if isinstance(node, wf.Sequence):
+        kids = [_shuffle_siblings(c, rng) for c in node.children]
+        rng.shuffle(kids)
+        return wf.Sequence(tuple(kids))
+    if isinstance(node, wf.Nest):
+        return wf.Nest(node.sub_goal_id, _shuffle_siblings(node.body, rng))
+    if isinstance(node, wf.Branch):
+        orelse = _shuffle_siblings(node.orelse, rng) if node.orelse is not None else None
+        return wf.Branch(node.cond, _shuffle_siblings(node.then, rng), orelse)
+    return node
+
+
+def _check_against_reference(a, b):
+    script = wf.diff(a, b)
+    assert script == _reference_diff(a, b)
+    assert (script == ()) == wf.structurally_equal(a, b)
+
+
+@given(_node_strategy(branches=True), _node_strategy(branches=True), st.randoms())
+@settings(max_examples=300, deadline=None)
+def test_diff_matches_previous_diff_on_random_pairs_and_shuffles(a, b, rng):
+    flow_a, flow_b = wf.Workflow(root=a), wf.Workflow(root=b)
+    _check_against_reference(flow_a, flow_b)
+    shuffled = wf.Workflow(root=_shuffle_siblings(a, rng))
+    _check_against_reference(flow_a, shuffled)
+    _check_against_reference(shuffled, flow_a)
+

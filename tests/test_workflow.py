@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -285,22 +286,60 @@ def test_branch_and_params_serialize():
 _tasks = st.integers(min_value=0, max_value=9).map(lambda k: chain_tasks([k])[0])
 
 
-def _node_strategy():
-    return st.recursive(
-        _tasks,
-        lambda inner: st.one_of(
+def _node_strategy(branches: bool = False):
+    """Random trees of chain tasks under Sequences and Nests; with ``branches``
+    also Branch nodes (with and without an else arm) and empty Sequences."""
+    leaves = st.one_of(_tasks, st.just(wf.Sequence(()))) if branches else _tasks
+    guard = wf.Predicate("o1", "exists")
+
+    def extend(inner):
+        options = [
             st.lists(inner, min_size=1, max_size=4).map(lambda xs: wf.Sequence(tuple(xs))),
             inner.map(lambda n: wf.Nest("s", n)),
-        ),
-        max_leaves=8,
-    )
+        ]
+        if branches:
+            options.append(st.tuples(inner, st.none() | inner)
+                           .map(lambda arms: wf.Branch(guard, *arms)))
+        return st.one_of(*options)
+
+    return st.recursive(leaves, extend, max_leaves=8)
 
 
-@given(_node_strategy())
-@settings(max_examples=200, deadline=None)
+def _reference_normalize(node):
+    """The normalization before node sharing: every interior node is rebuilt."""
+    if isinstance(node, wf.TaskNode):
+        return node
+    if isinstance(node, wf.Nest):
+        return wf.Nest(node.sub_goal_id, _reference_normalize(node.body))
+    if isinstance(node, wf.Branch):
+        orelse = _reference_normalize(node.orelse) if node.orelse is not None else None
+        return wf.Branch(node.cond, _reference_normalize(node.then), orelse)
+    out = []
+    for child in node.children:
+        norm = _reference_normalize(child)
+        if isinstance(norm, wf.Sequence):
+            out.extend(norm.children)
+        else:
+            out.append(norm)
+    if len(out) == 1:
+        return out[0]
+    return wf.Sequence(tuple(out))
+
+
+def _subtrees(node):
+    yield node
+    for child in wf.children_of(node):
+        yield from _subtrees(child)
+
+
+@given(_node_strategy(branches=True))
+@settings(max_examples=300, deadline=None)
 def test_normalize_is_idempotent_and_preserves_tasks(node):
     once = wf.normalize_node(node)
-    assert wf.normalize_node(once) == once
+    assert once == _reference_normalize(node)
+    # a normal tree, and each of its subtrees, comes back as the same object
+    for sub in _subtrees(once):
+        assert wf.normalize_node(sub) is sub
     assert oracle_task_tools(once) == oracle_task_tools(node)
 
 
@@ -318,3 +357,77 @@ def test_structural_equality_agrees_with_independent_oracle(a, b):
     from .conftest import oracle_equal
     lib = wf.structurally_equal(wf.Workflow(root=a), wf.Workflow(root=b))
     assert lib == oracle_equal(a, b)
+
+
+# --- normal form sharing, and traversals against the previous implementations -----
+
+
+def _reference_task_order(node):
+    """task_order as it was: one tuple built per level."""
+    if isinstance(node, wf.TaskNode):
+        return (node,)
+    if isinstance(node, wf.Sequence):
+        out = []
+        for child in node.children:
+            out.extend(_reference_task_order(child))
+        return tuple(out)
+    if isinstance(node, wf.Branch):
+        out = list(_reference_task_order(node.then))
+        if node.orelse is not None:
+            out.extend(_reference_task_order(node.orelse))
+        return tuple(out)
+    return _reference_task_order(node.body)
+
+
+def _reference_dead_node_ratio(w):
+    """dead_node_ratio as it was: each task's schemas copied into sets."""
+    tasks = _reference_task_order(w.root)
+    if not tasks:
+        return 0.0
+    need = set(w.declared_outputs)
+    dead = 0
+    for task in reversed(tasks):
+        outs = set(task.output_schema)
+        if outs & need:
+            need = (need - outs) | set(task.input_schema)
+        else:
+            dead += 1
+    return dead / len(tasks)
+
+
+def test_corpus_flows_are_their_own_normal_form(small_corpus):
+    for record in small_corpus:
+        assert record.workflow.normal_root is record.workflow.root
+
+
+_fields = st.sets(st.sampled_from(["seed"] + [f"o{k}" for k in range(10)]), max_size=4)
+
+
+@given(_node_strategy(branches=True), _fields)
+@settings(max_examples=300, deadline=None)
+def test_task_order_and_dead_node_ratio_match_previous_versions(node, outputs):
+    assert wf.task_order(node) == _reference_task_order(node)
+    flow = wf.Workflow(root=node, declared_outputs=outputs)
+    assert wf.dead_node_ratio(flow) == _reference_dead_node_ratio(flow)
+
+
+@given(_node_strategy(branches=True), _fields)
+@settings(max_examples=150, deadline=None)
+def test_normal_root_changes_no_equality_hash_or_serialization(node, outputs):
+    def make():
+        return wf.Workflow(root=node, declared_inputs={"seed"}, declared_outputs=outputs,
+                           id="w", goal_id="g")
+
+    read, fresh = make(), make()
+    before = (hash(read), wf.to_doc(read), wf.dumps(read))
+    normal = read.normal_root
+    assert normal == _reference_normalize(node)
+    assert read.normal_root is normal
+    assert (hash(read), wf.to_doc(read), wf.dumps(read)) == before
+    assert read == fresh and hash(read) == hash(fresh)
+    assert "normal_root" not in {f.name for f in dataclasses.fields(wf.Workflow)}
+
+    extended = read.replace(root=wf.Sequence((node, chain_tasks([9])[0])))
+    assert extended.normal_root == _reference_normalize(extended.root)
+    assert extended.normal_root != normal
+    assert read.normal_root is normal

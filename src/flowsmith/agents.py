@@ -27,7 +27,8 @@ import random
 from dataclasses import dataclass, field
 
 from . import workflow as wf
-from .errors import DecompositionFailure, DuplicateGoal, InvalidWorkflow, NoEligibleAgent
+from .errors import (ConfigError, DecompositionFailure, DuplicateGoal, InvalidWorkflow,
+                     NoEligibleAgent)
 from .goals import Goal, schema_compat, similarity
 
 
@@ -61,19 +62,19 @@ class LifeConfig:
         # report echoes one form whatever the file held.
         for name in ("l_init", "l_max", "drift_threshold"):
             if not _is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
             object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("alphas", "betas"):
             value = getattr(self, name)
             if (not isinstance(value, (list, tuple)) or len(value) != 3
                     or not all(_is_number(w) and w >= 0 for w in value)):
-                raise ValueError(f"{name} must hold three non-negative numbers, got {value!r}")
+                raise ConfigError(f"{name} must hold three non-negative numbers, got {value!r}")
             object.__setattr__(self, name, tuple(value))
         if not 0 < self.l_init <= self.l_max:
-            raise ValueError("l_init must lie in (0, l_max]")
-        if (isinstance(self.refresh_period, bool) or not isinstance(self.refresh_period, int)
-                or self.refresh_period < 1):
-            raise ValueError(f"refresh_period must be an integer >= 1, got {self.refresh_period!r}")
+            raise ConfigError("l_init must lie in (0, l_max]")
+        period = self.refresh_period
+        if isinstance(period, bool) or not isinstance(period, int) or period < 1:
+            raise ConfigError(f"refresh_period must be an integer >= 1, got {period!r}")
 
 
 @dataclass(frozen=True)

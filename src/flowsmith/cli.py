@@ -21,6 +21,7 @@ from . import corpus as corpus_mod
 from .agents import LifeConfig
 from .errors import ConfigError, EngineError
 from .evaluation import ABLATABLE, ExperimentConfig, MetricsReport, csv_text, run_experiment
+from .orchestrator import MODES
 
 _EXPERIMENT_DEFAULTS = ExperimentConfig()
 _LIFE_DEFAULTS = asdict(LifeConfig())
@@ -89,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--train", required=True)
     s.add_argument("--goals", required=True)
     s.add_argument("--out", required=True, help="episode transcripts (JSONL)")
-    s.add_argument("--mode", choices=("oracle", "goal_anchored"), default="oracle")
+    s.add_argument("--mode", choices=MODES, default="oracle")
     s.add_argument("--theta", type=float)
     s.add_argument("--eta", type=float)
     s.add_argument("--budget", type=int)
@@ -106,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--report", required=True)
         p.add_argument("--csv")
         p.add_argument("--transcripts")
-        p.add_argument("--mode", choices=("oracle", "goal_anchored"), default="oracle")
+        p.add_argument("--mode", choices=MODES, default="oracle")
         p.add_argument("--theta", type=float)
         p.add_argument("--eta", type=float)
         p.add_argument("--budget", type=int)
@@ -142,10 +143,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 def _experiment_config(args: argparse.Namespace, **run) -> ExperimentConfig:
     """The config every run shares, plus the verb's own fields in ``run``."""
-    try:
-        life = LifeConfig(**{key: getattr(args, key) for key in _LIFE_DEFAULTS})
-    except ValueError as exc:
-        raise ConfigError(f"bad life config: {exc}") from exc
+    life = LifeConfig(**{key: getattr(args, key) for key in _LIFE_DEFAULTS})
     return ExperimentConfig(train_path=args.train, theta=args.theta, eta=args.eta,
                             repair_budget=args.budget, mode=args.mode, seed=args.seed,
                             life=life, **run)

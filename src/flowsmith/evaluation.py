@@ -7,6 +7,9 @@ and config reproduce them byte for byte.  Episodes run strictly in
 order on one network, because each episode's life updates and
 eliminations decide what the next can select; only the independent
 points of a pool-size sweep run in worker processes.
+
+An ``ExperimentConfig`` builds its ``SolveConfig`` when it is made, so a
+bad solve setting fails before any file is read.
 """
 
 from __future__ import annotations
@@ -29,11 +32,11 @@ class ExperimentConfig:
     train_path: str = ""
     test_path: str = ""
     k_list: tuple[int, ...] = (1, 3, 5)
-    theta: float = 0.8
-    eta: float = 0.95
-    repair_budget: int = 5
-    mode: str = "oracle"
-    seed: int = 0
+    theta: float = SolveConfig.theta
+    eta: float = SolveConfig.eta
+    repair_budget: int = SolveConfig.repair_budget
+    mode: str = SolveConfig.mode
+    seed: int = SolveConfig.seed
     parallelism: int = 1
     disabled: frozenset[str] = frozenset()
     library_path: str | None = None
@@ -44,21 +47,13 @@ class ExperimentConfig:
     life: LifeConfig = LifeConfig()
 
     def __post_init__(self):
-        for name, value in (("theta", self.theta), ("eta", self.eta)):
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not 0.0 <= value <= 1.0):
-                raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
-        if (isinstance(self.repair_budget, bool) or not isinstance(self.repair_budget, int)
-                or self.repair_budget < 0):
-            raise ConfigError(f"repair_budget must be an integer >= 0, got {self.repair_budget!r}")
         if not isinstance(self.k_list, (list, tuple)):
             raise ConfigError(f"k_list must be a list of integers, got {self.k_list!r}")
         object.__setattr__(self, "k_list", tuple(self.k_list))  # a config file gives a list
         if not self.k_list:
             raise ConfigError("k_list must not be empty")
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (self.seed, *self.k_list)):
-            raise ConfigError(f"seed and k values must be integers, got {self.seed!r} "
-                              f"and {list(self.k_list)!r}")
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in self.k_list):
+            raise ConfigError(f"k values must be integers, got {list(self.k_list)!r}")
         if list(self.k_list) != sorted(self.k_list) or len(set(self.k_list)) != len(self.k_list):
             raise ConfigError("k_list must be strictly ascending")
         if any(k < 1 for k in self.k_list):
@@ -68,6 +63,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown ablation component(s): {sorted(unknown)}")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
+        self.solve_config()
 
     def solve_config(self) -> SolveConfig:
         return SolveConfig(
@@ -77,11 +73,7 @@ class ExperimentConfig:
             repair_budget=self.repair_budget,
             mode=self.mode,
             seed=self.seed,
-            verification="verification" not in self.disabled,
-            hypothesis="hypothesis" not in self.disabled,
-            scale_control="scale_control" not in self.disabled,
-            input_goal="input_goal" not in self.disabled,
-            output_goal="output_goal" not in self.disabled,
+            **{name: name not in self.disabled for name in ABLATABLE},
         )
 
 
@@ -304,7 +296,5 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
 
 def ablate(config: ExperimentConfig, component: str) -> MetricsReport:
     """Re-run the experiment with one component disabled."""
-    if component not in ABLATABLE:
-        raise ConfigError(f"unknown ablation component {component!r}")
     stripped = replace(config, disabled=config.disabled | {component})
     return run_experiment(stripped)

@@ -39,9 +39,7 @@ class Goal:
 
 
 def similarity(a: Goal, b: Goal) -> float:
-    """Jaccard score in [0, 1]; symmetric; 1.0 exactly for equal non-empty token sets."""
-    if not a.tokens or not b.tokens:
-        raise EmptyGoal("similarity requires non-empty token sets")
+    """Jaccard score in [0, 1]; symmetric; 1.0 exactly for equal (never empty) token sets."""
     if a.tokens == b.tokens:
         return 1.0
     return len(a.tokens & b.tokens) / len(a.tokens | b.tokens)

@@ -5,13 +5,14 @@ else is split by greedy token set-cover over the active pool, each part
 decomposed recursively (at most ``MAX_DEPTH`` levels), and the parts
 composed left to right; ``agents`` answers every read of the pool.
 The candidate is then verified either against the expected workflow
-(oracle mode, structural equality on normalized trees) or against the
-goal's declared interface (goal-anchored mode).
+(oracle mode: it passes exactly when its edit script is empty) or
+against the goal's declared interface (goal-anchored mode: its output
+coverage must reach ``eta``).
 
-Every stage reads its settings from one ``SolveConfig``.  Its
-``hypothesis`` switch covers both kinds of structural hypothesis: with
-it off, an unmatched goal is not split and a failed candidate is not
-repaired.
+Every stage reads its settings from one ``SolveConfig``, which raises
+ConfigError when it is built with a bad value.  Its ``hypothesis``
+switch covers both kinds of structural hypothesis: with it off, an
+unmatched goal is not split and a failed candidate is not repaired.
 
 ``solve`` is the one place a decomposition failure ends a rank: the
 episode becomes an early failure and keeps the ranks already run.  Each
@@ -38,7 +39,7 @@ from .agents import (
     select,
     update_life,
 )
-from .errors import DecompositionFailure, MissingOracle, NoEligibleAgent
+from .errors import ConfigError, DecompositionFailure, MissingOracle, NoEligibleAgent
 # ``similarity`` is unused here; the benchmark tracer counts its calls
 # at this module attribute (perfbench/spans.py, COUNT_SITES).
 from .goals import Goal, similarity
@@ -46,6 +47,9 @@ from .seeds import derive_seed
 
 # Levels of recursive splitting before a decomposition gives up.
 MAX_DEPTH = 8
+
+# Verification modes: against the expected workflow, or against the goal's interface.
+MODES = ("oracle", "goal_anchored")
 
 
 @dataclass(frozen=True)
@@ -63,19 +67,37 @@ class Expanded:
 DecompositionTree = Union[Resolved, Expanded]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SolveConfig:
     theta: float = 0.8
-    eta: float = 0.95
+    eta: float = 0.95  # goal-anchored pass threshold
     k: int = 5
     repair_budget: int = 5
-    mode: str = "oracle"  # or "goal_anchored"
+    mode: str = "oracle"
     seed: int = 0
     verification: bool = True
     hypothesis: bool = True
     scale_control: bool = True
     input_goal: bool = True
     output_goal: bool = True
+
+    def __post_init__(self):
+        for name in ("theta", "eta"):
+            value = getattr(self, name)
+            if not (_is_int(value) or isinstance(value, float)) or not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
+        if not _is_int(self.k) or self.k < 1:
+            raise ConfigError(f"k must be an integer >= 1, got {self.k!r}")
+        if not _is_int(self.repair_budget) or self.repair_budget < 0:
+            raise ConfigError(f"repair_budget must be an integer >= 0, got {self.repair_budget!r}")
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {list(MODES)}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +129,6 @@ class RepairRecord:
     action: str
     agent: AtomicAgent | None
     score: float
-    candidate: wf.Workflow | None = None
 
     def to_doc(self) -> dict:
         return {
@@ -257,30 +278,25 @@ def compose_segments(tree: DecompositionTree) -> list[tuple[AtomicAgent, int]]:
 # --- verification ---------------------------------------------------------------
 
 
-def verify(candidate: wf.Workflow, target, mode: str = "oracle", eta: float = 0.95,
-           *, output_goal: bool = True) -> Verdict:
-    """Oracle mode scores structural equality 0/1 and attaches the edit
-    script; goal-anchored mode scores output coverage against the goal,
-    zeroed when any task input stays unbound under the goal's inputs."""
+def verify(candidate: wf.Workflow, target, config: SolveConfig = SolveConfig()) -> Verdict:
+    """Oracle mode passes exactly when the edit script is empty; goal-anchored
+    mode scores output coverage against the goal, zeroed when any task
+    input stays unbound under the goal's inputs, and passes at ``config.eta``."""
     dead = wf.dead_node_ratio(candidate)
-    if mode == "oracle":
+    if config.mode == "oracle":
         if not isinstance(target, wf.Workflow):
             raise MissingOracle("oracle-mode verification needs an expected workflow")
-        equal = wf.structurally_equal(candidate, target)
-        script = () if equal else wf.diff(candidate, target)
-        score = 1.0 if equal else 0.0
+        script = wf.diff(candidate, target)
         return Verdict(
-            passed=score >= eta, score=score, mode="oracle",
+            passed=not script, score=0.0 if script else 1.0, mode="oracle",
             edit_script=script, dead_node_ratio=dead,
         )
-    if mode != "goal_anchored":
-        raise ValueError(f"unknown verification mode {mode!r}")
     if not isinstance(target, Goal):
         raise ValueError("goal-anchored verification needs a Goal target")
     unbound = bool(wf.dataflow_violations(candidate.root, target.input_schema))
     produced = wf.produced_fields(candidate.root)
     required = target.output_schema
-    if output_goal:
+    if config.output_goal:
         missing = required - produced
         score = (len(required & produced) / len(required)) if required else 1.0
     else:
@@ -290,7 +306,7 @@ def verify(candidate: wf.Workflow, target, mode: str = "oracle", eta: float = 0.
     if unbound:
         score = 0.0
     return Verdict(
-        passed=score >= eta, score=score, mode="goal_anchored",
+        passed=score >= config.eta, score=score, mode="goal_anchored",
         missing_outputs=frozenset(missing), dead_node_ratio=dead,
     )
 
@@ -360,8 +376,7 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
         path_agents = [leaf.agent for leaf in tree_leaves(tree)]
         episode.steps += len(path_agents)
 
-        verdict = verify(candidate, target, config.mode, config.eta,
-                         output_goal=config.output_goal)
+        verdict = verify(candidate, target, config)
         if not config.verification:
             episode.candidates.append((candidate, verdict))
             break

@@ -222,12 +222,10 @@ def repair_loop(net: AgentNetwork, goal: Goal, candidate: wf.Workflow, verdict: 
         if applied is None:
             return candidate, verdict, trace, "stalled"
         hypothesis, agent, candidate = applied
-        verdict = verify(candidate, target, config.mode, config.eta,
-                         output_goal=config.output_goal)
+        verdict = verify(candidate, target, config)
         trace.append(RepairRecord(
             hypothesis=hypothesis.kind, location=hypothesis.location,
             action=OPERATORS[hypothesis.kind], agent=agent, score=verdict.score,
-            candidate=candidate,
         ))
         if verdict.passed:
             return candidate, verdict, trace, "passed"

@@ -647,10 +647,9 @@ def shape_signature(w: Workflow) -> tuple[str, tuple[str, ...]]:
             return "t"
         if isinstance(node, Sequence):
             return "(" + "".join(skeleton(c) for c in node.children) + ")"
-        if isinstance(node, Branch):
-            alt = skeleton(node.orelse) if node.orelse is not None else "-"
-            return "[" + skeleton(node.then) + "|" + alt + "]"
-        return skeleton(node.body)
+        # A Branch: normalizing with strip_nests leaves no Nest.
+        alt = skeleton(node.orelse) if node.orelse is not None else "-"
+        return "[" + skeleton(node.then) + "|" + alt + "]"
 
     flat = normalize_node(w.root, strip_nests=True)
     tools = tuple(sorted(t.tool_id for t in task_order(flat)))

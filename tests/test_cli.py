@@ -273,6 +273,18 @@ def test_ablate_hypothesis_reports_zero(corpora, capsys):
         assert all(v == 0.0 for v in table.values())
 
 
+def test_oracle_verdicts_do_not_read_eta(corpora, capsys):
+    tmp_path, train, test = corpora
+    tables = []
+    for eta in ("0", "0.95"):
+        csv = tmp_path / f"eta-{eta}.csv"
+        assert cli.main(["eval", "--train", train, "--test", test, "--theta", "0.5",
+                         "--eta", eta, "--report", str(tmp_path / f"eta-{eta}.json"),
+                         "--csv", str(csv)]) == 0
+        tables.append(csv.read_text())
+    assert tables[0] == tables[1]
+
+
 def test_report_verb_reemits_csv(corpora, capsys):
     tmp_path, train, test = corpora
     report = tmp_path / "report.json"

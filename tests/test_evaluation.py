@@ -311,8 +311,8 @@ def test_output_goal_ablation_accepts_incomplete_outputs():
     goal = Goal(id="g", tokens=frozenset({"g"}), input_schema=short_flow.declared_inputs,
                 output_schema=frozenset({"o0", "extra"}))
     from flowsmith.orchestrator import verify
-    strict = verify(short_flow, goal, mode="goal_anchored")
-    relaxed = verify(short_flow, goal, mode="goal_anchored", output_goal=False)
+    strict = verify(short_flow, goal, SolveConfig(mode="goal_anchored"))
+    relaxed = verify(short_flow, goal, SolveConfig(mode="goal_anchored", output_goal=False))
     assert not strict.passed
     assert relaxed.passed and relaxed.dead_node_ratio == 0.0
 

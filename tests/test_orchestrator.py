@@ -6,13 +6,15 @@ from flowsmith import corpus as cp
 from flowsmith import orchestrator, repair
 from flowsmith import workflow as wf
 from flowsmith.agents import build_agents
-from flowsmith.errors import DecompositionFailure, MissingOracle
+from flowsmith.errors import ConfigError, DecompositionFailure, MissingOracle
+from flowsmith.evaluation import ExperimentConfig
 from flowsmith.goals import Goal, similarity
 from flowsmith.orchestrator import (
     Expanded,
     Resolved,
     SolveConfig,
     compose,
+    compose_segments,
     decompose,
     solve,
     tree_leaves,
@@ -147,12 +149,36 @@ def test_compose_redeclares_goal_interface():
     assert wf.validate(candidate).ok
 
 
+def test_compose_segments_blame_the_first_leaf_of_a_split_root_part():
+    net = chain_pool(4)
+    leaf, inner_a, inner_b = (Resolved(net.training[i][0], agent_named(net, f"g{i}"))
+                              for i in (0, 1, 2))
+    inner = Expanded(_union_goal("sub", [inner_a.goal, inner_b.goal]), (inner_a, inner_b))
+    tree = Expanded(_union_goal("top", [leaf.goal, inner.goal]), (leaf, inner))
+    assert compose_segments(tree) == [(leaf.agent, 1), (inner_a.agent, 1)]
+
+
 # --- verify -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make, settings", [
+    (SolveConfig, {"k": 0}),
+    (SolveConfig, {"repair_budget": -1}),
+    (SolveConfig, {"theta": 1.5}),
+    (SolveConfig, {"eta": "high"}),
+    (SolveConfig, {"seed": 1.0}),
+    (SolveConfig, {"mode": "oracl"}),
+    (ExperimentConfig, {"mode": "oracl"}),
+], ids=["k-zero", "negative-budget", "theta-out-of-range", "eta-not-a-number",
+        "fractional-seed", "unknown-mode", "experiment-unknown-mode"])
+def test_solve_settings_are_checked_where_they_are_built(make, settings):
+    with pytest.raises(ConfigError):
+        make(**settings)
 
 
 def test_verify_oracle_pass_on_equal_flow():
     flow = chain_flow([0, 1])
-    verdict = verify(flow, flow, mode="oracle")
+    verdict = verify(flow, flow, SolveConfig(mode="oracle"))
     assert verdict.passed and verdict.score == 1.0 and verdict.edit_script == ()
 
 
@@ -160,16 +186,23 @@ def test_verify_oracle_missing_task_gives_insert_script():
     expected = chain_flow([0, 1, 2])
     candidate = chain_flow([0, 2])
     verdict = verify(candidate.replace(declared_inputs=expected.declared_inputs),
-                     expected, mode="oracle")
+                     expected, SolveConfig(mode="oracle"))
     assert not verdict.passed and verdict.score == 0.0
     assert len(verdict.edit_script) == 1
     assert isinstance(verdict.edit_script[0], wf.InsertNode)
 
 
+def test_verify_oracle_fails_a_wrong_candidate_even_at_eta_zero():
+    # eta thresholds only goal-anchored scores: a non-empty script never passes
+    expected = chain_flow([0, 1, 2])
+    candidate = chain_flow([0, 2]).replace(declared_inputs=expected.declared_inputs)
+    assert not verify(candidate, expected, SolveConfig(eta=0.0)).passed
+
+
 def test_verify_oracle_requires_expected_workflow():
     flow = chain_flow([0])
     with pytest.raises(MissingOracle):
-        verify(flow, Goal(id="g", tokens=frozenset({"t"})), mode="oracle")
+        verify(flow, Goal(id="g", tokens=frozenset({"t"})), SolveConfig(mode="oracle"))
 
 
 def test_verify_goal_anchored_partial_coverage():
@@ -177,7 +210,7 @@ def test_verify_goal_anchored_partial_coverage():
     candidate = mk_flow(tasks, ins={"x"}, outs={"r1", "r2", "r3"})
     target = Goal(id="g", tokens=frozenset({"t"}), input_schema=frozenset({"x"}),
                   output_schema=frozenset({"r1", "r2", "r3", "r4"}))
-    verdict = verify(candidate, target, mode="goal_anchored", eta=0.95)
+    verdict = verify(candidate, target, SolveConfig(mode="goal_anchored", eta=0.95))
     assert verdict.score == pytest.approx(0.75)
     assert not verdict.passed
     assert verdict.missing_outputs == frozenset({"r4"})
@@ -187,7 +220,7 @@ def test_verify_goal_anchored_unbound_input_zeroes_score():
     candidate = mk_flow(mk_task("a", {"nope"}, {"r"}), ins={"nope"}, outs={"r"})
     target = Goal(id="g", tokens=frozenset({"t"}), input_schema=frozenset({"x"}),
                   output_schema=frozenset({"r"}))
-    verdict = verify(candidate, target, mode="goal_anchored")
+    verdict = verify(candidate, target, SolveConfig(mode="goal_anchored"))
     assert verdict.score == 0.0 and not verdict.passed
 
 
@@ -195,7 +228,7 @@ def test_verify_dead_node_ratio():
     live = mk_task("a", {"x"}, {"keep"})
     dead = mk_task("b", {"x"}, {"drop"})
     flow = mk_flow([dead, live], ins={"x"}, outs={"keep"})
-    verdict = verify(flow, flow, mode="oracle")
+    verdict = verify(flow, flow, SolveConfig(mode="oracle"))
     assert verdict.dead_node_ratio == pytest.approx(0.5)
 
 

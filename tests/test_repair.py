@@ -5,7 +5,7 @@ import pytest
 from flowsmith import corpus as cp
 from flowsmith import workflow as wf
 from flowsmith.agents import build_agents
-from flowsmith.errors import NoEligibleAgent, NotAFailure
+from flowsmith.errors import NoEligibleAgent, NotAFailure, RejectedRepair
 from flowsmith.goals import Goal
 from flowsmith.orchestrator import SolveConfig, Verdict, solve, verify
 from flowsmith.repair import (
@@ -13,6 +13,7 @@ from flowsmith.repair import (
     MISSING_STEP,
     OVER_ABSTRACTION,
     WRONG_ORDER,
+    FailureHypothesis,
     apply,
     diagnose,
     repair_loop,
@@ -25,6 +26,7 @@ from .conftest import (
     chain_tasks,
     enumerate_single_edits,
     mk_flow,
+    mk_task,
 )
 
 
@@ -54,13 +56,13 @@ def _flow_goal(flow: wf.Workflow, gid: str) -> Goal:
 def test_diagnose_rejects_passing_verdict():
     flow = chain_flow([0])
     with pytest.raises(NotAFailure):
-        diagnose(verify(flow, flow, mode="oracle"), flow, flow)
+        diagnose(verify(flow, flow, SolveConfig(mode="oracle")), flow, flow)
 
 
 def test_diagnose_deleted_task_maps_to_missing_step_at_path():
     expected = chain_flow([0, 1, 2])
     faulty = _delete_task(expected, 1)
-    verdict = verify(faulty, expected, mode="oracle")
+    verdict = verify(faulty, expected, SolveConfig(mode="oracle"))
     hyps = diagnose(verdict, faulty, expected)
     assert len(hyps) == 1
     assert hyps[0].kind == MISSING_STEP
@@ -71,7 +73,7 @@ def test_diagnose_deleted_task_maps_to_missing_step_at_path():
 def test_diagnose_transposition_maps_to_wrong_order():
     expected = chain_flow([0, 1, 2])
     faulty = _swap_adjacent(expected, 0)
-    verdict = verify(faulty, expected, mode="oracle")
+    verdict = verify(faulty, expected, SolveConfig(mode="oracle"))
     hyps = diagnose(verdict, faulty, expected)
     assert [h.kind for h in hyps] == [WRONG_ORDER]
 
@@ -81,16 +83,28 @@ def test_diagnose_missing_branch_subtree():
     alt = chain_flow([5])
     expected = wf.branch(host, wf.Predicate(sorted(alt.declared_outputs)[0], "exists"), alt)
     verdict = verify(host.replace(declared_inputs=expected.declared_inputs),
-                     expected, mode="oracle")
+                     expected, SolveConfig(mode="oracle"))
     hyps = diagnose(verdict, host, expected)
     assert [h.kind for h in hyps] == [MISSING_BRANCH]
     assert hyps[0].needed == alt.declared_outputs
 
 
+def test_diagnose_insert_inside_a_branch_arm_maps_to_missing_branch():
+    t00, t01, t02 = chain_tasks([0, 1, 2])
+    cond = wf.Predicate("o0", "exists")
+    expected = mk_flow([t00, wf.Branch(cond, wf.Sequence((t01, t02)))], ins={"seed"},
+                       outs={"o0"})
+    candidate = mk_flow([t00, wf.Branch(cond, t01)], ins={"seed"}, outs={"o0"})
+    verdict = verify(candidate, expected)
+    assert verdict.edit_script == (wf.InsertNode((1, 0, 1), t02),)
+    hyps = diagnose(verdict, candidate, expected)
+    assert [(h.kind, h.location) for h in hyps] == [(MISSING_BRANCH, (1, 0, 1))]
+
+
 def test_diagnose_root_nest_maps_to_over_abstraction():
     flat = chain_flow([0, 1], gid="gnest")
     expected = wf.nest(flat, (), "gnest", flat)
-    verdict = verify(flat, expected, mode="oracle")
+    verdict = verify(flat, expected, SolveConfig(mode="oracle"))
     hyps = diagnose(verdict, flat, expected)
     assert [h.kind for h in hyps] == [OVER_ABSTRACTION]
     assert hyps[0].location == ()
@@ -102,7 +116,7 @@ def test_diagnose_goal_anchored_missing_outputs():
     target = Goal(id="g", tokens=frozenset({"g"}),
                   input_schema=candidate.declared_inputs,
                   output_schema=frozenset({"o0", "report"}))
-    verdict = verify(candidate, target, mode="goal_anchored")
+    verdict = verify(candidate, target, SolveConfig(mode="goal_anchored"))
     hyps = diagnose(verdict, candidate, target)
     assert [h.kind for h in hyps] == [MISSING_STEP]
     assert hyps[0].needed == frozenset({"report"})
@@ -115,7 +129,7 @@ def test_apply_insert_with_unique_exact_match_restores_equality():
     net = chain_pool(6)
     expected = chain_flow([0, 1, 2])
     faulty = _delete_task(expected, 1)
-    verdict = verify(faulty, expected, mode="oracle")
+    verdict = verify(faulty, expected, SolveConfig(mode="oracle"))
     hypothesis = diagnose(verdict, faulty, expected)[0]
     repaired, agent = apply(faulty, hypothesis, net, SolveConfig(), random.Random(0))
     assert hypothesis.kind == MISSING_STEP and agent is agent_named(net, "g1")
@@ -126,7 +140,7 @@ def test_apply_reorder_restores_equality():
     net = chain_pool(6)
     expected = chain_flow([0, 1, 2])
     faulty = _swap_adjacent(expected, 1)
-    verdict = verify(faulty, expected, mode="oracle")
+    verdict = verify(faulty, expected, SolveConfig(mode="oracle"))
     hypothesis = diagnose(verdict, faulty, expected)[0]
     repaired, agent = apply(faulty, hypothesis, net, SolveConfig(), random.Random(0))
     assert hypothesis.kind == WRONG_ORDER and agent is None
@@ -137,10 +151,18 @@ def test_apply_missing_step_on_empty_network_raises():
     net = build_agents([])
     expected = chain_flow([0, 1])
     faulty = _delete_task(expected, 0)
-    verdict = verify(faulty, expected, mode="oracle")
+    verdict = verify(faulty, expected, SolveConfig(mode="oracle"))
     hypothesis = diagnose(verdict, faulty, expected)[0]
     with pytest.raises(NoEligibleAgent):
         apply(faulty, hypothesis, net, SolveConfig(), random.Random(0))
+
+
+def test_apply_rejects_an_insert_that_breaks_dataflow():
+    # g2 consumes o1, which nothing before the insertion point produces
+    net = chain_pool(4)
+    hypothesis = FailureHypothesis(kind=MISSING_STEP, location=(0,), needed=frozenset({"o2"}))
+    with pytest.raises(RejectedRepair, match="breaks dataflow"):
+        apply(chain_flow([0]), hypothesis, net, SolveConfig(), random.Random(0))
 
 
 def test_apply_branch_rebuilds_generated_branch_exactly():
@@ -151,7 +173,7 @@ def test_apply_branch_rebuilds_generated_branch_exactly():
     expected = wf.branch(host, cond, alt)
     assert wf.validate(expected).ok
     candidate = host.replace(declared_inputs=expected.declared_inputs)
-    verdict = verify(candidate, expected, mode="oracle")
+    verdict = verify(candidate, expected, SolveConfig(mode="oracle"))
     hypothesis = diagnose(verdict, candidate, expected)[0]
     repaired, agent = apply(candidate, hypothesis, net, SolveConfig(), random.Random(0))
     assert hypothesis.kind == MISSING_BRANCH and agent is agent_named(net, "g2")
@@ -254,6 +276,24 @@ def test_repair_loop_stalls_without_actionable_hypothesis():
     assert trace == []
 
 
+def test_repair_loop_stalls_when_a_repair_does_not_shrink_the_script():
+    # the only producer of o1 runs another tool: the Insert applies, and the
+    # missing step becomes a replaced one
+    flows = {"g0": chain_flow([0]), "g1": mk_flow([mk_task("other", {"o0"}, {"o1"})],
+                                                  ins={"o0"}, outs={"o1"}),
+             "g2": chain_flow([2])}
+    net = build_agents([(_flow_goal(flow, gid), flow.replace(goal_id=gid))
+                        for gid, flow in flows.items()])
+    expected = chain_flow([0, 1, 2], gid="swap")
+    faulty = _delete_task(expected, 1)
+    repaired, verdict, trace, stop = repair_loop(net, _flow_goal(expected, "swap"), faulty,
+                                                 verify(faulty, expected), expected,
+                                                 SolveConfig(repair_budget=3), random.Random(0))
+    assert stop == "stalled"
+    assert [r.action for r in trace] == ["Insert"]
+    assert verdict.edit_script == (wf.ReplaceSubtree((1,), chain_tasks([1])[0]),)
+
+
 def test_repair_loop_stalls_when_the_nest_goal_cannot_be_decomposed():
     net = chain_pool(4)
     agent_named(net, "g1").life = 0.0
@@ -313,15 +353,19 @@ def test_repair_loop_progress_is_strict_along_trace():
     expected = chain_flow([0, 2, 4, 6, 8], gid="prog")
     faulty = _delete_task(_delete_task(_delete_task(expected, 4), 2), 0)
     goal = _flow_goal(expected, "prog")
-    repaired, verdict, trace, stop = repair_loop(net, goal, faulty, verify(faulty, expected),
-                                                 expected, SolveConfig(repair_budget=3),
-                                                 random.Random(0))
-    assert verdict.passed and stop == "passed"
+    # Budget b stops the same run after its b-th repair: rerun with budgets
+    # 1..3 to see each intermediate candidate.
     distances = [len(wf.diff(faulty, expected))]
-    for record in trace:
-        distances.append(len(wf.diff(record.candidate, expected)))
+    for budget in (1, 2, 3):
+        repaired, verdict, trace, stop = repair_loop(net, goal, faulty,
+                                                     verify(faulty, expected), expected,
+                                                     SolveConfig(repair_budget=budget),
+                                                     random.Random(0))
+        assert len(trace) == budget
+        assert wf.validate(repaired).ok
+        distances.append(len(wf.diff(repaired, expected)))
+    assert verdict.passed and stop == "passed"
     assert all(b < a for a, b in zip(distances, distances[1:]))
-    assert all(wf.validate(r.candidate).ok for r in trace)
 
 
 def test_repair_loop_completeness_cross_checked_with_enumeration():

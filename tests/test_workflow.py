@@ -44,6 +44,15 @@ def test_predicate_value_rules():
 # --- validate ---------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("orelse, produced", [
+    (mk_task("b", {"x"}, {"q", "r"}), {"q"}),
+    (None, set()),
+], ids=["with-else", "without-else"])
+def test_produced_fields_of_a_branch_counts_what_both_arms_produce(orelse, produced):
+    then = mk_task("a", {"x"}, {"p", "q"})
+    assert wf.produced_fields(wf.Branch(wf.Predicate("x", "exists"), then, orelse)) == produced
+
+
 def test_validate_single_task_within_declared_inputs():
     flow = mk_flow(mk_task("a", {"x"}, {"y"}), ins={"x"})
     assert wf.validate(flow).ok

@@ -8,8 +8,9 @@ order on one network, because each episode's life updates and
 eliminations decide what the next can select; only the independent
 points of a pool-size sweep run in worker processes.
 
-An ``ExperimentConfig`` builds its ``SolveConfig`` when it is made, so a
-bad solve setting fails before any file is read.
+An ``ExperimentConfig`` checks its own fields and builds its
+``SolveConfig`` when it is made, so a bad setting, of any type, fails
+with ``ConfigError`` before any file is read.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from . import workflow as wf
 from .agents import AgentNetwork, LifeConfig, build_agents, eliminate_and_refresh
 from .corpus import CorpusRecord, load_corpus, read_jsonl, write_atomic
 from .errors import ConfigError, DuplicateGoal, InvalidWorkflow
-from .orchestrator import EpisodeResult, SolveConfig, solve
-
-ABLATABLE = ("scale_control", "verification", "hypothesis", "input_goal", "output_goal")
+from .orchestrator import ABLATABLE, EpisodeResult, SolveConfig, _is_int, solve
 
 
 @dataclass(frozen=True)
@@ -52,17 +51,29 @@ class ExperimentConfig:
         object.__setattr__(self, "k_list", tuple(self.k_list))  # a config file gives a list
         if not self.k_list:
             raise ConfigError("k_list must not be empty")
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in self.k_list):
+        if not all(_is_int(v) for v in self.k_list):
             raise ConfigError(f"k values must be integers, got {list(self.k_list)!r}")
         if list(self.k_list) != sorted(self.k_list) or len(set(self.k_list)) != len(self.k_list):
             raise ConfigError("k_list must be strictly ascending")
         if any(k < 1 for k in self.k_list):
             raise ConfigError("k values must be >= 1")
-        unknown = set(self.disabled) - set(ABLATABLE)
+        if (not isinstance(self.disabled, (set, frozenset, list, tuple))
+                or not all(isinstance(name, str) for name in self.disabled)):
+            raise ConfigError(f"disabled must be a set of component names, got {self.disabled!r}")
+        object.__setattr__(self, "disabled", frozenset(self.disabled))
+        unknown = self.disabled - set(ABLATABLE)
         if unknown:
             raise ConfigError(f"unknown ablation component(s): {sorted(unknown)}")
+        if not _is_int(self.parallelism):
+            raise ConfigError(f"parallelism must be an integer, got {self.parallelism!r}")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
+        if self.sweep_sizes is not None:
+            if not isinstance(self.sweep_sizes, (list, tuple)):
+                raise ConfigError(f"sweep_sizes must be a list of integers, got {self.sweep_sizes!r}")
+            object.__setattr__(self, "sweep_sizes", tuple(self.sweep_sizes))
+            if not all(_is_int(size) for size in self.sweep_sizes):
+                raise ConfigError(f"sweep sizes must be integers, got {list(self.sweep_sizes)!r}")
         self.solve_config()
 
     def solve_config(self) -> SolveConfig:

@@ -2,6 +2,11 @@
 
 Similarity is Jaccard over descriptor token sets: symmetric, bounded
 to [0, 1], and exactly 1.0 for identical non-empty token sets.
+Disjoint token sets (most pairs the refresh pass compares) score 0.0
+after one ``isdisjoint`` and equal ones 1.0, with no set built; any
+other pair builds only the intersection and counts the union as
+``|x| + |y| - |x & y|``, which is exact, so every score is bit-identical
+to ``|x & y| / |x | y|``.
 """
 
 from __future__ import annotations
@@ -39,10 +44,19 @@ class Goal:
 
 
 def similarity(a: Goal, b: Goal) -> float:
-    """Jaccard score in [0, 1]; symmetric; 1.0 exactly for equal (never empty) token sets."""
-    if a.tokens == b.tokens:
+    """Jaccard score in [0, 1]; symmetric; 1.0 exactly for equal (never empty) token sets.
+
+    Fast paths: disjoint token sets return 0.0 and equal ones 1.0 without
+    building a set; otherwise only the intersection is built, and the
+    union size is counted as ``len(x) + len(y) - shared``.
+    """
+    x, y = a.tokens, b.tokens
+    if x.isdisjoint(y):
+        return 0.0
+    if x == y:
         return 1.0
-    return len(a.tokens & b.tokens) / len(a.tokens | b.tokens)
+    shared = len(x & y)
+    return shared / (len(x) + len(y) - shared)
 
 
 def schema_compat(producer_outputs, consumer: Goal) -> bool:

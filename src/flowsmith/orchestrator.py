@@ -67,6 +67,10 @@ class Expanded:
 DecompositionTree = Union[Resolved, Expanded]
 
 
+# The switches an ablation can turn off; each is a ``SolveConfig`` field.
+ABLATABLE = ("scale_control", "verification", "hypothesis", "input_goal", "output_goal")
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -98,6 +102,9 @@ class SolveConfig:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {list(MODES)}, got {self.mode!r}")
+        for name in ABLATABLE:
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)

@@ -130,14 +130,21 @@ class Workflow:
         object.__setattr__(self, "declared_outputs", frozenset(self.declared_outputs))
 
     def replace(self, **changes) -> "Workflow":
-        return dataclasses.replace(self, **changes)
+        """A copy with ``changes``; it keeps a computed normal form unless
+        ``root`` is among them."""
+        new = dataclasses.replace(self, **changes)
+        if "root" not in changes and "normal_root" in self.__dict__:
+            new.__dict__["normal_root"] = self.__dict__["normal_root"]
+        return new
 
     @cached_property
     def normal_root(self) -> "WorkflowNode":
         """``normalize_node(root)``, computed on first use and kept.
 
         Not a dataclass field: equality, hashing and serialization ignore
-        it, and :meth:`replace` builds a new object with its own cache.
+        it.  :meth:`replace` carries it into the copy when ``root`` does
+        not change, and :func:`apply_edits`, whose result is already
+        normal, records that result as its own normal form.
         """
         return normalize_node(self.root)
 
@@ -574,12 +581,17 @@ def apply_edits(script: Iterable[Edit], w: Workflow) -> Workflow:
 
     The input's normal form is :attr:`Workflow.normal_root`, computed once
     per Workflow and sharing the subtrees that were already normal; only
-    the edited tree is normalized again.
+    the edited tree is normalized again.  The result is normal, and
+    normalizing a normal tree returns its root, so the result's own
+    ``normal_root`` is recorded as that root rather than recomputed.
     """
     root: WorkflowNode = Sequence(child_list(w.normal_root))
     for edit in script:
         root = _apply_one(root, edit)
-    return w.replace(root=normalize_node(root))
+    root = normalize_node(root)
+    out = w.replace(root=root)
+    out.__dict__["normal_root"] = root
+    return out
 
 
 # --- subflow matching --------------------------------------------------------

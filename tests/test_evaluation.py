@@ -235,6 +235,24 @@ def test_sweep_accuracy_grows_with_pool_size(experiment_files):
     assert report.sweep[120] >= 0.9
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"parallelism": 1.5}, "parallelism must be an integer, got 1.5"),
+    ({"parallelism": "2"}, "parallelism must be an integer, got '2'"),
+    ({"sweep_sizes": [1, "a"]}, "sweep sizes must be integers, got [1, 'a']"),
+    ({"disabled": "hypothesis"}, "disabled must be a set of component names, got 'hypothesis'"),
+], ids=["fractional-parallelism", "string-parallelism", "string-sweep-size", "string-disabled"])
+def test_experiment_config_rejects_bad_types(settings, message):
+    with pytest.raises(ConfigError) as caught:
+        ExperimentConfig(**settings)
+    assert str(caught.value) == message
+
+
+def test_experiment_config_reads_lists_as_sets_and_tuples():
+    config = ExperimentConfig(disabled=["hypothesis"], sweep_sizes=[1, 20])
+    assert config.disabled == frozenset({"hypothesis"})
+    assert config.sweep_sizes == (1, 20)
+
+
 # --- ablations --------------------------------------------------------------------------------
 
 

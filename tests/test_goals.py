@@ -50,6 +50,37 @@ def test_similarity_symmetric_and_bounded(ta, tb):
     assert similarity(a, a) == 1.0
 
 
+_token_pool = [f"tok{i}" for i in range(12)]
+
+
+@st.composite
+def _token_set_pairs(draw):
+    """Two token sets that are disjoint, overlapping, one inside the other, or equal."""
+    shape = draw(st.sampled_from(["disjoint", "overlapping", "subset", "equal"]))
+    x = draw(st.sets(st.sampled_from(_token_pool), min_size=1, max_size=6))
+    rest = [t for t in _token_pool if t not in x]
+    if shape == "disjoint":
+        y = draw(st.sets(st.sampled_from(rest), min_size=1, max_size=6))
+    elif shape == "overlapping":
+        y = {draw(st.sampled_from(sorted(x)))} | draw(
+            st.sets(st.sampled_from(rest), min_size=1, max_size=5))
+    elif shape == "subset":
+        y = draw(st.sets(st.sampled_from(sorted(x)), min_size=1, max_size=len(x)))
+    else:
+        y = set(x)
+    return (x, y) if draw(st.booleans()) else (y, x)
+
+
+@given(_token_set_pairs())
+@settings(max_examples=500, deadline=None)
+def test_similarity_is_exactly_the_set_built_jaccard(pair):
+    x, y = pair
+    score = similarity(g("a", x), g("b", y))
+    assert score == len(x & y) / len(x | y)
+    assert (score == 0.0) == x.isdisjoint(y)
+    assert (score == 1.0) == (x == y)
+
+
 def test_schema_compat_trivials():
     consumer_free = g("c", {"t"}, ins=())
     assert schema_compat(frozenset(), consumer_free)

@@ -7,7 +7,7 @@ from flowsmith import orchestrator, repair
 from flowsmith import workflow as wf
 from flowsmith.agents import build_agents
 from flowsmith.errors import ConfigError, DecompositionFailure, MissingOracle
-from flowsmith.evaluation import ExperimentConfig
+from flowsmith.evaluation import ABLATABLE, ExperimentConfig
 from flowsmith.goals import Goal, similarity
 from flowsmith.orchestrator import (
     Expanded,
@@ -169,8 +169,10 @@ def test_compose_segments_blame_the_first_leaf_of_a_split_root_part():
     (SolveConfig, {"seed": 1.0}),
     (SolveConfig, {"mode": "oracl"}),
     (ExperimentConfig, {"mode": "oracl"}),
+    *((SolveConfig, {name: "no"}) for name in ABLATABLE),
 ], ids=["k-zero", "negative-budget", "theta-out-of-range", "eta-not-a-number",
-        "fractional-seed", "unknown-mode", "experiment-unknown-mode"])
+        "fractional-seed", "unknown-mode", "experiment-unknown-mode",
+        *(f"{name}-not-a-bool" for name in ABLATABLE)])
 def test_solve_settings_are_checked_where_they_are_built(make, settings):
     with pytest.raises(ConfigError):
         make(**settings)

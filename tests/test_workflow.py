@@ -440,3 +440,24 @@ def test_normal_root_changes_no_equality_hash_or_serialization(node, outputs):
     assert extended.normal_root == _reference_normalize(extended.root)
     assert extended.normal_root != normal
     assert read.normal_root is normal
+
+
+@given(_node_strategy(branches=True), _node_strategy(branches=True), _fields)
+@settings(max_examples=150, deadline=None)
+def test_replace_and_apply_edits_carry_the_normal_root(source_node, target_node, outputs):
+    source = wf.Workflow(root=source_node, declared_inputs={"seed"}, declared_outputs=outputs,
+                         id="w", goal_id="g")
+    normal = source.normal_root
+    renamed = source.replace(id="w2", declared_outputs=outputs | {"o9"})
+    assert renamed.normal_root is normal
+    repaired = wf.apply_edits(wf.diff(source, wf.Workflow(root=target_node)), source)
+    assert repaired.normal_root is repaired.root
+    for carried in (renamed, repaired):
+        assert carried.normal_root == wf.normalize_node(carried.root)
+        assert carried.normal_root == _reference_normalize(carried.root)
+        fresh = wf.Workflow(**{f.name: getattr(carried, f.name)
+                               for f in dataclasses.fields(wf.Workflow)})
+        assert carried == fresh and hash(carried) == hash(fresh)
+        assert wf.to_doc(carried) == wf.to_doc(fresh)
+        assert wf.dumps(carried) == wf.dumps(fresh)
+        assert fresh.normal_root == carried.normal_root

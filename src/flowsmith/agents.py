@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from . import workflow as wf
 from .errors import (ConfigError, DecompositionFailure, DuplicateGoal, InvalidWorkflow,
-                     NoEligibleAgent)
+                     NoEligibleAgent, is_int, is_number)
 from .goals import Goal, schema_compat, similarity
 
 
@@ -45,10 +45,6 @@ class AgentStats:
     def success_ratio(self) -> float:
         total = self.successes + self.failures
         return self.successes / total if total else 0.0
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -66,20 +62,19 @@ class LifeConfig:
         # Config files give ints and lists: store floats and tuples, so a
         # report echoes one form whatever the file held.
         for name in ("l_init", "l_max", "drift_threshold"):
-            if not _is_number(getattr(self, name)):
+            if not is_number(getattr(self, name)):
                 raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
             object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("alphas", "betas"):
             value = getattr(self, name)
             if (not isinstance(value, (list, tuple)) or len(value) != 3
-                    or not all(_is_number(w) and w >= 0 for w in value)):
+                    or not all(is_number(w) and w >= 0 for w in value)):
                 raise ConfigError(f"{name} must hold three non-negative numbers, got {value!r}")
             object.__setattr__(self, name, tuple(value))
         if not 0 < self.l_init <= self.l_max:
             raise ConfigError("l_init must lie in (0, l_max]")
-        period = self.refresh_period
-        if isinstance(period, bool) or not isinstance(period, int) or period < 1:
-            raise ConfigError(f"refresh_period must be an integer >= 1, got {period!r}")
+        if not is_int(self.refresh_period) or self.refresh_period < 1:
+            raise ConfigError(f"refresh_period must be an integer >= 1, got {self.refresh_period!r}")
 
 
 @dataclass(frozen=True)
@@ -135,9 +130,6 @@ class ChangeLog:
     archived: list[str] = field(default_factory=list)
     revived: list[str] = field(default_factory=list)
     spawned: list[str] = field(default_factory=list)
-
-    def empty(self) -> bool:
-        return not (self.archived or self.revived or self.spawned)
 
 
 @dataclass

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 from . import workflow as wf
-from .errors import ConfigError, EngineError, InfeasibleProfile
+from .errors import ConfigError, EngineError, InfeasibleProfile, is_int, is_number
 from .goals import Goal, goal_from_doc, goal_to_doc
 from .seeds import derive_seed
 
@@ -56,10 +56,11 @@ class PlantedSubflowSpec:
     rate: float
 
     def __post_init__(self):
-        if not 2 <= self.length <= 5:
-            raise ConfigError("planted pattern length must be 2..5")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ConfigError("planting rate must lie in [0, 1]")
+        if not is_int(self.length) or not 2 <= self.length <= 5:
+            raise ConfigError(f"planted pattern length must be an integer in 2..5, "
+                              f"got {self.length!r}")
+        if not is_number(self.rate) or not 0.0 <= self.rate <= 1.0:
+            raise ConfigError(f"planting rate must be a number in [0, 1], got {self.rate!r}")
 
 
 @dataclass(frozen=True)
@@ -71,13 +72,15 @@ class CorpusProfile:
     planted: PlantedSubflowSpec | None = None
 
     def __post_init__(self):
-        if self.total < 1:
-            raise InfeasibleProfile("total must be >= 1")
-        if self.tool_vocab_size < 1:
-            raise InfeasibleProfile("tool vocabulary must be non-empty")
+        for name in ("total", "tool_vocab_size"):
+            value = getattr(self, name)
+            if not is_int(value) or value < 1:
+                raise InfeasibleProfile(f"{name} must be an integer >= 1, got {value!r}")
         for name, hist in (("node", self.node_histogram), ("depth", self.depth_histogram)):
             if not hist:
                 raise InfeasibleProfile(f"{name} histogram is empty")
+            if not all(is_int(k) and is_number(p) for k, p in hist.items()):
+                raise ConfigError(f"{name} histogram must map integers to numbers, got {hist!r}")
             if abs(sum(hist.values()) - 1.0) > 1e-9:
                 raise InfeasibleProfile(f"{name} histogram proportions must sum to 1")
             if any(p < 0 for p in hist.values()):
@@ -242,10 +245,8 @@ def generate(profile: CorpusProfile, seed: int, id_prefix: str = "g") -> list[Co
     for index, depth in zip(eligible, deep_values):
         depth_of[index] = depth
 
-    pattern_tools: list[str] = []
-    if profile.planted is not None:
-        pattern_rng = random.Random(derive_seed(seed, "pattern"))
-        pattern_tools = pattern_rng.sample(tool_ids, profile.planted.length)
+    pattern_tools = [task.tool_id for pattern in planted_library(profile, seed)
+                     for task in wf.task_order(pattern.root)]
 
     records: list[CorpusRecord] = []
     for index in range(profile.total):

@@ -1,4 +1,4 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and its type tests for settings and documents."""
 
 
 class EngineError(Exception):
@@ -47,3 +47,21 @@ class ConfigError(EngineError):
 
 class InfeasibleProfile(ConfigError):
     """A corpus profile that no workflow population can realize."""
+
+
+# The engine's one type decision for settings values: a bool is neither
+# an integer nor a number, although Python counts it as both.
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return is_int(value) or isinstance(value, float)
+
+
+def name_set(value, key: str) -> frozenset[str]:
+    """A document's name list as a set; anything but an array of strings
+    (a string would read as its characters) raises ValueError naming ``key``."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(n, str) for n in value):
+        raise ValueError(f"{key} must be an array of strings, got {value!r}")
+    return frozenset(value)

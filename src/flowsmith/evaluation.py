@@ -22,8 +22,8 @@ from itertools import repeat
 from . import workflow as wf
 from .agents import AgentNetwork, LifeConfig, build_agents, eliminate_and_refresh
 from .corpus import CorpusRecord, load_corpus, read_jsonl, write_atomic
-from .errors import ConfigError, DuplicateGoal, InvalidWorkflow
-from .orchestrator import ABLATABLE, EpisodeResult, SolveConfig, _is_int, solve
+from .errors import ConfigError, DuplicateGoal, InvalidWorkflow, is_int
+from .orchestrator import ABLATABLE, EpisodeResult, SolveConfig, solve
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class ExperimentConfig:
         object.__setattr__(self, "k_list", tuple(self.k_list))  # a config file gives a list
         if not self.k_list:
             raise ConfigError("k_list must not be empty")
-        if not all(_is_int(v) for v in self.k_list):
+        if not all(is_int(v) for v in self.k_list):
             raise ConfigError(f"k values must be integers, got {list(self.k_list)!r}")
         if list(self.k_list) != sorted(self.k_list) or len(set(self.k_list)) != len(self.k_list):
             raise ConfigError("k_list must be strictly ascending")
@@ -64,7 +64,7 @@ class ExperimentConfig:
         unknown = self.disabled - set(ABLATABLE)
         if unknown:
             raise ConfigError(f"unknown ablation component(s): {sorted(unknown)}")
-        if not _is_int(self.parallelism):
+        if not is_int(self.parallelism):
             raise ConfigError(f"parallelism must be an integer, got {self.parallelism!r}")
         if self.parallelism < 1:
             raise ConfigError("parallelism must be >= 1")
@@ -72,7 +72,7 @@ class ExperimentConfig:
             if not isinstance(self.sweep_sizes, (list, tuple)):
                 raise ConfigError(f"sweep_sizes must be a list of integers, got {self.sweep_sizes!r}")
             object.__setattr__(self, "sweep_sizes", tuple(self.sweep_sizes))
-            if not all(_is_int(size) for size in self.sweep_sizes):
+            if not all(is_int(size) for size in self.sweep_sizes):
                 raise ConfigError(f"sweep sizes must be integers, got {list(self.sweep_sizes)!r}")
         self.solve_config()
 
@@ -92,10 +92,6 @@ class ExperimentConfig:
 class BucketedEpisode:
     record: CorpusRecord
     episode: EpisodeResult
-
-    @property
-    def bucket(self) -> str:
-        return self.record.bucket
 
 
 @dataclass
@@ -142,7 +138,7 @@ def transcripts_text(episodes: list[BucketedEpisode]) -> str:
     lines = []
     for item in episodes:
         doc = item.episode.to_doc()
-        doc["bucket"] = item.bucket
+        doc["bucket"] = item.record.bucket
         lines.append(wf.canonical_json(doc))
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -154,7 +150,7 @@ def pass_at_k(episodes: list[BucketedEpisode], ks: tuple[int, ...]) -> dict[str,
     """Per bucket: the fraction of episodes with a passing candidate in ranks 1..k."""
     buckets: dict[str, list[int | None]] = {}
     for item in episodes:
-        buckets.setdefault(item.bucket, []).append(item.episode.passed_rank())
+        buckets.setdefault(item.record.bucket, []).append(item.episode.passed_rank())
     table: dict[str, dict[int, float]] = {}
     for bucket, ranks in buckets.items():
         table[bucket] = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyGoal
+from .errors import EmptyGoal, name_set
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,8 @@ def goal_from_doc(doc: dict, strip_oracle: bool = False) -> Goal:
         template = tuple(doc[ORACLE_SUBGOALS_KEY])
     return Goal(
         id=doc["id"],
-        tokens=frozenset(doc["tokens"]),
-        input_schema=frozenset(doc.get("input_schema", ())),
-        output_schema=frozenset(doc.get("output_schema", ())),
+        tokens=name_set(doc["tokens"], "tokens"),
+        input_schema=name_set(doc.get("input_schema", ()), "input_schema"),
+        output_schema=name_set(doc.get("output_schema", ()), "output_schema"),
         subgoal_template=template,
     )

@@ -39,7 +39,8 @@ from .agents import (
     select,
     update_life,
 )
-from .errors import ConfigError, DecompositionFailure, MissingOracle, NoEligibleAgent
+from .errors import (ConfigError, DecompositionFailure, MissingOracle, NoEligibleAgent, is_int,
+                     is_number)
 # ``similarity`` is unused here; the benchmark tracer counts its calls
 # at this module attribute (perfbench/spans.py, COUNT_SITES).
 from .goals import Goal, similarity
@@ -71,10 +72,6 @@ DecompositionTree = Union[Resolved, Expanded]
 ABLATABLE = ("scale_control", "verification", "hypothesis", "input_goal", "output_goal")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class SolveConfig:
     theta: float = 0.8
@@ -92,13 +89,13 @@ class SolveConfig:
     def __post_init__(self):
         for name in ("theta", "eta"):
             value = getattr(self, name)
-            if not (_is_int(value) or isinstance(value, float)) or not 0.0 <= value <= 1.0:
+            if not is_number(value) or not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
-        if not _is_int(self.k) or self.k < 1:
+        if not is_int(self.k) or self.k < 1:
             raise ConfigError(f"k must be an integer >= 1, got {self.k!r}")
-        if not _is_int(self.repair_budget) or self.repair_budget < 0:
+        if not is_int(self.repair_budget) or self.repair_budget < 0:
             raise ConfigError(f"repair_budget must be an integer >= 0, got {self.repair_budget!r}")
-        if not _is_int(self.seed):
+        if not is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {list(MODES)}, got {self.mode!r}")

@@ -48,8 +48,8 @@ OPERATORS = {MISSING_STEP: "Insert", WRONG_ORDER: "Reorder",
 class FailureHypothesis:
     kind: str
     location: wf.Path
-    needed: "frozenset[str] | str | None" = None  # fields to produce, or a sub-goal id
-    evidence: "wf.Edit | str | None" = None
+    # Fields to produce, a sub-goal id, or (wrong order) the children's permutation.
+    needed: "frozenset[str] | str | tuple[int, ...] | None" = None
 
 
 def _subtree_outputs(node: wf.WorkflowNode) -> frozenset[str]:
@@ -90,44 +90,29 @@ def diagnose(verdict: Verdict, candidate: wf.Workflow, target) -> list[FailureHy
         expected_root = target.normal_root
         if isinstance(expected_root, wf.Nest) and not isinstance(cand_root, wf.Nest):
             # The whole flow should live under a sub-workflow boundary.
-            return [FailureHypothesis(
-                kind=OVER_ABSTRACTION, location=(),
-                needed=expected_root.sub_goal_id,
-                evidence="root nest missing",
-            )]
+            return [FailureHypothesis(OVER_ABSTRACTION, (), expected_root.sub_goal_id)]
         for edit in verdict.edit_script:
             if isinstance(edit, wf.ReorderChildren):
-                hypotheses.append(FailureHypothesis(
-                    kind=WRONG_ORDER, location=edit.path, evidence=edit,
-                ))
+                hypotheses.append(FailureHypothesis(WRONG_ORDER, edit.path, edit.permutation))
             elif isinstance(edit, (wf.InsertNode, wf.ReplaceSubtree)):
                 node = edit.node
                 if isinstance(node, wf.Nest):
-                    hypotheses.append(FailureHypothesis(
-                        kind=OVER_ABSTRACTION, location=edit.path,
-                        needed=node.sub_goal_id, evidence=edit,
-                    ))
+                    hypotheses.append(FailureHypothesis(OVER_ABSTRACTION, edit.path,
+                                                        node.sub_goal_id))
                 elif isinstance(edit, wf.InsertNode) and (
                     isinstance(node, wf.Branch) or _crosses_branch(cand_root, edit.path)
                 ):
-                    hypotheses.append(FailureHypothesis(
-                        kind=MISSING_BRANCH, location=edit.path,
-                        needed=_subtree_outputs(node), evidence=edit,
-                    ))
+                    hypotheses.append(FailureHypothesis(MISSING_BRANCH, edit.path,
+                                                        _subtree_outputs(node)))
                 elif isinstance(edit, wf.InsertNode):
-                    hypotheses.append(FailureHypothesis(
-                        kind=MISSING_STEP, location=edit.path,
-                        needed=_subtree_outputs(node), evidence=edit,
-                    ))
+                    hypotheses.append(FailureHypothesis(MISSING_STEP, edit.path,
+                                                        _subtree_outputs(node)))
                 # ReplaceSubtree of non-Nest content is not expressible as a
                 # single repair operator; leave it to later iterations.
     else:
         frontier = (len(wf.child_list(candidate.normal_root)),)
         for name in sorted(verdict.missing_outputs):
-            hypotheses.append(FailureHypothesis(
-                kind=MISSING_STEP, location=frontier, needed=frozenset({name}),
-                evidence=f"missing output {name!r}",
-            ))
+            hypotheses.append(FailureHypothesis(MISSING_STEP, frontier, frozenset({name})))
     hypotheses.sort(key=lambda h: (h.location, _KIND_ORDER[h.kind]))
     return hypotheses
 
@@ -151,9 +136,8 @@ def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwo
             declared_outputs=repaired.declared_outputs | agent.goal.output_schema
         )
     elif hypothesis.kind == WRONG_ORDER:
-        if not isinstance(hypothesis.evidence, wf.ReorderChildren):
-            raise RejectedRepair("wrong-order hypothesis without a permutation")
-        repaired = wf.apply_edits((hypothesis.evidence,), candidate)
+        edit = wf.ReorderChildren(hypothesis.location, hypothesis.needed)
+        repaired = wf.apply_edits((edit,), candidate)
     elif hypothesis.kind == MISSING_BRANCH:
         agent = select(best_producers(net, hypothesis.needed), rng, use_life=config.scale_control)
         predicate = wf.Predicate(key=sorted(hypothesis.needed)[0], op="exists")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
 
-from .errors import BadPath, InvalidWorkflow
+from .errors import BadPath, InvalidWorkflow, name_set
 
 Literal = Union[str, int, float, bool, None]
 Path = tuple[int, ...]
@@ -697,8 +697,8 @@ def node_from_doc(doc: dict) -> WorkflowNode:
     if kind == "task":
         return TaskNode(
             tool_id=doc["tool_id"],
-            input_schema=frozenset(doc.get("input_schema", ())),
-            output_schema=frozenset(doc.get("output_schema", ())),
+            input_schema=name_set(doc.get("input_schema", ()), "input_schema"),
+            output_schema=name_set(doc.get("output_schema", ()), "output_schema"),
             params=tuple(sorted(doc.get("params", {}).items())),
         )
     if kind == "seq":
@@ -729,8 +729,8 @@ def to_doc(w: Workflow) -> dict:
 def from_doc(doc: dict) -> Workflow:
     return Workflow(
         root=node_from_doc(doc["root"]),
-        declared_inputs=frozenset(doc.get("declared_inputs", ())),
-        declared_outputs=frozenset(doc.get("declared_outputs", ())),
+        declared_inputs=name_set(doc.get("declared_inputs", ()), "declared_inputs"),
+        declared_outputs=name_set(doc.get("declared_outputs", ()), "declared_outputs"),
         id=doc.get("id", ""),
         goal_id=doc.get("goal_id", ""),
     )

@@ -6,6 +6,7 @@ from flowsmith import corpus as cp
 from flowsmith.agents import (
     AgentNetwork,
     AtomicAgent,
+    ChangeLog,
     LifeConfig,
     Outcome,
     best_producers,
@@ -288,7 +289,7 @@ def _partition_holds(net: AgentNetwork) -> bool:
 def test_refresh_noop_when_all_alive_and_covered():
     net = chain_pool(4)
     log = eliminate_and_refresh(net)
-    assert log.empty()
+    assert log == ChangeLog()
     assert net.epoch == 1
     assert len(net.active) == 4 and not net.archive
 

@@ -185,11 +185,15 @@ SOLVE = ["solve", "--train", "{train}", "--goals", "{test}"]
     ({"refresh_period": 1.5}, SOLVE + ["--config", "{file}"]),
     ({"l_init": True}, SOLVE + ["--config", "{file}"]),
     (None, ["gen-corpus", "--n", "10", "--planted-rate", "0.5"]),
+    ({**PROFILE, "total": 2.5}, ["gen-corpus", "--profile", "{file}"]),
+    ({**PROFILE, "tool_vocab_size": 2.5}, ["gen-corpus", "--profile", "{file}"]),
+    ({**PROFILE, "planted": {"length": 2.5, "rate": 0.5}}, ["gen-corpus", "--profile", "{file}"]),
 ], ids=["zero-records", "histogram-sum", "missing-total", "config-array",
         "life-out-of-range", "k-zero", "theta-out-of-range", "eta-out-of-range",
         "negative-budget", "theta-not-a-number", "seed-not-a-number", "planted-length",
         "unknown-config-key", "two-alphas", "four-alphas", "fractional-refresh-period",
-        "boolean-l-init", "planted-rate-alone"])
+        "boolean-l-init", "planted-rate-alone", "fractional-total",
+        "fractional-vocabulary", "fractional-planted-length"])
 def test_bad_user_input_exits_two(corpora, capsys, input_doc, argv):
     tmp_path, train, test = corpora
     input_file = tmp_path / "input.json"
@@ -230,9 +234,15 @@ def test_corrupt_corpus_line_exits_three(corpora, capsys):
 
     bound = next(n for n, line in enumerate(lines, 1)
                  if json.loads(line)["workflow"]["declared_inputs"])
+    task = next(n for n, line in enumerate(lines, 1)
+                if json.loads(line)["workflow"]["root"]["kind"] == "task")
     cases = [  # name, train lines, library lines, the line the error names (if any)
         ("bad-json", lines[:4] + ["{oops"] + lines[5:], None, 5),
         ("empty-tokens", with_line(3, lambda d: d["goal"].update(tokens=[])), None, 3),
+        ("string-tokens", with_line(3, lambda d: d["goal"].update(tokens="abc")), None, 3),
+        ("string-task-inputs",
+         with_line(task, lambda d: d["workflow"]["root"].update(input_schema="ctx_01")),
+         None, task),
         ("loop-node", with_line(3, lambda d: d["workflow"]["root"].update(kind="loop")),
          None, 3),
         ("repeated-record", lines[:3] + [lines[2]] + lines[3:], None, None),

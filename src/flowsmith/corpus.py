@@ -17,6 +17,13 @@ Goal descriptor tokens are unique per goal, which keeps atomic goals
 pairwise dissimilar; composite goals carry the token union of their
 parts together with a ground-truth ordered part list stored under an
 oracle-only key.
+
+Workflow nodes are immutable and shared: generated records hold their
+tools' task nodes, and composite goals hold their parts' subtrees.  A
+corpus file's cost therefore follows its distinct tasks, not their
+occurrences: :func:`load_corpus` builds one task node per distinct task
+document and :func:`save_corpus` writes each node object's document
+once, each through a table that lives for that call only.
 """
 
 from __future__ import annotations
@@ -343,6 +350,11 @@ def make_novel_goals(train: list[CorpusRecord], seed: int, count: int,
     procedures in sampled order, wrapped in one sub-workflow boundary
     for the nested structure.  Declared inputs are the union of the
     parts' input interfaces, so any part permutation still binds.
+
+    The bucket comes from the parts' metrics, each computed at most once
+    per call: ``concat`` sums task and branch counts and keeps the deepest
+    part's depth, and the nested wrapper adds one level, so it equals
+    the bucket of the composed flow's own metrics.
     """
     lo, hi = parts_range
     if not 2 <= lo <= hi:
@@ -353,10 +365,16 @@ def make_novel_goals(train: list[CorpusRecord], seed: int, count: int,
         raise ValueError("train corpus too small for the requested parts range")
     prefix = id_prefix if id_prefix is not None else f"novel-{structure}"
     rng = random.Random(derive_seed(seed, "novel", structure, prefix))
+    part_metrics: dict[int, wf.StructMetrics] = {}
     out: list[CorpusRecord] = []
     for i in range(count):
         m = rng.randint(lo, hi)
-        parts = rng.sample(train, m)
+        picks = rng.sample(range(len(train)), m)
+        parts = [train[j] for j in picks]
+        for j in picks:
+            if j not in part_metrics:
+                part_metrics[j] = wf.node_metrics(train[j].workflow.root)
+        picked = [part_metrics[j] for j in picks]
         goal_id = f"{prefix}-{i:04d}"
         expected = parts[0].workflow
         for part in parts[1:]:
@@ -376,7 +394,11 @@ def make_novel_goals(train: list[CorpusRecord], seed: int, count: int,
             output_schema=outputs,
             subgoal_template=tuple(p.goal.id for p in parts),
         )
-        kind, size = bucket_labels(wf.node_metrics(expected.root))
+        kind, size = bucket_labels(wf.StructMetrics(
+            sum(p.length for p in picked),
+            max(p.depth for p in picked) + (structure == "nested"),
+            sum(p.branch_count for p in picked),
+        ))
         out.append(CorpusRecord(goal, expected, kind, size))
     return out
 
@@ -406,25 +428,38 @@ def write_atomic(path: str | FsPath, text: str) -> None:
         raise
 
 
-def record_to_doc(record: CorpusRecord) -> dict:
+def record_to_doc(record: CorpusRecord, docs: dict | None = None) -> dict:
+    """A record's document; ``docs`` is ``wf.node_to_doc``'s table."""
     return {
         "goal": goal_to_doc(record.goal),
-        "workflow": wf.to_doc(record.workflow),
+        "workflow": wf.to_doc(record.workflow, docs),
         "bucket": {"kind": record.bucket_kind, "size": record.bucket_size},
         "oracle": {"planted": [[idx, list(path)] for idx, path in record.planted]},
     }
 
 
-def record_from_doc(doc: dict, strip_oracle: bool = False) -> CorpusRecord:
+def _planted_from_doc(entries) -> tuple[tuple[int, wf.Path], ...]:
+    """``oracle.planted`` as (pattern index, path) pairs; anything but an
+    array of ``[int, [int, ...]]`` entries raises ValueError naming the key."""
+    def fits(entry) -> bool:
+        return (isinstance(entry, (list, tuple)) and len(entry) == 2 and is_int(entry[0])
+                and isinstance(entry[1], (list, tuple)) and all(is_int(i) for i in entry[1]))
+
+    if not isinstance(entries, (list, tuple)) or not all(fits(e) for e in entries):
+        raise ValueError(f"oracle.planted must be an array of [int, [int, ...]] entries, "
+                         f"got {entries!r}")
+    return tuple((idx, tuple(path)) for idx, path in entries)
+
+
+def record_from_doc(doc: dict, strip_oracle: bool = False,
+                    tasks: dict | None = None) -> CorpusRecord:
+    """A record from its document; ``tasks`` is ``wf.node_from_doc``'s table."""
     planted: tuple[tuple[int, wf.Path], ...] = ()
     if not strip_oracle:
-        planted = tuple(
-            (int(idx), tuple(path))
-            for idx, path in doc.get("oracle", {}).get("planted", ())
-        )
+        planted = _planted_from_doc(doc.get("oracle", {}).get("planted", ()))
     return CorpusRecord(
         goal=goal_from_doc(doc["goal"], strip_oracle=strip_oracle),
-        workflow=wf.from_doc(doc["workflow"]),
+        workflow=wf.from_doc(doc["workflow"], tasks),
         bucket_kind=doc["bucket"]["kind"],
         bucket_size=doc["bucket"]["size"],
         planted=planted,
@@ -432,7 +467,10 @@ def record_from_doc(doc: dict, strip_oracle: bool = False) -> CorpusRecord:
 
 
 def save_corpus(records: list[CorpusRecord], path: str | FsPath) -> None:
-    lines = [wf.canonical_json(record_to_doc(r)) for r in records]
+    """Write one canonical line per record; a node object shared by several
+    records is turned into its document once per call."""
+    docs: dict = {}
+    lines = [wf.canonical_json(record_to_doc(r, docs)) for r in records]
     write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -453,7 +491,10 @@ def read_jsonl(path: str | FsPath, parse, label: str) -> list:
 
 
 def load_corpus(path: str | FsPath, strip_oracle: bool = False) -> list[CorpusRecord]:
-    return read_jsonl(path, lambda doc: record_from_doc(doc, strip_oracle=strip_oracle), "corpus")
+    """Read a corpus file; the records share one task node per distinct
+    task document (one ``wf.node_from_doc`` table per call)."""
+    tasks: dict = {}
+    return read_jsonl(path, lambda doc: record_from_doc(doc, strip_oracle, tasks), "corpus")
 
 
 def load_profile(path: str | FsPath) -> CorpusProfile:

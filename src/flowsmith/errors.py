@@ -59,9 +59,14 @@ def is_number(value) -> bool:
     return is_int(value) or isinstance(value, float)
 
 
-def name_set(value, key: str) -> frozenset[str]:
-    """A document's name list as a set; anything but an array of strings
+def name_list(value, key: str) -> tuple[str, ...]:
+    """A document's name list in its order; anything but an array of strings
     (a string would read as its characters) raises ValueError naming ``key``."""
     if not isinstance(value, (list, tuple)) or not all(isinstance(n, str) for n in value):
         raise ValueError(f"{key} must be an array of strings, got {value!r}")
-    return frozenset(value)
+    return tuple(value)
+
+
+def name_set(value, key: str) -> frozenset[str]:
+    """:func:`name_list` as a set."""
+    return frozenset(name_list(value, key))

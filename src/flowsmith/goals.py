@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyGoal, name_set
+from .errors import EmptyGoal, name_list, name_set
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def goal_to_doc(goal: Goal) -> dict:
 def goal_from_doc(doc: dict, strip_oracle: bool = False) -> Goal:
     template = None
     if not strip_oracle and ORACLE_SUBGOALS_KEY in doc:
-        template = tuple(doc[ORACLE_SUBGOALS_KEY])
+        template = name_list(doc[ORACLE_SUBGOALS_KEY], ORACLE_SUBGOALS_KEY)
     return Goal(
         id=doc["id"],
         tokens=name_set(doc["tokens"], "tokens"),

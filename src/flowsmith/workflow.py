@@ -15,6 +15,12 @@ The module provides:
 * contiguous subflow pattern matching,
 * a canonical, byte-stable JSON serialization.
 
+Nodes are immutable, so trees share them freely: composition splices the
+operands' subtrees into the result, and :func:`node_from_doc` and
+:func:`node_to_doc` take a table that lets one load share a task node
+between every document that describes it, and one save turn each node
+object into its document once.
+
 Conventions: a flat workflow has depth 0 and each Nest wrapper adds one
 level; Branch adds none.  Structural equality compares normalized trees,
 where nested Sequences are spliced into their parent, empty Sequences
@@ -671,7 +677,23 @@ def shape_signature(w: Workflow) -> tuple[str, tuple[str, ...]]:
 # --- serialization -----------------------------------------------------------
 
 
-def node_to_doc(node: WorkflowNode) -> dict:
+def node_to_doc(node: WorkflowNode, docs: "dict | None" = None) -> dict:
+    """A node's document.
+
+    ``docs`` maps ``id(node)`` to the document already made for that node
+    object, so a node shared by several trees is turned into its document
+    once; the caller keeps the table only while those nodes are alive.
+    Without a table every node gets a document of its own.
+    """
+    if docs is None:
+        return _node_doc(node, None)
+    doc = docs.get(id(node))
+    if doc is None:
+        doc = docs[id(node)] = _node_doc(node, docs)
+    return doc
+
+
+def _node_doc(node: WorkflowNode, docs: "dict | None") -> dict:
     if isinstance(node, TaskNode):
         return {
             "kind": "task",
@@ -681,54 +703,109 @@ def node_to_doc(node: WorkflowNode) -> dict:
             "params": {k: v for k, v in node.params},
         }
     if isinstance(node, Sequence):
-        return {"kind": "seq", "children": [node_to_doc(c) for c in node.children]}
+        return {"kind": "seq", "children": [node_to_doc(c, docs) for c in node.children]}
     if isinstance(node, Branch):
         return {
             "kind": "branch",
             "cond": {"key": node.cond.key, "op": node.cond.op, "value": node.cond.value},
-            "then": node_to_doc(node.then),
-            "else": node_to_doc(node.orelse) if node.orelse is not None else None,
+            "then": node_to_doc(node.then, docs),
+            "else": node_to_doc(node.orelse, docs) if node.orelse is not None else None,
         }
-    return {"kind": "nest", "sub_goal_id": node.sub_goal_id, "body": node_to_doc(node.body)}
+    return {"kind": "nest", "sub_goal_id": node.sub_goal_id, "body": node_to_doc(node.body, docs)}
 
 
-def node_from_doc(doc: dict) -> WorkflowNode:
+_KEY_LITERALS = (str, int, float, bool, type(None))
+
+
+def _task_key(doc: dict) -> "tuple | None":
+    """A task document's exact content as a table key, or None when the
+    document holds a value that the key could not tell apart from another.
+
+    Only a string ``tool_id``, schemas that are arrays and params mapping
+    strings to strings, integers, bools, null or non-NaN floats make a
+    key.  Each param keeps its type and each float its repr, so ``1``,
+    ``1.0`` and ``true`` (and ``0.0`` and ``-0.0``) stay apart, and a
+    string schema never keys like the list of its characters.  A schema
+    holding a non-string builds no node, so its key is never stored.
+    """
+    tool_id = doc.get("tool_id")
+    inputs = doc.get("input_schema", ())
+    outputs = doc.get("output_schema", ())
+    params = doc.get("params", {})
+    if (type(tool_id) is not str or type(params) is not dict
+            or type(inputs) not in (list, tuple) or type(outputs) not in (list, tuple)):
+        return None
+    items = []
+    for name, value in params.items():
+        kind = type(value)
+        if type(name) is not str or kind not in _KEY_LITERALS or value != value:
+            return None
+        items.append((name, kind, repr(value) if kind is float else value))
+    return tool_id, tuple(inputs), tuple(outputs), tuple(items)
+
+
+def _task_from_doc(doc: dict) -> TaskNode:
+    return TaskNode(
+        tool_id=doc["tool_id"],
+        input_schema=name_set(doc.get("input_schema", ()), "input_schema"),
+        output_schema=name_set(doc.get("output_schema", ()), "output_schema"),
+        params=tuple(sorted(doc.get("params", {}).items())),
+    )
+
+
+def node_from_doc(doc: dict, tasks: "dict | None" = None) -> WorkflowNode:
+    """Build a node from its document.
+
+    ``tasks`` maps each task document's exact content (see
+    :func:`_task_key`) to the node built from it, so a repeated task
+    document returns that node again.  Nodes are immutable, so the trees
+    that share one cannot tell; a call without a table starts its own.
+    """
+    if tasks is None:
+        tasks = {}
     kind = doc.get("kind")
     if kind == "task":
-        return TaskNode(
-            tool_id=doc["tool_id"],
-            input_schema=name_set(doc.get("input_schema", ()), "input_schema"),
-            output_schema=name_set(doc.get("output_schema", ()), "output_schema"),
-            params=tuple(sorted(doc.get("params", {}).items())),
-        )
+        key = _task_key(doc)
+        try:
+            node = tasks.get(key)
+        except TypeError:  # an unhashable schema entry: the build reports it
+            key = None
+        if key is None:
+            return _task_from_doc(doc)
+        if node is None:
+            node = tasks[key] = _task_from_doc(doc)
+        return node
     if kind == "seq":
-        return Sequence(tuple(node_from_doc(c) for c in doc["children"]))
+        return Sequence(tuple([node_from_doc(c, tasks) for c in doc["children"]]))
     if kind == "branch":
         cond = doc["cond"]
         orelse = doc.get("else")
         return Branch(
             Predicate(cond["key"], cond["op"], cond.get("value")),
-            node_from_doc(doc["then"]),
-            node_from_doc(orelse) if orelse is not None else None,
+            node_from_doc(doc["then"], tasks),
+            node_from_doc(orelse, tasks) if orelse is not None else None,
         )
     if kind == "nest":
-        return Nest(doc["sub_goal_id"], node_from_doc(doc["body"]))
+        return Nest(doc["sub_goal_id"], node_from_doc(doc["body"], tasks))
     raise ValueError(f"unknown node kind {kind!r}")
 
 
-def to_doc(w: Workflow) -> dict:
+def to_doc(w: Workflow, docs: "dict | None" = None) -> dict:
+    """A workflow's document; ``docs`` is :func:`node_to_doc`'s table."""
     return {
         "id": w.id,
         "goal_id": w.goal_id,
         "declared_inputs": sorted(w.declared_inputs),
         "declared_outputs": sorted(w.declared_outputs),
-        "root": node_to_doc(w.root),
+        "root": node_to_doc(w.root, docs),
     }
 
 
-def from_doc(doc: dict) -> Workflow:
+def from_doc(doc: dict, tasks: "dict | None" = None) -> Workflow:
+    """A workflow from its document; ``tasks`` is :func:`node_from_doc`'s
+    table, shared by the caller across documents or new for this one."""
     return Workflow(
-        root=node_from_doc(doc["root"]),
+        root=node_from_doc(doc["root"], tasks),
         declared_inputs=name_set(doc.get("declared_inputs", ()), "declared_inputs"),
         declared_outputs=name_set(doc.get("declared_outputs", ()), "declared_outputs"),
         id=doc.get("id", ""),

@@ -223,19 +223,36 @@ def test_config_k_list_number_exits_two(corpora, capsys):
     _assert_eval_config_exits_two(corpora, capsys, {"k_list": 3})
 
 
+def _edited_line(line: str, edit) -> str:
+    doc = json.loads(line)
+    edit(doc)
+    return json.dumps(doc)
+
+
 def test_corrupt_corpus_line_exits_three(corpora, capsys):
     tmp_path, train, test = corpora
     lines = open(train).read().splitlines()
 
     def with_line(number, edit):
-        doc = json.loads(lines[number - 1])
-        edit(doc)
-        return lines[:number - 1] + [json.dumps(doc)] + lines[number:]
+        return lines[:number - 1] + [_edited_line(lines[number - 1], edit)] + lines[number:]
 
     bound = next(n for n, line in enumerate(lines, 1)
                  if json.loads(line)["workflow"]["declared_inputs"])
     task = next(n for n, line in enumerate(lines, 1)
                 if json.loads(line)["workflow"]["root"]["kind"] == "task")
+
+    def listed(doc):  # a task whose inputs are ["a", "b"], declared as such
+        doc["goal"]["input_schema"] = doc["workflow"]["declared_inputs"] = ["a", "b"]
+        doc["workflow"]["root"]["input_schema"] = ["a", "b"]
+
+    def stringed(doc):  # another goal with the same task, its inputs given as "ab"
+        listed(doc)
+        doc["goal"]["id"] = doc["workflow"]["goal_id"] = "g-string"
+        doc["workflow"]["root"]["input_schema"] = "ab"
+
+    string_after_list = ([_edited_line(lines[task - 1], listed),
+                          _edited_line(lines[task - 1], stringed)]
+                         + lines[:task - 1] + lines[task:])
     cases = [  # name, train lines, library lines, the line the error names (if any)
         ("bad-json", lines[:4] + ["{oops"] + lines[5:], None, 5),
         ("empty-tokens", with_line(3, lambda d: d["goal"].update(tokens=[])), None, 3),
@@ -249,6 +266,7 @@ def test_corrupt_corpus_line_exits_three(corpora, capsys):
         ("unbound-inputs", with_line(bound, lambda d: d["workflow"].update(declared_inputs=[])),
          None, None),
         ("empty-library-record", lines, ["{}"], 1),
+        ("string-schema-after-list-schema", string_after_list, None, 2),
     ]
     for name, train_lines, library_lines, line in cases:
         named = broken = tmp_path / f"{name}.jsonl"
@@ -263,6 +281,38 @@ def test_corrupt_corpus_line_exits_three(corpora, capsys):
         err = capsys.readouterr().err
         assert str(named) in err, name
         assert line is None or f"line {line}:" in err, name
+
+
+def _oracle_subgoals(value):
+    return lambda doc: doc["goal"].update(oracle_subgoals=value)
+
+
+def _planted(value):
+    return lambda doc: doc["oracle"].update(planted=value)
+
+
+@pytest.mark.parametrize("edit", [
+    _oracle_subgoals("abc"),
+    _oracle_subgoals(["g00001", 7]),
+    _planted([["1", [0]]]),
+    _planted([[True, [0]]]),
+    _planted([[0, "012"]]),
+    _planted([[0, [2.9]]]),
+    _planted("00"),
+], ids=["string-subgoals", "number-subgoal", "string-planted-index", "bool-planted-index",
+        "string-planted-path", "float-planted-step", "string-planted"])
+def test_ill_typed_oracle_field_in_test_file_exits_three(corpora, capsys, edit):
+    tmp_path, train, test = corpora
+    lines = open(test).read().splitlines()
+    lines[2] = _edited_line(lines[2], edit)
+    broken = tmp_path / "broken-test.jsonl"
+    broken.write_text("\n".join(lines) + "\n")
+    code = cli.main(["eval", "--train", train, "--test", str(broken),
+                     "--report", str(tmp_path / "r.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(broken) in err and "line 3:" in err
+    assert "oracle_subgoals" in err or "oracle.planted" in err
 
 
 def test_missing_test_file_exits_two(corpora, capsys):

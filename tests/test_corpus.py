@@ -1,5 +1,6 @@
 import json
 import os
+import random
 
 import pytest
 
@@ -7,9 +8,9 @@ from flowsmith import corpus as cp
 from flowsmith import workflow as wf
 from flowsmith.agents import build_agents, retrieve
 from flowsmith.errors import InfeasibleProfile
-from flowsmith.goals import similarity
+from flowsmith.goals import Goal, similarity
 
-from .conftest import oracle_validate
+from .conftest import oracle_validate, random_flow
 
 
 
@@ -177,6 +178,33 @@ def test_novel_goals_force_decomposition(small_corpus, trained_net):
                    for g, _ in trained_net.training)
 
 
+def _branchy_train(seed: int, count: int) -> list[cp.CorpusRecord]:
+    """Hand-built training records whose flows hold Branch nodes, which the
+    generator never makes."""
+    rng = random.Random(seed)
+    records = []
+    for i in range(count):
+        flow = random_flow(rng, max_tasks=5, max_depth=3)
+        goal = Goal(id=f"b{i:03d}", tokens={f"b{i:03d}:k0"},
+                    input_schema=flow.declared_inputs, output_schema=flow.declared_outputs)
+        kind, size = cp.bucket_labels(wf.node_metrics(flow.root))
+        records.append(cp.CorpusRecord(goal, flow.replace(goal_id=goal.id), kind, size))
+    assert any(wf.node_metrics(r.workflow.root).branch_count for r in records)
+    return records
+
+
+@pytest.mark.parametrize("structure", ["linear", "nested"])
+def test_novel_goal_bucket_is_the_composed_flows_bucket(small_corpus, structure):
+    trains = [small_corpus, _branchy_train(3, 30), small_corpus[:40] + _branchy_train(5, 20)]
+    for train in trains:
+        for seed in (1, 2, 3):
+            for parts_range in ((2, 2), (2, 4), (4, 6)):
+                novel = cp.make_novel_goals(train, seed, 15, parts_range, structure)
+                for record in novel:
+                    want = cp.bucket_labels(wf.node_metrics(record.workflow.root))
+                    assert (record.bucket_kind, record.bucket_size) == want
+
+
 def test_novel_expected_workflow_matches_template_composition(small_corpus):
     novel = cp.make_novel_goals(small_corpus, seed=12, count=10, parts_range=(2, 3))
     by_id = {r.goal.id: r for r in small_corpus}
@@ -196,6 +224,53 @@ def test_corpus_file_round_trip(tmp_path, small_corpus):
     cp.save_corpus(small_corpus, path)
     back = cp.load_corpus(path)
     assert [cp.record_to_doc(r) for r in back] == [cp.record_to_doc(r) for r in small_corpus]
+
+
+def _task_record(index: int, task: wf.TaskNode) -> cp.CorpusRecord:
+    goal = Goal(id=f"p{index}", tokens={f"p{index}:k0"},
+                input_schema=task.input_schema, output_schema=task.output_schema)
+    flow = wf.Workflow(task, task.input_schema, task.output_schema, f"w-p{index}", goal.id)
+    return cp.CorpusRecord(goal, flow, "linear", "1")
+
+
+def test_task_params_keep_their_types_through_load_and_save(tmp_path):
+    values = [1, 1.0, True, 0.0, -0.0, "1", None]
+    records = [_task_record(i, wf.TaskNode("t000", {"ctx_00"}, {"t000_o0"}, {"x": value}))
+               for i, value in enumerate(values)]
+    path, again = tmp_path / "params.jsonl", tmp_path / "again.jsonl"
+    cp.save_corpus(records, path)
+    loaded = cp.load_corpus(path)
+    assert [repr(dict(r.workflow.root.params)["x"]) for r in loaded] == list(map(repr, values))
+    cp.save_corpus(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_loaded_corpus_holds_one_task_node_per_distinct_task_document(tmp_path):
+    profile = cp.CorpusProfile(total=60, node_histogram={2: 0.25, 3: 0.25, 4: 0.25, 5: 0.25},
+                               depth_histogram={0: 0.25, 1: 0.5, 2: 0.25}, tool_vocab_size=24)
+    train = cp.generate(profile, seed=7)
+    goals = (cp.make_novel_goals(train, 7, 40, (4, 6), "linear")
+             + cp.make_novel_goals(train, 7, 40, (4, 6), "nested"))
+    for records, name in ((train, "train"), (goals, "test")):
+        path, again = tmp_path / f"{name}.jsonl", tmp_path / f"{name}-again.jsonl"
+        cp.save_corpus(records, path)
+        loaded = cp.load_corpus(path)
+        tasks = [t for r in loaded for t in wf.task_order(r.workflow.root)]
+        documents = {wf.canonical_json(wf.node_to_doc(t)) for t in tasks}
+        assert len({id(t) for t in tasks}) == len(documents) < len(tasks)
+        cp.save_corpus(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def test_task_nodes_are_shared_within_one_load_only(tmp_path, small_corpus):
+    path = tmp_path / "corpus.jsonl"
+    cp.save_corpus(small_corpus, path)
+    first, second = cp.load_corpus(path), cp.load_corpus(path)
+    task = wf.task_order(first[0].workflow.root)[0]
+    assert task == wf.task_order(second[0].workflow.root)[0]
+    assert all(t is not task for r in second for t in wf.task_order(r.workflow.root))
+    alone = wf.from_doc(wf.to_doc(first[0].workflow))
+    assert wf.task_order(alone.root)[0] is not task
 
 
 def test_corpus_loader_strips_oracle_fields(tmp_path, small_corpus):

@@ -457,11 +457,15 @@ def record_from_doc(doc: dict, strip_oracle: bool = False,
     planted: tuple[tuple[int, wf.Path], ...] = ()
     if not strip_oracle:
         planted = _planted_from_doc(doc.get("oracle", {}).get("planted", ()))
+    bucket = doc["bucket"]
+    for key in ("kind", "size"):
+        if type(bucket[key]) is not str:
+            raise ValueError(f"bucket.{key} must be a string, got {bucket[key]!r}")
     return CorpusRecord(
         goal=goal_from_doc(doc["goal"], strip_oracle=strip_oracle),
         workflow=wf.from_doc(doc["workflow"], tasks),
-        bucket_kind=doc["bucket"]["kind"],
-        bucket_size=doc["bucket"]["size"],
+        bucket_kind=bucket["kind"],
+        bucket_size=bucket["size"],
         planted=planted,
     )
 

@@ -726,7 +726,8 @@ def _task_key(doc: dict) -> "tuple | None":
     key.  Each param keeps its type and each float its repr, so ``1``,
     ``1.0`` and ``true`` (and ``0.0`` and ``-0.0``) stay apart, and a
     string schema never keys like the list of its characters.  A schema
-    holding a non-string builds no node, so its key is never stored.
+    holding a non-string, a tool_id that is not a string or a param value
+    that is not a JSON scalar builds no node, so its key is never stored.
     """
     tool_id = doc.get("tool_id")
     inputs = doc.get("input_schema", ())
@@ -745,11 +746,17 @@ def _task_key(doc: dict) -> "tuple | None":
 
 
 def _task_from_doc(doc: dict) -> TaskNode:
+    tool_id, params = doc["tool_id"], doc.get("params", {})
+    if type(tool_id) is not str or not tool_id:
+        raise ValueError(f"tool_id must be a non-empty string, got {tool_id!r}")
+    if type(params) is not dict or any(type(v) not in _KEY_LITERALS for v in params.values()):
+        raise ValueError("params must map names to strings, numbers, bools or null, "
+                         f"got {params!r}")
     return TaskNode(
-        tool_id=doc["tool_id"],
+        tool_id=tool_id,
         input_schema=name_set(doc.get("input_schema", ()), "input_schema"),
         output_schema=name_set(doc.get("output_schema", ()), "output_schema"),
-        params=tuple(sorted(doc.get("params", {}).items())),
+        params=tuple(sorted(params.items())),
     )
 
 

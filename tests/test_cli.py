@@ -267,6 +267,11 @@ def test_corrupt_corpus_line_exits_three(corpora, capsys):
          None, None),
         ("empty-library-record", lines, ["{}"], 1),
         ("string-schema-after-list-schema", string_after_list, None, 2),
+        ("number-tool-id", with_line(task, lambda d: d["workflow"]["root"].update(tool_id=5)),
+         None, task),
+        ("list-param",
+         with_line(task, lambda d: d["workflow"]["root"].update(params={"x": [1]})),
+         None, task),
     ]
     for name, train_lines, library_lines, line in cases:
         named = broken = tmp_path / f"{name}.jsonl"
@@ -313,6 +318,20 @@ def test_ill_typed_oracle_field_in_test_file_exits_three(corpora, capsys, edit):
     err = capsys.readouterr().err
     assert str(broken) in err and "line 3:" in err
     assert "oracle_subgoals" in err or "oracle.planted" in err
+
+
+@pytest.mark.parametrize("key, value", [("kind", 5), ("size", [1])])
+def test_ill_typed_bucket_in_test_file_exits_three(corpora, capsys, key, value):
+    tmp_path, train, test = corpora
+    lines = open(test).read().splitlines()
+    lines[2] = _edited_line(lines[2], lambda doc: doc["bucket"].update({key: value}))
+    broken = tmp_path / "broken-test.jsonl"
+    broken.write_text("\n".join(lines) + "\n")
+    code = cli.main(["eval", "--train", train, "--test", str(broken),
+                     "--report", str(tmp_path / "r.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(broken) in err and "line 3:" in err and f"bucket.{key}" in err
 
 
 def test_missing_test_file_exits_two(corpora, capsys):

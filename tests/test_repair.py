@@ -63,19 +63,17 @@ def test_diagnose_deleted_task_maps_to_missing_step_at_path():
     expected = chain_flow([0, 1, 2])
     faulty = _delete_task(expected, 1)
     verdict = verify(faulty, expected, SolveConfig(mode="oracle"))
-    hyps = diagnose(verdict, faulty, expected)
-    assert len(hyps) == 1
-    assert hyps[0].kind == MISSING_STEP
-    assert hyps[0].location == (1,)
-    assert hyps[0].needed == frozenset({"o1"})
+    hyp = diagnose(verdict, faulty, expected)
+    assert hyp.kind == MISSING_STEP
+    assert hyp.location == (1,)
+    assert hyp.needed == frozenset({"o1"})
 
 
 def test_diagnose_transposition_maps_to_wrong_order():
     expected = chain_flow([0, 1, 2])
     faulty = _swap_adjacent(expected, 0)
     verdict = verify(faulty, expected, SolveConfig(mode="oracle"))
-    hyps = diagnose(verdict, faulty, expected)
-    assert [h.kind for h in hyps] == [WRONG_ORDER]
+    assert diagnose(verdict, faulty, expected).kind == WRONG_ORDER
 
 
 def test_diagnose_missing_branch_subtree():
@@ -84,9 +82,9 @@ def test_diagnose_missing_branch_subtree():
     expected = wf.branch(host, wf.Predicate(sorted(alt.declared_outputs)[0], "exists"), alt)
     verdict = verify(host.replace(declared_inputs=expected.declared_inputs),
                      expected, SolveConfig(mode="oracle"))
-    hyps = diagnose(verdict, host, expected)
-    assert [h.kind for h in hyps] == [MISSING_BRANCH]
-    assert hyps[0].needed == alt.declared_outputs
+    hyp = diagnose(verdict, host, expected)
+    assert hyp.kind == MISSING_BRANCH
+    assert hyp.needed == alt.declared_outputs
 
 
 def test_diagnose_insert_inside_a_branch_arm_maps_to_missing_branch():
@@ -97,29 +95,31 @@ def test_diagnose_insert_inside_a_branch_arm_maps_to_missing_branch():
     candidate = mk_flow([t00, wf.Branch(cond, t01)], ins={"seed"}, outs={"o0"})
     verdict = verify(candidate, expected)
     assert verdict.edit_script == (wf.InsertNode((1, 0, 1), t02),)
-    hyps = diagnose(verdict, candidate, expected)
-    assert [(h.kind, h.location) for h in hyps] == [(MISSING_BRANCH, (1, 0, 1))]
+    hyp = diagnose(verdict, candidate, expected)
+    assert (hyp.kind, hyp.location) == (MISSING_BRANCH, (1, 0, 1))
 
 
 def test_diagnose_root_nest_maps_to_over_abstraction():
     flat = chain_flow([0, 1], gid="gnest")
     expected = wf.nest(flat, (), "gnest", flat)
     verdict = verify(flat, expected, SolveConfig(mode="oracle"))
-    hyps = diagnose(verdict, flat, expected)
-    assert [h.kind for h in hyps] == [OVER_ABSTRACTION]
-    assert hyps[0].location == ()
-    assert hyps[0].needed == "gnest"
+    hyp = diagnose(verdict, flat, expected)
+    assert hyp.kind == OVER_ABSTRACTION
+    assert hyp.location == ()
+    assert hyp.needed == "gnest"
 
 
 def test_diagnose_goal_anchored_missing_outputs():
     candidate = chain_flow([0])
     target = Goal(id="g", tokens=frozenset({"g"}),
                   input_schema=candidate.declared_inputs,
-                  output_schema=frozenset({"o0", "report"}))
+                  output_schema=frozenset({"o0", "report", "summary"}))
     verdict = verify(candidate, target, SolveConfig(mode="goal_anchored"))
-    hyps = diagnose(verdict, candidate, target)
-    assert [h.kind for h in hyps] == [MISSING_STEP]
-    assert hyps[0].needed == frozenset({"report"})
+    # one missing step at the frontier that needs every missing output
+    hyp = diagnose(verdict, candidate, target)
+    assert hyp.kind == MISSING_STEP
+    assert hyp.location == (1,)
+    assert hyp.needed == frozenset({"report", "summary"})
 
 
 # --- apply -------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def test_apply_insert_with_unique_exact_match_restores_equality():
     expected = chain_flow([0, 1, 2])
     faulty = _delete_task(expected, 1)
     verdict = verify(faulty, expected, SolveConfig(mode="oracle"))
-    hypothesis = diagnose(verdict, faulty, expected)[0]
+    hypothesis = diagnose(verdict, faulty, expected)
     repaired, agent = apply(faulty, hypothesis, net, SolveConfig(), random.Random(0))
     assert hypothesis.kind == MISSING_STEP and agent is agent_named(net, "g1")
     assert wf.structurally_equal(repaired, expected)
@@ -141,7 +141,7 @@ def test_apply_reorder_restores_equality():
     expected = chain_flow([0, 1, 2])
     faulty = _swap_adjacent(expected, 1)
     verdict = verify(faulty, expected, SolveConfig(mode="oracle"))
-    hypothesis = diagnose(verdict, faulty, expected)[0]
+    hypothesis = diagnose(verdict, faulty, expected)
     repaired, agent = apply(faulty, hypothesis, net, SolveConfig(), random.Random(0))
     assert hypothesis.kind == WRONG_ORDER and agent is None
     assert wf.structurally_equal(repaired, expected)
@@ -152,7 +152,7 @@ def test_apply_missing_step_on_empty_network_raises():
     expected = chain_flow([0, 1])
     faulty = _delete_task(expected, 0)
     verdict = verify(faulty, expected, SolveConfig(mode="oracle"))
-    hypothesis = diagnose(verdict, faulty, expected)[0]
+    hypothesis = diagnose(verdict, faulty, expected)
     with pytest.raises(NoEligibleAgent):
         apply(faulty, hypothesis, net, SolveConfig(), random.Random(0))
 
@@ -174,7 +174,7 @@ def test_apply_branch_rebuilds_generated_branch_exactly():
     assert wf.validate(expected).ok
     candidate = host.replace(declared_inputs=expected.declared_inputs)
     verdict = verify(candidate, expected, SolveConfig(mode="oracle"))
-    hypothesis = diagnose(verdict, candidate, expected)[0]
+    hypothesis = diagnose(verdict, candidate, expected)
     repaired, agent = apply(candidate, hypothesis, net, SolveConfig(), random.Random(0))
     assert hypothesis.kind == MISSING_BRANCH and agent is agent_named(net, "g2")
     assert wf.structurally_equal(repaired, expected)
@@ -302,7 +302,7 @@ def test_repair_loop_stalls_when_the_nest_goal_cannot_be_decomposed():
                        gid="nest")
     candidate = chain_flow([0, 1], gid="nest")
     verdict = verify(candidate, expected)
-    assert [h.kind for h in diagnose(verdict, candidate, expected)] == [OVER_ABSTRACTION]
+    assert diagnose(verdict, candidate, expected).kind == OVER_ABSTRACTION
     _, verdict, trace, stop = repair_loop(net, _flow_goal(expected, "nest"), candidate,
                                           verdict, expected, SolveConfig(repair_budget=3),
                                           random.Random(0))
@@ -311,7 +311,7 @@ def test_repair_loop_stalls_when_the_nest_goal_cannot_be_decomposed():
     assert trace == []
 
 
-def test_repair_loop_skips_a_nest_whose_goal_is_unknown():
+def test_repair_loop_stalls_at_once_on_a_nest_whose_goal_is_unknown():
     # "ghost" is neither the episode goal nor the goal of any pool agent
     net = chain_pool(4)
     t00, t01 = chain_tasks([0, 1])
@@ -319,8 +319,8 @@ def test_repair_loop_skips_a_nest_whose_goal_is_unknown():
                        gid="nest")
     candidate = chain_flow([0, 1], gid="nest")
     verdict = verify(candidate, expected)
-    hyps = diagnose(verdict, candidate, expected)
-    assert [(h.kind, h.needed) for h in hyps] == [(OVER_ABSTRACTION, "ghost")]
+    hyp = diagnose(verdict, candidate, expected)
+    assert (hyp.kind, hyp.needed) == (OVER_ABSTRACTION, "ghost")
     _, verdict, trace, stop = repair_loop(net, _flow_goal(expected, "nest"), candidate,
                                           verdict, expected, SolveConfig(repair_budget=3),
                                           random.Random(0))
@@ -329,23 +329,56 @@ def test_repair_loop_skips_a_nest_whose_goal_is_unknown():
     assert trace == []
 
 
-def test_repair_loop_skips_an_insert_whose_location_is_gone():
-    # Each hypothesis location assumes the earlier edits were applied; with the
-    # Nest skipped, the Insert at (2,) points past the one-child candidate.
+def test_repair_loop_stalls_at_once_when_the_first_fault_cannot_be_repaired():
+    # The script inserts the "ghost" Nest at (1,), then t02 at (2,), a location
+    # that holds only once the Nest is in: the loop acts on the first fault alone.
     net = chain_pool(4)
     t00, t01, t02 = chain_tasks([0, 1, 2])
     expected = mk_flow([t00, wf.Nest("ghost", t01), t02], ins={"seed"},
                        outs={"o0", "o1", "o2"}, gid="gap")
     candidate = chain_flow([0], gid="gap")
     verdict = verify(candidate, expected)
-    hyps = diagnose(verdict, candidate, expected)
-    assert [(h.kind, h.location) for h in hyps] == [(OVER_ABSTRACTION, (1,)), (MISSING_STEP, (2,))]
+    hyp = diagnose(verdict, candidate, expected)
+    assert (hyp.kind, hyp.location) == (OVER_ABSTRACTION, (1,))
     _, verdict, trace, stop = repair_loop(net, _flow_goal(expected, "gap"), candidate,
                                           verdict, expected, SolveConfig(repair_budget=3),
                                           random.Random(0))
     assert stop == "stalled"
     assert not verdict.passed
     assert trace == []
+
+
+def test_repair_loop_does_not_insert_past_a_first_step_nothing_produces():
+    # Nothing produces o2, so the first fault (t02 at (1,)) has no repair. The
+    # second Insert's location (3,) assumes t02 is in; applied to the candidate
+    # as it stands, it would append t06 after t08 and lengthen the script.
+    flows = {f"g{k}": chain_flow([k]) for k in (0, 4, 6, 8)}
+    net = build_agents([(_flow_goal(flow, gid), flow.replace(goal_id=gid))
+                        for gid, flow in flows.items()])
+    expected = chain_flow([0, 2, 4, 6, 8], gid="hole")
+    faulty = _delete_task(_delete_task(expected, 3), 1)
+    verdict = verify(faulty, expected)
+    assert [type(e) for e in verdict.edit_script] == [wf.InsertNode, wf.InsertNode]
+    repaired, after, trace, stop = repair_loop(net, _flow_goal(expected, "hole"), faulty,
+                                               verdict, expected,
+                                               SolveConfig(repair_budget=3), random.Random(0))
+    assert stop == "stalled"
+    assert trace == []
+    assert repaired is faulty and after is verdict
+
+
+def test_diagnose_gives_none_when_the_first_edit_deletes_or_replaces():
+    # no operator removes or replaces a node, so no repair could make these pass
+    expected = chain_flow([0, 1], gid="none")
+    kids = list(wf.child_list(wf.normalize_node(expected.root)))
+    extra = mk_flow(kids + [chain_tasks([2])[0]], ins=expected.declared_inputs,
+                    outs=expected.declared_outputs)
+    swapped = mk_flow([kids[0], mk_task("other", {"o0"}, {"o1"})],
+                      ins=expected.declared_inputs, outs=expected.declared_outputs)
+    for candidate, edit_type in ((extra, wf.DeleteNode), (swapped, wf.ReplaceSubtree)):
+        verdict = verify(candidate, expected)
+        assert type(verdict.edit_script[0]) is edit_type
+        assert diagnose(verdict, candidate, expected) is None
 
 
 def test_repair_loop_progress_is_strict_along_trace():

@@ -30,6 +30,18 @@ def test_task_requires_tool_id():
         mk_task("")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("tool_id", 5), ("tool_id", ""), ("params", {"x": [1]}), ("params", {"x": {}}),
+    ("params", [["x", 1]]),
+])
+def test_task_document_with_ill_typed_tool_id_or_params_is_rejected(key, value):
+    doc = {"kind": "task", "tool_id": "a", "input_schema": [], "output_schema": ["y"],
+           "params": {"n": 1.5, "i": 2, "s": "v", "b": True, "z": None}}
+    wf.node_from_doc(doc)  # every JSON scalar is a param value
+    with pytest.raises(ValueError, match=key):
+        wf.node_from_doc({**doc, key: value})
+
+
 def test_predicate_value_rules():
     wf.Predicate("k", "equals", 3)
     wf.Predicate("k", "exists")

@@ -16,11 +16,22 @@ makes it, and ``eliminate_and_refresh``, the one place the active list
 changes, updates ``by_token`` for each agent it archives, revives or
 spawns.  ``retrieve``, ``cover_split`` and ``is_novel`` answer from
 them, so an episode touches only the agents that share a token with
-the goal.  ``best_producers`` and ``goal_named`` serve only repairs and
-still scan the active list, and so does the refresh that re-covers the
-training goals: every ``refresh_period``-th ``eliminate_and_refresh``
-compares each training goal with the active agents, about 0.46 s at
-1,600 agents and 10.7 s at 6,400 (``bench/pool_scale.py``,
+the goal.
+
+The answers of ``retrieve`` (per goal token set and theta) and of
+``cover_split`` (per goal token set) depend only on which agents are
+active, so the network keeps them in ``read_memo`` and answers a
+repeated question from there.  ``_index`` and ``_unindex``, which every
+change of membership goes through, clear it; a split that fails is
+never kept.  On a run of novel goals built from a small pool most
+questions repeat: the benchmark's ``repair`` workload asks about 9,000
+retrievals of 1,120 token sets.
+
+``best_producers`` and ``goal_named`` serve only repairs and still scan
+the active list, and so does the refresh that re-covers the training
+goals: every ``refresh_period``-th ``eliminate_and_refresh`` compares
+each training goal with the active agents, about 0.46 s at 1,600
+agents and 10.7 s at 6,400 (``bench/pool_scale.py``,
 ``BENCH_15.json``).  Most of those pairs share no token, and
 ``similarity`` answers them without building a set.  The pass stays a
 scan until ROADMAP item 1a lands.
@@ -142,20 +153,25 @@ class AgentNetwork:
     solved_shapes: dict = field(default_factory=dict)
     by_token: dict[str, set[AtomicAgent]] = field(init=False, repr=False)
     training_tokens: set[frozenset[str]] = field(init=False, repr=False)
+    # ("retrieve", tokens, theta) or ("cover_split", tokens) -> the answer
+    read_memo: dict[tuple, list] = field(init=False, repr=False)
 
     def __post_init__(self):
         self.by_token = {}
+        self.read_memo = {}
         for agent in self.active:
             _index(self, agent)
         self.training_tokens = {goal.tokens for goal, _ in self.training}
 
 
 def _index(net: AgentNetwork, agent: AtomicAgent) -> None:
+    net.read_memo.clear()
     for token in agent.goal.tokens:
         net.by_token.setdefault(token, set()).add(agent)
 
 
 def _unindex(net: AgentNetwork, agent: AtomicAgent) -> None:
+    net.read_memo.clear()
     for token in agent.goal.tokens:
         net.by_token[token].discard(agent)
 
@@ -196,13 +212,17 @@ def retrieve(net: AgentNetwork, goal: Goal, theta: float) -> list[tuple[AtomicAg
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    scored = []
-    for agent in _holders(net, goal.tokens):
-        score = similarity(agent.goal, goal)
-        if score > theta:
-            scored.append((agent, score))
-    scored.sort(key=lambda pair: (-pair[1], pair[0].agent_id))
-    return scored
+    key = ("retrieve", goal.tokens, theta)
+    scored = net.read_memo.get(key)
+    if scored is None:
+        scored = []
+        for agent in _holders(net, goal.tokens):
+            score = similarity(agent.goal, goal)
+            if score > theta:
+                scored.append((agent, score))
+        scored.sort(key=lambda pair: (-pair[1], pair[0].agent_id))
+        net.read_memo[key] = scored
+    return list(scored)
 
 
 def cover_split(net: AgentNetwork, goal: Goal) -> list[Goal]:
@@ -210,19 +230,26 @@ def cover_split(net: AgentNetwork, goal: Goal) -> list[Goal]:
 
     Largest remaining overlap wins, ties by ascending agent id; the pick
     order is the subgoal order.  DecompositionFailure if a token has no cover.
+    The agents holding a residual token are those of the goal's holders
+    that still meet the residual, so the holders are gathered once.
     """
-    residual = set(goal.tokens)
-    parts: list[Goal] = []
-    while residual:
+    key = ("cover_split", goal.tokens)
+    parts = net.read_memo.get(key)
+    if parts is None:
+        residual = set(goal.tokens)
         holders = _holders(net, residual)
-        if not holders:
-            raise DecompositionFailure(
-                f"tokens {sorted(residual)} of goal {goal.id!r} are not coverable"
-            )
-        best = min(holders, key=lambda a: (-len(a.goal.tokens & residual), a.agent_id))
-        parts.append(best.goal)
-        residual -= best.goal.tokens
-    return parts
+        parts = []
+        while residual:
+            holders = [a for a in holders if not a.goal.tokens.isdisjoint(residual)]
+            if not holders:
+                raise DecompositionFailure(
+                    f"tokens {sorted(residual)} of goal {goal.id!r} are not coverable"
+                )
+            best = min(holders, key=lambda a: (-len(a.goal.tokens & residual), a.agent_id))
+            parts.append(best.goal)
+            residual -= best.goal.tokens
+        net.read_memo[key] = parts
+    return list(parts)
 
 
 def is_novel(net: AgentNetwork, goal: Goal) -> bool:

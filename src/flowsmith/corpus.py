@@ -23,7 +23,9 @@ tools' task nodes, and composite goals hold their parts' subtrees.  A
 corpus file's cost therefore follows its distinct tasks, not their
 occurrences: :func:`load_corpus` builds one task node per distinct task
 document and :func:`save_corpus` writes each node object's document
-once, each through a table that lives for that call only.
+once, each through a table that lives for that call only unless the
+caller passes one to ``load_corpus``: files loaded through one table
+share their task nodes, so equal tasks from two files are one object.
 """
 
 from __future__ import annotations
@@ -494,10 +496,14 @@ def read_jsonl(path: str | FsPath, parse, label: str) -> list:
     return items
 
 
-def load_corpus(path: str | FsPath, strip_oracle: bool = False) -> list[CorpusRecord]:
+def load_corpus(path: str | FsPath, strip_oracle: bool = False,
+                tasks: dict | None = None) -> list[CorpusRecord]:
     """Read a corpus file; the records share one task node per distinct
-    task document (one ``wf.node_from_doc`` table per call)."""
-    tasks: dict = {}
+    task document.  ``tasks`` is ``wf.node_from_doc``'s table: pass the
+    same one to several loads to share nodes across their files, or none
+    for a table of this call's own."""
+    if tasks is None:
+        tasks = {}
     return read_jsonl(path, lambda doc: record_from_doc(doc, strip_oracle, tasks), "corpus")
 
 

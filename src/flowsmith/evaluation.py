@@ -242,8 +242,12 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
     for label, path in (("train", config.train_path), ("test", config.test_path)):
         if not path or not os.path.exists(path):
             raise ConfigError(f"{label} corpus file missing: {path!r}")
-    train = load_corpus(config.train_path, strip_oracle=True)
-    test = load_corpus(config.test_path)
+    # One task table for both files: an expected workflow then holds the
+    # very task nodes of the agents' procedures, and diff compares them by
+    # identity first.
+    tasks: dict = {}
+    train = load_corpus(config.train_path, strip_oracle=True, tasks=tasks)
+    test = load_corpus(config.test_path, tasks=tasks)
     library: list[wf.Workflow] = []
     if config.library_path:
         if not os.path.exists(config.library_path):

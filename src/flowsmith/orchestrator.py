@@ -208,7 +208,7 @@ def decompose(net: AgentNetwork, goal: Goal, config: SolveConfig,
             except NoEligibleAgent:
                 chosen = None
             if chosen is not None:
-                return Resolved(g, chosen), wf.produced_fields(chosen.procedure.root)
+                return Resolved(g, chosen), chosen.procedure.produced
         if not config.hypothesis:
             raise DecompositionFailure(
                 f"no agent above threshold for goal {g.id!r} and structural "
@@ -298,7 +298,7 @@ def verify(candidate: wf.Workflow, target, config: SolveConfig = SolveConfig()) 
     if not isinstance(target, Goal):
         raise ValueError("goal-anchored verification needs a Goal target")
     unbound = bool(wf.dataflow_violations(candidate.root, target.input_schema))
-    produced = wf.produced_fields(candidate.root)
+    produced = candidate.produced
     required = target.output_schema
     if config.output_goal:
         missing = required - produced
@@ -320,7 +320,12 @@ def verify(candidate: wf.Workflow, target, config: SolveConfig = SolveConfig()) 
 
 def _localize_fault(verdict: Verdict,
                     segments: list[tuple[AtomicAgent, int]]) -> AtomicAgent | None:
-    """Map the first oracle edit to the agent owning that top-level slot."""
+    """Map the first oracle edit to the agent owning that top-level slot.
+
+    ``verdict`` must be that of the composed candidate the segments
+    describe: a repair shifts or folds the top-level slots, so the
+    repaired candidate's edits do not address them.
+    """
     if not verdict.edit_script or not segments:
         return None
     path = verdict.edit_script[0].path
@@ -354,7 +359,8 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
     verification one candidate is composed and scored, with no reward or
     penalty.  Outcomes follow the attribution rules: the passing path is
     rewarded, the fault-localized step of a failed candidate is
-    penalized.
+    penalized.  The fault is localized in the composed candidate, before
+    any repair, because that is the candidate the segments describe.
     """
     from .repair import repair_loop  # deferred to avoid an import cycle
 
@@ -384,6 +390,7 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
         if not config.verification:
             episode.candidates.append((candidate, verdict))
             break
+        blamed = _localize_fault(verdict, segments)
 
         if not verdict.passed and config.hypothesis and config.repair_budget >= 1:
             candidate, verdict, trace, _ = repair_loop(net, goal, candidate, verdict,
@@ -399,8 +406,7 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
             _reward_path(net, episode, goal, candidate, path_agents, verdict, novel,
                          config.scale_control)
             break
-        _penalize_path(net, episode, goal, candidate, path_agents, verdict, segments,
-                       config)
+        _penalize_path(net, episode, goal, candidate, path_agents, verdict, blamed, config)
     return episode
 
 
@@ -424,11 +430,10 @@ def _reward_path(net: AgentNetwork, episode: EpisodeResult, goal: Goal,
 
 def _penalize_path(net: AgentNetwork, episode: EpisodeResult, goal: Goal,
                    candidate: wf.Workflow, path_agents: list[AtomicAgent], verdict: Verdict,
-                   segments: list[tuple[AtomicAgent, int]], config: SolveConfig) -> None:
-    blamed = _localize_fault(verdict, segments) if verdict.mode == "oracle" else None
+                   blamed: AtomicAgent | None, config: SolveConfig) -> None:
     drift = 0.0
     if verdict.mode == "goal_anchored" and 0.0 < verdict.score < 1.0:
-        produced = wf.produced_fields(candidate.root)
+        produced = candidate.produced
         expected_fields = goal.output_schema
         union = produced | expected_fields
         overlap = produced & expected_fields

@@ -24,11 +24,20 @@ object into its document once.
 Conventions: a flat workflow has depth 0 and each Nest wrapper adds one
 level; Branch adds none.  Structural equality compares normalized trees,
 where nested Sequences are spliced into their parent, empty Sequences
-are dropped, and single-child Sequences collapse to the child.  Each
-:class:`Workflow` computes its normal form at most once
-(:attr:`Workflow.normal_root`), and normalization returns every subtree
-that is already normal as the same object, so the normal form of a
-normal tree is its root.
+are dropped, and single-child Sequences collapse to the child.
+Normalization returns every subtree that is already normal as the same
+object, so the normal form of a normal tree is its root.
+
+A :class:`Workflow` keeps two facts about its tree, each computed on
+first use: its normal form (:attr:`Workflow.normal_root`) and the fields
+it is guaranteed to produce (:attr:`Workflow.produced`).  An agent's
+procedure never changes, so each is walked once per run however often
+the solve loop reads it.  The walks that answer other questions take
+one pass each: the dataflow check first asks only whether the tree
+binds, and builds paths and messages only when it does not;
+:func:`dead_node_ratio` keeps one set of needed fields; and
+:func:`shape_signature` splices Sequences and Nests as it goes instead
+of building the flattened tree.
 """
 
 from __future__ import annotations
@@ -136,11 +145,13 @@ class Workflow:
         object.__setattr__(self, "declared_outputs", frozenset(self.declared_outputs))
 
     def replace(self, **changes) -> "Workflow":
-        """A copy with ``changes``; it keeps a computed normal form unless
-        ``root`` is among them."""
+        """A copy with ``changes``; it keeps the facts already computed about
+        the tree unless ``root`` is among them."""
         new = dataclasses.replace(self, **changes)
-        if "root" not in changes and "normal_root" in self.__dict__:
-            new.__dict__["normal_root"] = self.__dict__["normal_root"]
+        if "root" not in changes:
+            for name in _TREE_FACTS:
+                if name in self.__dict__:
+                    new.__dict__[name] = self.__dict__[name]
         return new
 
     @cached_property
@@ -153,6 +164,16 @@ class Workflow:
         normal, records that result as its own normal form.
         """
         return normalize_node(self.root)
+
+    @cached_property
+    def produced(self) -> frozenset[str]:
+        """``produced_fields(root)``, computed on first use and kept, as
+        :attr:`normal_root` is."""
+        return produced_fields(self.root)
+
+
+# The cached properties of a Workflow that depend on its root alone.
+_TREE_FACTS = ("normal_root", "produced")
 
 
 @dataclass(frozen=True)
@@ -260,8 +281,49 @@ def produced_fields(node: WorkflowNode) -> frozenset[str]:
     return produced_fields(node.body)
 
 
+def _binds(node: WorkflowNode, scope: set[str]) -> bool:
+    """Whether every task input under ``node`` is bound, with no empty
+    Sequence; adds to ``scope`` what ``node`` is guaranteed to produce.
+
+    Branch arms run on copies, and only the fields both arms produce join
+    the scope, so after a True answer ``scope`` holds exactly what the
+    message pass of :func:`dataflow_violations` would have in scope.
+    """
+    if isinstance(node, TaskNode):
+        if not node.input_schema <= scope:
+            return False
+        scope |= node.output_schema
+        return True
+    if isinstance(node, Sequence):
+        if not node.children:
+            return False
+        for child in node.children:
+            if not _binds(child, scope):
+                return False
+        return True
+    if isinstance(node, Branch):
+        then_scope = set(scope)
+        if not _binds(node.then, then_scope):
+            return False
+        if node.orelse is None:
+            return True
+        else_scope = set(scope)
+        if not _binds(node.orelse, else_scope):
+            return False
+        scope |= then_scope & else_scope
+        return True
+    return _binds(node.body, scope)
+
+
 def dataflow_violations(root: WorkflowNode, inputs: Iterable[str]) -> list[str]:
-    """Left-to-right binding check: every task input must be declared or produced earlier."""
+    """Left-to-right binding check: every task input must be declared or produced earlier.
+
+    A tree that binds is answered by one pass that builds no path or
+    message; only a tree that does not is walked again for its messages.
+    """
+    scope = set(inputs)
+    if all(_binds(child, scope) for child in child_list(root)):
+        return []
     violations: list[str] = []
 
     def check(node: WorkflowNode, scope: frozenset[str], path: Path, is_root: bool) -> frozenset[str]:
@@ -647,31 +709,47 @@ def dead_node_ratio(w: Workflow) -> float:
     tasks = task_order(w.root)
     if not tasks:
         return 0.0
-    need = w.declared_outputs
+    need = set(w.declared_outputs)
     dead = 0
     for task in reversed(tasks):
-        if not need.isdisjoint(task.output_schema):
-            need = (need - task.output_schema) | task.input_schema
-        else:
+        if need.isdisjoint(task.output_schema):
             dead += 1
+        else:
+            need -= task.output_schema
+            need |= task.input_schema
     return dead / len(tasks)
 
 
 def shape_signature(w: Workflow) -> tuple[str, tuple[str, ...]]:
-    """Flattened tree skeleton plus tool multiset; Nest boundaries are ignored."""
+    """Flattened tree skeleton plus tool multiset; Nest boundaries are ignored.
+
+    The skeleton is that of ``normalize_node(w.root, strip_nests=True)``:
+    a task is ``t``, a Sequence ``(...)`` and a Branch ``[then|else]``
+    (``-`` for no else).  One walk computes it, splicing Sequences and
+    Nests into their parent's list as normalization would.
+    """
+    tools: list[str] = []
+
+    def splice(node: WorkflowNode, out: list[str]) -> None:
+        # Appends the skeletons of the node's normal-form splice list.
+        if isinstance(node, TaskNode):
+            out.append("t")
+            tools.append(node.tool_id)
+        elif isinstance(node, Sequence):
+            for child in node.children:
+                splice(child, out)
+        elif isinstance(node, Nest):
+            splice(node.body, out)
+        else:
+            alt = skeleton(node.orelse) if node.orelse is not None else "-"
+            out.append("[" + skeleton(node.then) + "|" + alt + "]")
 
     def skeleton(node: WorkflowNode) -> str:
-        if isinstance(node, TaskNode):
-            return "t"
-        if isinstance(node, Sequence):
-            return "(" + "".join(skeleton(c) for c in node.children) + ")"
-        # A Branch: normalizing with strip_nests leaves no Nest.
-        alt = skeleton(node.orelse) if node.orelse is not None else "-"
-        return "[" + skeleton(node.then) + "|" + alt + "]"
+        out: list[str] = []
+        splice(node, out)
+        return out[0] if len(out) == 1 else "(" + "".join(out) + ")"
 
-    flat = normalize_node(w.root, strip_nests=True)
-    tools = tuple(sorted(t.tool_id for t in task_order(flat)))
-    return skeleton(flat), tools
+    return skeleton(w.root), tuple(sorted(tools))
 
 
 # --- serialization -----------------------------------------------------------

@@ -440,6 +440,47 @@ def test_indexed_reads_equal_a_full_scan_under_random_churn(pool):
     assert all(count > 0 for count in totals.values()), totals
 
 
+def test_memoised_reads_follow_every_membership_change():
+    # A's tokens are the probe's; C covers two of them and B the third, so
+    # the answers differ with A active and A gone
+    goals = [_goal("A", {"a1", "a2", "a3"}), _goal("B", {"a1", "b1"}),
+             _goal("C", {"a2", "a3", "c1"})]
+    net = build_agents([(g, chain_flow([k], gid=g.id)) for k, g in enumerate(goals)],
+                       config=LifeConfig(refresh_period=100))
+    probe = _goal("probe", {"a1", "a2", "a3"})
+
+    def reads():
+        # asked twice: the second answer comes from the memo
+        for _ in range(2):
+            answer = ([(a.agent_id, s) for a, s in retrieve(net, probe, 0.0)],
+                      [g.id for g in cover_split(net, probe)])
+        return answer
+
+    with_a = ([("A", 1.0), ("C", 0.5), ("B", 0.25)], ["A"])
+    without_a = ([("C", 0.5), ("B", 0.25)], ["C", "B"])
+    assert reads() == with_a
+
+    agent_named(net, "A").life = 0.0
+    net.epoch = 1  # off the refresh tick: A is archived, not replaced
+    assert eliminate_and_refresh(net).archived == ["A"]
+    assert reads() == without_a
+
+    net.epoch = net.config.refresh_period
+    assert eliminate_and_refresh(net).revived == ["A"]
+    assert reads() == with_a
+
+    agent_named(net, "A").life = 0.0
+    net.epoch = 1
+    eliminate_and_refresh(net)
+    assert reads() == without_a
+    net.archive.clear()  # nothing to revive: the refresh spawns a new A
+    net.epoch = net.config.refresh_period
+    (spawned_id,) = eliminate_and_refresh(net).spawned
+    spawned = agent_named(net, spawned_id)
+    assert reads() == ([(spawned_id, 1.0), ("C", 0.5), ("B", 0.25)], ["A"])
+    assert retrieve(net, probe, 0.0)[0][0] is spawned
+
+
 def test_compatibility_exact_example_point_675():
     net = chain_pool(1)
     agent = net.active[0]

@@ -21,7 +21,8 @@ from flowsmith.orchestrator import (
     verify,
 )
 
-from .conftest import agent_named, chain_flow, chain_pool, mk_flow, mk_task, oracle_equal
+from .conftest import (agent_named, chain_flow, chain_pool, chain_tasks, mk_flow, mk_task,
+                       oracle_equal)
 
 
 def _union_goal(gid, parts):
@@ -349,6 +350,22 @@ def test_solve_failure_localizes_blame_to_one_agent():
     failures = [a for a, o in episode.outcomes if o.p_fail]
     assert failures == [goal.id] * len(failures)
     assert len(set(failures)) <= 1
+
+
+def test_solve_blames_the_slot_of_the_composed_candidate_after_a_repair_shifts_it():
+    # The composed candidate t00 t02 t04 t05 t06 misses t01 and t03.  Its
+    # first edit inserts t01 at slot 1, g2's slot.  One Insert (budget 1)
+    # adds t01, which shifts every later slot, and the repaired candidate
+    # still misses t03, now at slot 3, the composed candidate's g5 slot.
+    net = chain_pool(7)
+    parts = [net.training[i][0] for i in (0, 2, 4, 5, 6)]
+    goal = _union_goal("shifted", parts)
+    expected = chain_flow(range(7), gid=goal.id)
+    episode = solve(net, goal, SolveConfig(seed=0, k=1, repair_budget=1), expected=expected)
+    ((_, verdict),) = episode.candidates
+    assert [(r.action, r.location) for r in episode.repairs_applied] == [("Insert", (1,))]
+    assert verdict.edit_script == (wf.InsertNode((3,), chain_tasks([3])[0]),)
+    assert [agent_id for agent_id, o in episode.outcomes if o.p_fail] == ["g2"]
 
 
 # --- outcome triggers ------------------------------------------------------------------

@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowsmith import workflow as wf
@@ -431,6 +431,69 @@ def test_task_order_and_dead_node_ratio_match_previous_versions(node, outputs):
     flow = wf.Workflow(root=node, declared_outputs=outputs)
     assert wf.dead_node_ratio(flow) == _reference_dead_node_ratio(flow)
 
+
+
+def _reference_shape_signature(w):
+    """shape_signature as it was: the skeleton and tools of the tree
+    normalized with strip_nests."""
+    def skeleton(node):
+        if isinstance(node, wf.TaskNode):
+            return "t"
+        if isinstance(node, wf.Sequence):
+            return "(" + "".join(skeleton(c) for c in node.children) + ")"
+        alt = skeleton(node.orelse) if node.orelse is not None else "-"
+        return "[" + skeleton(node.then) + "|" + alt + "]"
+
+    flat = wf.normalize_node(w.root, strip_nests=True)
+    return skeleton(flat), tuple(sorted(t.tool_id for t in _reference_task_order(flat)))
+
+
+def _reference_dataflow_violations(root, inputs):
+    """dataflow_violations as it was: one pass that builds a path for every node."""
+    violations = []
+
+    def check(node, scope, path, is_root):
+        if isinstance(node, wf.TaskNode):
+            missing = node.input_schema - scope
+            if missing:
+                violations.append(
+                    f"unbound input {sorted(missing)} for task {node.tool_id!r} at {list(path)}")
+            return node.output_schema
+        if isinstance(node, wf.Sequence):
+            if not node.children and not is_root:
+                violations.append(f"empty sequence at {list(path)}")
+            acc = frozenset()
+            for i, child in enumerate(node.children):
+                acc |= check(child, scope | acc, path + (i,), False)
+            return acc
+        if isinstance(node, wf.Branch):
+            then_out = check(node.then, scope, path + (0,), False)
+            if node.orelse is None:
+                return frozenset()
+            return then_out & check(node.orelse, scope, path + (1,), False)
+        return check(node.body, scope, path + (0,), False)
+
+    check(root, frozenset(inputs), (), True)
+    return violations
+
+
+_t00, _t01, _t05 = chain_tasks([0, 1, 5])
+
+
+@given(_node_strategy(branches=True), _fields, _fields)
+# what one arm of a Branch produces binds nothing after it
+@example(wf.Sequence((wf.Branch(wf.Predicate("o1", "exists"), _t00, _t05), _t01)),
+         {"seed", "o4"}, set())
+@example(wf.Sequence((wf.Branch(wf.Predicate("o1", "exists"), _t00), _t01)), {"seed"}, set())
+@settings(max_examples=400, deadline=None)
+def test_one_walk_facts_match_their_previous_definitions(node, inputs, outputs):
+    flow = wf.Workflow(root=node, declared_inputs=inputs, declared_outputs=outputs)
+    assert wf.shape_signature(flow) == _reference_shape_signature(flow)
+    assert wf.dataflow_violations(node, inputs) == _reference_dataflow_violations(node, inputs)
+    assert flow.produced == wf.produced_fields(node)
+    assert flow.replace(id="renamed").produced is flow.produced
+    extended = flow.replace(root=wf.Sequence((node, chain_tasks([9])[0])))
+    assert extended.produced == wf.produced_fields(extended.root)
 
 @given(_node_strategy(branches=True), _fields)
 @settings(max_examples=150, deadline=None)

@@ -378,9 +378,7 @@ def make_novel_goals(train: list[CorpusRecord], seed: int, count: int,
                 part_metrics[j] = wf.node_metrics(train[j].workflow.root)
         picked = [part_metrics[j] for j in picks]
         goal_id = f"{prefix}-{i:04d}"
-        expected = parts[0].workflow
-        for part in parts[1:]:
-            expected = wf.concat(expected, part.workflow)
+        expected = wf.concat(*[p.workflow for p in parts])
         inputs = frozenset().union(*(p.goal.input_schema for p in parts))
         outputs = frozenset().union(*(p.goal.output_schema for p in parts))
         expected = expected.replace(

@@ -23,7 +23,7 @@ repair loop as it is.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Union
 
 from . import workflow as wf
@@ -172,11 +172,7 @@ class EpisodeResult:
             ],
             "repairs": [r.to_doc() for r in self.repairs_applied],
             "outcomes": [
-                [agent_id, {
-                    "r_correct": o.r_correct, "r_reuse": o.r_reuse,
-                    "r_general": o.r_general, "p_fail": o.p_fail,
-                    "p_drift": o.p_drift, "p_redundant": round(o.p_redundant, 9),
-                }]
+                [agent_id, {**asdict(o), "p_redundant": round(o.p_redundant, 9)}]
                 for agent_id, o in self.outcomes
             ],
         }
@@ -251,10 +247,7 @@ def compose(tree: DecompositionTree) -> wf.Workflow:
     def go(node: DecompositionTree, is_root: bool) -> wf.Workflow:
         if isinstance(node, Resolved):
             return node.agent.procedure
-        parts = [go(child, False) for child in node.children]
-        acc = parts[0]
-        for part in parts[1:]:
-            acc = wf.concat(acc, part)
+        acc = wf.concat(*[go(child, False) for child in node.children])
         if not is_root:
             acc = wf.nest(acc, (), node.goal.id, acc)
         return acc
@@ -265,18 +258,6 @@ def compose(tree: DecompositionTree) -> wf.Workflow:
         id=f"cand-{tree.goal.id}",
         goal_id=tree.goal.id,
     )
-
-
-def compose_segments(tree: DecompositionTree) -> list[tuple[AtomicAgent, int]]:
-    """(agent, top-level child count) per root part, for fault attribution."""
-    parts = tree.children if isinstance(tree, Expanded) else (tree,)
-    segments: list[tuple[AtomicAgent, int]] = []
-    for child in parts:
-        if isinstance(child, Resolved):
-            segments.append((child.agent, len(wf.child_list(child.agent.procedure.root))))
-        else:
-            segments.append((tree_leaves(child)[0].agent, 1))
-    return segments
 
 
 # --- verification ---------------------------------------------------------------
@@ -318,24 +299,28 @@ def verify(candidate: wf.Workflow, target, config: SolveConfig = SolveConfig()) 
 # --- the episode loop ------------------------------------------------------------
 
 
-def _localize_fault(verdict: Verdict,
-                    segments: list[tuple[AtomicAgent, int]]) -> AtomicAgent | None:
+def _localize_fault(verdict: Verdict, tree: DecompositionTree) -> AtomicAgent | None:
     """Map the first oracle edit to the agent owning that top-level slot.
 
-    ``verdict`` must be that of the composed candidate the segments
-    describe: a repair shifts or folds the top-level slots, so the
-    repaired candidate's edits do not address them.
+    A resolved root part owns one slot per top-level child of its
+    procedure, a split one its Nest slot (blamed on its first leaf), and
+    the last part any slot past the end.  ``verdict`` must be that of the
+    candidate composed from ``tree``: a repair shifts or folds the slots.
     """
-    if not verdict.edit_script or not segments:
+    if not verdict.edit_script:
         return None
     path = verdict.edit_script[0].path
     index = path[0] if path else 0
-    acc = 0
-    for agent, width in segments:
-        acc += width
-        if index < acc:
+    parts = tree.children if isinstance(tree, Expanded) else (tree,)
+    for part in parts:
+        if isinstance(part, Resolved):
+            agent, width = part.agent, len(wf.child_list(part.agent.procedure.root))
+        else:
+            agent, width = tree_leaves(part)[0].agent, 1
+        index -= width
+        if index < 0:
             return agent
-    return segments[-1][0]
+    return agent
 
 
 def _issue(net: AgentNetwork, episode: EpisodeResult, agent: AtomicAgent,
@@ -360,7 +345,8 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
     penalty.  Outcomes follow the attribution rules: the passing path is
     rewarded, the fault-localized step of a failed candidate is
     penalized.  The fault is localized in the composed candidate, before
-    any repair, because that is the candidate the segments describe.
+    any repair, because the decomposition tree's parts fill its top-level
+    slots.
     """
     from .repair import repair_loop  # deferred to avoid an import cycle
 
@@ -382,7 +368,6 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
             episode.early_failure = True
             break
         candidate = compose(tree)
-        segments = compose_segments(tree)
         path_agents = [leaf.agent for leaf in tree_leaves(tree)]
         episode.steps += len(path_agents)
 
@@ -390,7 +375,7 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
         if not config.verification:
             episode.candidates.append((candidate, verdict))
             break
-        blamed = _localize_fault(verdict, segments)
+        blamed = _localize_fault(verdict, tree)
 
         if not verdict.passed and config.hypothesis and config.repair_budget >= 1:
             candidate, verdict, trace, _ = repair_loop(net, goal, candidate, verdict,

@@ -50,23 +50,6 @@ class FailureHypothesis:
     needed: "frozenset[str] | str | tuple[int, ...] | None" = None
 
 
-def _subtree_outputs(node: wf.WorkflowNode) -> frozenset[str]:
-    fields: set[str] = set()
-    for task in wf.task_order(node):
-        fields |= set(task.output_schema)
-    return frozenset(fields)
-
-
-def _crosses_branch(root: wf.WorkflowNode, path: wf.Path) -> bool:
-    """Whether an insertion at ``path``, which resolves in ``root``, lands under a Branch."""
-    node: wf.WorkflowNode = wf.Sequence(wf.child_list(root))
-    for step in path[:-1]:
-        if isinstance(node, wf.Branch):
-            return True
-        node = wf.children_of(node)[step]
-    return isinstance(node, wf.Branch)
-
-
 def diagnose(verdict: Verdict, candidate: wf.Workflow, target) -> FailureHypothesis | None:
     """The hypothesis for a failing verdict's first fault, located in
     ``candidate`` as it stands, or None when no operator can mend it.
@@ -100,9 +83,12 @@ def diagnose(verdict: Verdict, candidate: wf.Workflow, target) -> FailureHypothe
         return FailureHypothesis(OVER_ABSTRACTION, edit.path, edit.node.sub_goal_id)
     if not isinstance(edit, wf.InsertNode):
         return None
-    branch = isinstance(edit.node, wf.Branch) or _crosses_branch(cand_root, edit.path)
-    return FailureHypothesis(MISSING_BRANCH if branch else MISSING_STEP, edit.path,
-                             _subtree_outputs(edit.node))
+    promoted = wf.Sequence(wf.child_list(cand_root))
+    branch = isinstance(edit.node, wf.Branch) or any(
+        isinstance(wf.node_at(promoted, edit.path[:depth]), wf.Branch)
+        for depth in range(1, len(edit.path)))
+    outputs = frozenset().union(*(task.output_schema for task in wf.task_order(edit.node)))
+    return FailureHypothesis(MISSING_BRANCH if branch else MISSING_STEP, edit.path, outputs)
 
 
 def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwork,

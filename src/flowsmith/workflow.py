@@ -10,7 +10,8 @@ The module provides:
 * validation with a left-to-right dataflow check,
 * structural metrics (task count, nesting depth, branch count),
 * normalization, flattening, and structural equality,
-* the three composition operators ``concat`` / ``branch`` / ``nest``,
+* the three composition operators ``concat`` (of any number of flows)
+  / ``branch`` / ``nest``,
 * a deterministic tree diff with edit-script application,
 * contiguous subflow pattern matching,
 * a canonical, byte-stable JSON serialization.
@@ -32,9 +33,10 @@ A :class:`Workflow` keeps two facts about its tree, each computed on
 first use: its normal form (:attr:`Workflow.normal_root`) and the fields
 it is guaranteed to produce (:attr:`Workflow.produced`).  An agent's
 procedure never changes, so each is walked once per run however often
-the solve loop reads it.  The walks that answer other questions take
-one pass each: the dataflow check first asks only whether the tree
-binds, and builds paths and messages only when it does not;
+the solve loop reads it.  One binding walk answers both the dataflow
+check and the produced fields, so the rule that joins Branch arms is
+written once; it builds a path and a message only at a violation.  The
+walks that answer other questions take one pass each:
 :func:`dead_node_ratio` keeps one set of needed fields; and
 :func:`shape_signature` splices Sequences and Nests as it goes instead
 of building the flattened tree.
@@ -265,91 +267,56 @@ def _collect_tasks(node: WorkflowNode, out: list[TaskNode]) -> None:
 # --- validation ------------------------------------------------------------
 
 
-def produced_fields(node: WorkflowNode) -> frozenset[str]:
-    """Fields guaranteed to be produced: branch arms only count when both arms agree."""
-    if isinstance(node, TaskNode):
-        return node.output_schema
-    if isinstance(node, Sequence):
-        acc: frozenset[str] = frozenset()
-        for child in node.children:
-            acc |= produced_fields(child)
-        return acc
-    if isinstance(node, Branch):
-        if node.orelse is None:
-            return frozenset()
-        return produced_fields(node.then) & produced_fields(node.orelse)
-    return produced_fields(node.body)
+def _bind(node: WorkflowNode, scope: set[str], path: list[int],
+          violations: "list[str] | None") -> None:
+    """Add to ``scope`` the fields ``node`` is guaranteed to produce.
 
-
-def _binds(node: WorkflowNode, scope: set[str]) -> bool:
-    """Whether every task input under ``node`` is bound, with no empty
-    Sequence; adds to ``scope`` what ``node`` is guaranteed to produce.
-
-    Branch arms run on copies, and only the fields both arms produce join
-    the scope, so after a True answer ``scope`` holds exactly what the
-    message pass of :func:`dataflow_violations` would have in scope.
+    Branch arms walk on copies, and only the fields both arms produce
+    join the scope, so a one-armed Branch adds nothing.  Given a list,
+    ``violations`` also receives each task input not in scope and each
+    Sequence below the root that is empty, at its ``path``: the index
+    stack of the walk, formatted only at a violation.
     """
     if isinstance(node, TaskNode):
-        if not node.input_schema <= scope:
-            return False
+        if violations is not None and not node.input_schema <= scope:
+            violations.append(f"unbound input {sorted(node.input_schema - scope)} "
+                              f"for task {node.tool_id!r} at {path}")
         scope |= node.output_schema
-        return True
-    if isinstance(node, Sequence):
-        if not node.children:
-            return False
-        for child in node.children:
-            if not _binds(child, scope):
-                return False
-        return True
-    if isinstance(node, Branch):
+    elif isinstance(node, Sequence):
+        if violations is not None and path and not node.children:
+            violations.append(f"empty sequence at {path}")
+        path.append(0)
+        for i, child in enumerate(node.children):
+            path[-1] = i
+            _bind(child, scope, path, violations)
+        path.pop()
+    elif isinstance(node, Branch):
+        path.append(0)
         then_scope = set(scope)
-        if not _binds(node.then, then_scope):
-            return False
-        if node.orelse is None:
-            return True
-        else_scope = set(scope)
-        if not _binds(node.orelse, else_scope):
-            return False
-        scope |= then_scope & else_scope
-        return True
-    return _binds(node.body, scope)
+        _bind(node.then, then_scope, path, violations)
+        if node.orelse is not None:
+            path[-1] = 1
+            else_scope = set(scope)
+            _bind(node.orelse, else_scope, path, violations)
+            scope |= then_scope & else_scope
+        path.pop()
+    else:
+        path.append(0)
+        _bind(node.body, scope, path, violations)
+        path.pop()
+
+
+def produced_fields(node: WorkflowNode) -> frozenset[str]:
+    """Fields guaranteed to be produced: branch arms only count when both arms agree."""
+    scope: set[str] = set()
+    _bind(node, scope, [], None)
+    return frozenset(scope)
 
 
 def dataflow_violations(root: WorkflowNode, inputs: Iterable[str]) -> list[str]:
-    """Left-to-right binding check: every task input must be declared or produced earlier.
-
-    A tree that binds is answered by one pass that builds no path or
-    message; only a tree that does not is walked again for its messages.
-    """
-    scope = set(inputs)
-    if all(_binds(child, scope) for child in child_list(root)):
-        return []
+    """Left-to-right binding check: every task input must be declared or produced earlier."""
     violations: list[str] = []
-
-    def check(node: WorkflowNode, scope: frozenset[str], path: Path, is_root: bool) -> frozenset[str]:
-        if isinstance(node, TaskNode):
-            missing = node.input_schema - scope
-            if missing:
-                violations.append(
-                    f"unbound input {sorted(missing)} for task {node.tool_id!r} at {list(path)}"
-                )
-            return node.output_schema
-        if isinstance(node, Sequence):
-            if not node.children and not is_root:
-                violations.append(f"empty sequence at {list(path)}")
-            acc: frozenset[str] = frozenset()
-            for i, child in enumerate(node.children):
-                acc |= check(child, scope | acc, path + (i,), False)
-            return acc
-        if isinstance(node, Branch):
-            then_out = check(node.then, scope, path + (0,), False)
-            if node.orelse is None:
-                return frozenset()
-            else_out = check(node.orelse, scope, path + (1,), False)
-            return then_out & else_out
-        return check(node.body, scope, path + (0,), False)
-
-    check(root, frozenset(inputs), (), True)
+    _bind(root, set(inputs), [], violations)
     return violations
 
 
@@ -448,14 +415,18 @@ def flatten(w: Workflow) -> Workflow:
 # --- composition operators --------------------------------------------------
 
 
-def concat(a: Workflow, b: Workflow) -> Workflow:
-    """Splice b after a.  Inputs are a's; outputs are the union of both."""
-    root = Sequence(child_list(a.root) + child_list(b.root))
-    return Workflow(
-        root=root,
-        declared_inputs=a.declared_inputs,
-        declared_outputs=a.declared_outputs | b.declared_outputs,
-    )
+def concat(first: Workflow, *rest: Workflow) -> Workflow:
+    """Splice the flows into one Sequence, in order.  Inputs are the first
+    flow's; outputs are the union of all.  A single flow comes back as it is."""
+    if not rest:
+        return first
+    children = child_list(first.root)
+    outputs = first.declared_outputs
+    for w in rest:
+        children += child_list(w.root)
+        outputs |= w.declared_outputs
+    return Workflow(root=Sequence(children), declared_inputs=first.declared_inputs,
+                    declared_outputs=outputs)
 
 
 def branch(host: Workflow, cond: Predicate, alt: Workflow) -> Workflow:
@@ -760,36 +731,36 @@ def node_to_doc(node: WorkflowNode, docs: "dict | None" = None) -> dict:
 
     ``docs`` maps ``id(node)`` to the document already made for that node
     object, so a node shared by several trees is turned into its document
-    once; the caller keeps the table only while those nodes are alive.
-    Without a table every node gets a document of its own.
+    once; the caller keeps the table only while those nodes are alive.  A
+    call without a table starts its own.
     """
     if docs is None:
-        return _node_doc(node, None)
+        docs = {}
     doc = docs.get(id(node))
-    if doc is None:
-        doc = docs[id(node)] = _node_doc(node, docs)
-    return doc
-
-
-def _node_doc(node: WorkflowNode, docs: "dict | None") -> dict:
+    if doc is not None:
+        return doc
     if isinstance(node, TaskNode):
-        return {
+        doc = {
             "kind": "task",
             "tool_id": node.tool_id,
             "input_schema": sorted(node.input_schema),
             "output_schema": sorted(node.output_schema),
             "params": {k: v for k, v in node.params},
         }
-    if isinstance(node, Sequence):
-        return {"kind": "seq", "children": [node_to_doc(c, docs) for c in node.children]}
-    if isinstance(node, Branch):
-        return {
+    elif isinstance(node, Sequence):
+        doc = {"kind": "seq", "children": [node_to_doc(c, docs) for c in node.children]}
+    elif isinstance(node, Branch):
+        doc = {
             "kind": "branch",
             "cond": {"key": node.cond.key, "op": node.cond.op, "value": node.cond.value},
             "then": node_to_doc(node.then, docs),
             "else": node_to_doc(node.orelse, docs) if node.orelse is not None else None,
         }
-    return {"kind": "nest", "sub_goal_id": node.sub_goal_id, "body": node_to_doc(node.body, docs)}
+    else:
+        doc = {"kind": "nest", "sub_goal_id": node.sub_goal_id,
+               "body": node_to_doc(node.body, docs)}
+    docs[id(node)] = doc
+    return doc
 
 
 _KEY_LITERALS = (str, int, float, bool, type(None))

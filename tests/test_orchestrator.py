@@ -13,8 +13,8 @@ from flowsmith.orchestrator import (
     Expanded,
     Resolved,
     SolveConfig,
+    Verdict,
     compose,
-    compose_segments,
     decompose,
     solve,
     tree_leaves,
@@ -150,13 +150,51 @@ def test_compose_redeclares_goal_interface():
     assert wf.validate(candidate).ok
 
 
-def test_compose_segments_blame_the_first_leaf_of_a_split_root_part():
-    net = chain_pool(4)
-    leaf, inner_a, inner_b = (Resolved(net.training[i][0], agent_named(net, f"g{i}"))
-                              for i in (0, 1, 2))
+def _reference_blame(verdict, tree):
+    """Fault blame as it was: (agent, top-level slot count) per root part,
+    then the part whose slots hold the first edit's top-level index."""
+    parts = tree.children if isinstance(tree, Expanded) else (tree,)
+    segments = [(p.agent, len(wf.child_list(p.agent.procedure.root))) if isinstance(p, Resolved)
+                else (tree_leaves(p)[0].agent, 1) for p in parts]
+    if not verdict.edit_script:
+        return None
+    path = verdict.edit_script[0].path
+    index = path[0] if path else 0
+    acc = 0
+    for agent, width in segments:
+        acc += width
+        if index < acc:
+            return agent
+    return segments[-1][0]
+
+
+def test_localize_fault_blames_the_first_leaf_of_a_split_root_part():
+    wide_flow = chain_flow([0, 1], wid="w-wide", gid="wide")
+    wide_goal = Goal("wide", frozenset({"wide:a"}), wide_flow.declared_inputs,
+                     wide_flow.declared_outputs)
+    net = build_agents(chain_pool(4).training + [(wide_goal, wide_flow)])
+    leaf, inner_a, inner_b, last, wide = (Resolved(net.training[i][0], agent_named(net, gid))
+                                          for i, gid in enumerate(("g0", "g1", "g2", "g3", "wide")))
     inner = Expanded(_union_goal("sub", [inner_a.goal, inner_b.goal]), (inner_a, inner_b))
     tree = Expanded(_union_goal("top", [leaf.goal, inner.goal]), (leaf, inner))
-    assert compose_segments(tree) == [(leaf.agent, 1), (inner_a.agent, 1)]
+    wide_tree = Expanded(_union_goal("top2", [wide.goal, inner.goal, last.goal]),
+                         (wide, inner, last))
+    task = chain_tasks([9])[0]
+
+    def blame_per_slot(tree):
+        slots = len(wf.child_list(compose(tree).root))
+        verdicts = [Verdict(False, 0.0, "oracle", (wf.InsertNode((i,), task),))
+                    for i in range(slots + 1)]
+        verdicts += [Verdict(False, 0.0, "oracle", (wf.ReorderChildren((), (1, 0)),)),
+                     Verdict(False, 0.0, "goal_anchored")]
+        blamed = [orchestrator._localize_fault(v, tree) for v in verdicts]
+        assert blamed == [_reference_blame(v, tree) for v in verdicts]
+        return [None if agent is None else agent.agent_id for agent in blamed]
+
+    # slot 0 is g0's task, slot 1 the Nest of the split part, 2 is past the end
+    assert blame_per_slot(tree) == ["g0", "g1", "g1", "g0", None]
+    assert blame_per_slot(wide_tree) == ["wide", "wide", "g1", "g3", "g3", "wide", None]
+    assert blame_per_slot(leaf) == ["g0", "g0", "g0", None]
 
 
 # --- verify -------------------------------------------------------------------------

@@ -194,6 +194,27 @@ def test_concat_interface_rules():
     assert joined.declared_inputs == a.declared_inputs
     assert joined.declared_outputs == a.declared_outputs | b.declared_outputs
 
+    # any number of flows splices as the left fold of binary concat
+    def reference_concat(a, b):
+        return wf.Workflow(root=wf.Sequence(wf.child_list(a.root) + wf.child_list(b.root)),
+                           declared_inputs=a.declared_inputs,
+                           declared_outputs=a.declared_outputs | b.declared_outputs)
+
+    rng = random.Random(11)
+    pool = [mk_flow([], ins={"seed"}, outs={"none"}), mk_flow(chain_tasks([3])[0], {"o2"}, {"o3"})]
+    for _ in range(300):
+        flows = [rng.choice(pool) if rng.random() < 0.3 else random_flow(rng)
+                 for _ in range(rng.randint(1, 5))]
+        folded = flows[0]
+        for w in flows[1:]:
+            assert wf.concat(folded, w) == reference_concat(folded, w)
+            folded = reference_concat(folded, w)
+        joined = wf.concat(*flows)
+        assert joined.root == folded.root
+        assert joined.declared_inputs == folded.declared_inputs
+        assert joined.declared_outputs == folded.declared_outputs
+    assert wf.concat(a) is a
+
 
 def test_concat_length_additive_over_random_pairs():
     flows = corpus_flows(200, seed=77)
@@ -477,6 +498,20 @@ def _reference_dataflow_violations(root, inputs):
     return violations
 
 
+def _reference_produced_fields(node):
+    """produced_fields as it was: a recursive walk that joins two Branch
+    arms by intersection and gives nothing for a one-armed Branch."""
+    if isinstance(node, wf.TaskNode):
+        return node.output_schema
+    if isinstance(node, wf.Sequence):
+        return frozenset().union(*(_reference_produced_fields(c) for c in node.children))
+    if isinstance(node, wf.Branch):
+        if node.orelse is None:
+            return frozenset()
+        return _reference_produced_fields(node.then) & _reference_produced_fields(node.orelse)
+    return _reference_produced_fields(node.body)
+
+
 _t00, _t01, _t05 = chain_tasks([0, 1, 5])
 
 
@@ -490,10 +525,10 @@ def test_one_walk_facts_match_their_previous_definitions(node, inputs, outputs):
     flow = wf.Workflow(root=node, declared_inputs=inputs, declared_outputs=outputs)
     assert wf.shape_signature(flow) == _reference_shape_signature(flow)
     assert wf.dataflow_violations(node, inputs) == _reference_dataflow_violations(node, inputs)
-    assert flow.produced == wf.produced_fields(node)
+    assert flow.produced == _reference_produced_fields(node)
     assert flow.replace(id="renamed").produced is flow.produced
     extended = flow.replace(root=wf.Sequence((node, chain_tasks([9])[0])))
-    assert extended.produced == wf.produced_fields(extended.root)
+    assert extended.produced == _reference_produced_fields(extended.root)
 
 @given(_node_strategy(branches=True), _fields)
 @settings(max_examples=150, deadline=None)

@@ -5,18 +5,18 @@ and a scalar life value.  The pool supports threshold retrieval,
 compatibility-weighted probabilistic selection, life updates from
 execution outcomes, and periodic elimination / refresh against an
 archive.  It is the only module that reads the pool lists and their
-indexes: the solve stack asks ``retrieve``, ``cover_split``,
-``is_novel``, ``best_producers`` and ``goal_named``, and every read
-breaks ties by ascending agent id.
+indexes: the solve stack asks ``retrieve``, ``resolves``,
+``cover_split``, ``is_novel``, ``best_producers`` and ``goal_named``,
+and every read breaks ties by ascending agent id.
 
 ``AgentNetwork`` keeps two indexes beside its lists: ``by_token``
 (goal token -> active agents) and ``training_tokens`` (the training
 goals' token sets).  The network builds them when ``build_agents``
 makes it, and ``eliminate_and_refresh``, the one place the active list
 changes, updates ``by_token`` for each agent it archives, revives or
-spawns.  ``retrieve``, ``cover_split`` and ``is_novel`` answer from
-them, so an episode touches only the agents that share a token with
-the goal.
+spawns.  ``retrieve``, ``resolves``, ``cover_split`` and ``is_novel``
+answer from them, so an episode touches only the agents that share a
+token with the goal.
 
 The answers of ``retrieve`` (per goal token set and theta) and of
 ``cover_split`` (per goal token set) depend only on which agents are
@@ -223,6 +223,12 @@ def retrieve(net: AgentNetwork, goal: Goal, theta: float) -> list[tuple[AtomicAg
         scored.sort(key=lambda pair: (-pair[1], pair[0].agent_id))
         net.read_memo[key] = scored
     return list(scored)
+
+
+def resolves(net: AgentNetwork, goal: Goal, agent: AtomicAgent) -> bool:
+    """True when no active agent holds a token of ``goal`` that ``agent``'s
+    goal lacks, which would make that part of the goal another agent's."""
+    return not any(net.by_token.get(token) for token in goal.tokens - agent.goal.tokens)
 
 
 def cover_split(net: AgentNetwork, goal: Goal) -> list[Goal]:

@@ -1,8 +1,8 @@
 """Experiment runner: pass@k tables, reuse efficiency, sweeps, ablations.
 
 Episodes bucket by the structure of their ground-truth workflow (linear
-buckets 2-3 / 4-6 / 7+ by task count, nested buckets 1-2 / 3-4 / 5+ by
-depth).  Reports carry only deterministic quantities, so a fixed seed
+buckets 1 / 2-3 / 4-6 / 7+ by task count, nested buckets 1-2 / 3-4 / 5+
+by depth).  Reports carry only deterministic quantities, so a fixed seed
 and config reproduce them byte for byte.  Episodes run strictly in
 order on one network, because each episode's life updates and
 eliminations decide what the next can select; only the independent

@@ -1,9 +1,10 @@
 """The solve loop: recursive decomposition, composition, verification.
 
-A goal that retrieves above threshold resolves to one agent.  Anything
-else is split by greedy token set-cover over the active pool, each part
-decomposed recursively (at most ``MAX_DEPTH`` levels), and the parts
-composed left to right; ``agents`` answers every read of the pool.
+A goal resolves to an agent above the retrieval threshold that leaves
+no goal token to another agent.  Anything else is split by greedy token
+set-cover over the active pool, each part decomposed recursively (at
+most ``MAX_DEPTH`` levels), and the parts composed left to right;
+``agents`` answers every read of the pool.
 The candidate is then verified either against the expected workflow
 (oracle mode: it passes exactly when its edit script is empty) or
 against the goal's declared interface (goal-anchored mode: its output
@@ -35,6 +36,7 @@ from .agents import (
     compatibility,
     cover_split,
     is_novel,
+    resolves,
     retrieve,
     select,
     update_life,
@@ -183,7 +185,7 @@ class EpisodeResult:
 
 def decompose(net: AgentNetwork, goal: Goal, config: SolveConfig,
               rng: random.Random) -> DecompositionTree:
-    """Resolve the goal directly when retrieval clears theta, else split.
+    """Resolve the goal by an agent above theta that ``resolves`` it, else split.
 
     With hypotheses off an unmatched goal raises DecompositionFailure
     instead of splitting: proposing a subgoal structure is itself a
@@ -193,12 +195,9 @@ def decompose(net: AgentNetwork, goal: Goal, config: SolveConfig,
     fail the same way at every level until the depth budget.
     """
     def walk(g: Goal, depth: int, scope: frozenset[str]) -> tuple[DecompositionTree, frozenset[str]]:
-        candidates = retrieve(net, g, config.theta)
-        if candidates:
-            weighted = [
-                (agent, compatibility(agent, g, scope, input_gate=config.input_goal))
-                for agent, _ in candidates
-            ]
+        weighted = [(agent, compatibility(agent, g, scope, input_gate=config.input_goal))
+                    for agent, _ in retrieve(net, g, config.theta) if resolves(net, g, agent)]
+        if weighted:
             try:
                 chosen = select(weighted, rng, use_life=config.scale_control)
             except NoEligibleAgent:
@@ -207,7 +206,7 @@ def decompose(net: AgentNetwork, goal: Goal, config: SolveConfig,
                 return Resolved(g, chosen), chosen.procedure.produced
         if not config.hypothesis:
             raise DecompositionFailure(
-                f"no agent above threshold for goal {g.id!r} and structural "
+                f"no agent above threshold resolves goal {g.id!r} and structural "
                 "splitting is disabled"
             )
         if depth >= MAX_DEPTH:
@@ -323,13 +322,32 @@ def _localize_fault(verdict: Verdict, tree: DecompositionTree) -> AtomicAgent | 
     return agent
 
 
-def _issue(net: AgentNetwork, episode: EpisodeResult, agent: AtomicAgent,
-           outcome: Outcome, scale_control: bool) -> None:
-    episode.outcomes.append((agent.agent_id, outcome))
-    if scale_control:
-        update_life(agent, outcome, net.config)
-    else:
-        apply_stats(agent, outcome)
+def _outcomes(net: AgentNetwork, goal: Goal, candidate: wf.Workflow,
+              path_agents: list[AtomicAgent], verdict: Verdict,
+              blamed: AtomicAgent | None) -> list[tuple[AtomicAgent, Outcome]]:
+    """Each distinct path agent, in first-occurrence order, with its outcome.
+
+    A pass rewards every agent, for reuse when another goal solved the
+    same shape before (this goal is then recorded).  A failure fails the
+    blamed agent, and drifts every agent when the output drift passes the
+    threshold; drift is 0.0 unless a goal-anchored score lies strictly
+    between 0 and 1, so the required outputs are not empty.
+    """
+    agents = dict.fromkeys(path_agents)
+    if verdict.passed:
+        solvers = net.solved_shapes.setdefault(wf.shape_signature(candidate), set())
+        outcome = Outcome(r_correct=1, r_reuse=int(any(g != goal.id for g in solvers)),
+                          r_general=int(is_novel(net, goal)),
+                          p_redundant=verdict.dead_node_ratio)
+        solvers.add(goal.id)
+        return [(agent, outcome) for agent in agents]
+    drift = 0.0
+    if verdict.mode == "goal_anchored" and 0.0 < verdict.score < 1.0:
+        produced, required = candidate.produced, goal.output_schema
+        drift = 1.0 - len(produced & required) / len(produced | required)
+    drifted = drift > net.config.drift_threshold
+    return [(agent, Outcome(p_fail=int(agent is blamed), p_drift=int(drifted)))
+            for agent in agents if agent is blamed or drifted]
 
 
 def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
@@ -342,10 +360,11 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
     off.  A failed candidate goes to the repair loop only when
     hypotheses are enabled and the repair budget is positive.  Without
     verification one candidate is composed and scored, with no reward or
-    penalty.  Outcomes follow the attribution rules: the passing path is
-    rewarded, the fault-localized step of a failed candidate is
-    penalized.  The fault is localized in the composed candidate, before
-    any repair, because the decomposition tree's parts fill its top-level
+    penalty.  ``_outcomes`` decides each rank's outcomes, and one loop
+    records and issues them: through ``update_life``, or with scale
+    control off through ``apply_stats``, which counts without touching
+    life.  The fault is localized in the composed candidate, before any
+    repair, because the decomposition tree's parts fill its top-level
     slots.
     """
     from .repair import repair_loop  # deferred to avoid an import cycle
@@ -358,7 +377,6 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
         goal_id=goal.id, candidates=[], repairs_applied=[], outcomes=[],
         steps=0, seed=config.seed,
     )
-    novel = is_novel(net, goal)
 
     for rank in range(1, config.k + 1):
         rng = random.Random(derive_seed(config.seed, goal.id, rank))
@@ -380,55 +398,17 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
         if not verdict.passed and config.hypothesis and config.repair_budget >= 1:
             candidate, verdict, trace, _ = repair_loop(net, goal, candidate, verdict,
                                                        target, config, rng)
-            for record in trace:
-                if record.agent is not None:
-                    path_agents.append(record.agent)
+            path_agents += [record.agent for record in trace if record.agent is not None]
             episode.repairs_applied.extend(trace)
             episode.steps += len(trace)
         episode.candidates.append((candidate, verdict))
 
+        for agent, outcome in _outcomes(net, goal, candidate, path_agents, verdict, blamed):
+            episode.outcomes.append((agent.agent_id, outcome))
+            if config.scale_control:
+                update_life(agent, outcome, net.config)
+            else:
+                apply_stats(agent, outcome)
         if verdict.passed:
-            _reward_path(net, episode, goal, candidate, path_agents, verdict, novel,
-                         config.scale_control)
             break
-        _penalize_path(net, episode, goal, candidate, path_agents, verdict, blamed, config)
     return episode
-
-
-def _reward_path(net: AgentNetwork, episode: EpisodeResult, goal: Goal,
-                 candidate: wf.Workflow, path_agents: list[AtomicAgent], verdict: Verdict,
-                 novel: bool, scale_control: bool) -> None:
-    signature = wf.shape_signature(candidate)
-    prior_goals = net.solved_shapes.get(signature, set())
-    reused = any(g != goal.id for g in prior_goals)
-    redundant = verdict.dead_node_ratio
-    for agent in dict.fromkeys(path_agents):
-        outcome = Outcome(
-            r_correct=1,
-            r_reuse=1 if reused else 0,
-            r_general=1 if novel else 0,
-            p_redundant=redundant,
-        )
-        _issue(net, episode, agent, outcome, scale_control)
-    net.solved_shapes.setdefault(signature, set()).add(goal.id)
-
-
-def _penalize_path(net: AgentNetwork, episode: EpisodeResult, goal: Goal,
-                   candidate: wf.Workflow, path_agents: list[AtomicAgent], verdict: Verdict,
-                   blamed: AtomicAgent | None, config: SolveConfig) -> None:
-    drift = 0.0
-    if verdict.mode == "goal_anchored" and 0.0 < verdict.score < 1.0:
-        produced = candidate.produced
-        expected_fields = goal.output_schema
-        union = produced | expected_fields
-        overlap = produced & expected_fields
-        jaccard = (len(overlap) / len(union)) if union else 1.0
-        drift = 1.0 - jaccard
-    drifted = drift > net.config.drift_threshold
-    for agent in dict.fromkeys(path_agents):
-        p_fail = 1 if agent is blamed else 0
-        p_drift = 1 if drifted else 0
-        if not (p_fail or p_drift):
-            continue
-        outcome = Outcome(p_fail=p_fail, p_drift=p_drift)
-        _issue(net, episode, agent, outcome, config.scale_control)

@@ -238,9 +238,7 @@ def replace_at(root: WorkflowNode, path: Path, new: WorkflowNode) -> WorkflowNod
         if step == 0:
             return Branch(root.cond, replaced, root.orelse)
         return Branch(root.cond, root.then, replaced)
-    if isinstance(root, Nest):
-        return Nest(root.sub_goal_id, replaced)
-    raise BadPath(f"cannot descend into a task node at {path}")
+    return Nest(root.sub_goal_id, replaced)  # a task node has no index to pass
 
 
 def task_order(node: WorkflowNode) -> tuple[TaskNode, ...]:
@@ -253,15 +251,8 @@ def task_order(node: WorkflowNode) -> tuple[TaskNode, ...]:
 def _collect_tasks(node: WorkflowNode, out: list[TaskNode]) -> None:
     if isinstance(node, TaskNode):
         out.append(node)
-    elif isinstance(node, Sequence):
-        for child in node.children:
-            _collect_tasks(child, out)
-    elif isinstance(node, Branch):
-        _collect_tasks(node.then, out)
-        if node.orelse is not None:
-            _collect_tasks(node.orelse, out)
-    else:
-        _collect_tasks(node.body, out)
+    for child in children_of(node):
+        _collect_tasks(child, out)
 
 
 # --- validation ------------------------------------------------------------
@@ -432,31 +423,16 @@ def concat(first: Workflow, *rest: Workflow) -> Workflow:
 def branch(host: Workflow, cond: Predicate, alt: Workflow) -> Workflow:
     """Append a conditional side path at the host's insertion frontier.
 
-    The main execution path and the declared interface are unchanged;
+    The main execution path, the interface and the ids are the host's;
     the alternative runs only when ``cond`` holds.
     """
-    node = Branch(cond, alt.root, None)
-    root = Sequence(child_list(host.root) + (node,))
-    return Workflow(
-        root=root,
-        declared_inputs=host.declared_inputs,
-        declared_outputs=host.declared_outputs,
-        id=host.id,
-        goal_id=host.goal_id,
-    )
+    return host.replace(root=Sequence(child_list(host.root) + (Branch(cond, alt.root, None),)))
 
 
 def nest(host: Workflow, slot_path: Path, sub_goal: str, body: Workflow) -> Workflow:
-    """Replace the node at slot_path with a Nest(sub_goal, body) boundary."""
-    node_at(host.root, slot_path)  # raises BadPath when unresolved
-    new_node = Nest(sub_goal, body.root)
-    return Workflow(
-        root=replace_at(host.root, slot_path, new_node),
-        declared_inputs=host.declared_inputs,
-        declared_outputs=host.declared_outputs,
-        id=host.id,
-        goal_id=host.goal_id,
-    )
+    """Replace the node at slot_path with a Nest(sub_goal, body) boundary;
+    the interface and the ids are the host's.  BadPath when unresolved."""
+    return host.replace(root=replace_at(host.root, slot_path, Nest(sub_goal, body.root)))
 
 
 # --- diff / patch -----------------------------------------------------------

@@ -10,7 +10,13 @@ hashes what each run writes:
   goal_anchored mode: plain ``eval``, ``ablate --disable`` for each
   ablatable component, ``eval --budget 0``, ``eval`` with a life
   ``--config`` file, and ``solve --k 3``;
-- ``gen-corpus`` itself, plain and with ``--planted-length 3``.
+- ``gen-corpus`` itself, plain and with ``--planted-length 3``;
+- on the novel goals, ``eval --sweep 0,40,160`` with one worker process
+  and with three, which must write the same files;
+- ``eval --library`` with the planted corpus's ``planted_library``, its
+  train split (0.8, seed 7) as both train and test corpus: the held-out
+  split's two planted flows give a reuse_pct of 0, the train split's
+  ten give one above 0.
 
 Each run's digest is one sha256 over its output files (transcripts,
 CSV, report) in that order, with the temporary directory replaced by a
@@ -43,6 +49,7 @@ if str(ROOT / "src") not in sys.path:
 
 from flowsmith import cli  # noqa: E402
 from flowsmith import corpus as cp  # noqa: E402
+from flowsmith import workflow as wf  # noqa: E402
 from flowsmith.evaluation import ABLATABLE  # noqa: E402
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
@@ -103,14 +110,34 @@ def compute() -> dict[str, str]:
             for mode in ("oracle", "goal_anchored"):
                 common = ["--train", train, "--mode", mode, "--seed", SEED]
                 for name, head in variants:
-                    out = [work / f"{split}-{mode}-{name}.{ext}" for ext in ("jsonl", "csv", "json")]
-                    _main(head + common + ["--test", test, "--transcripts", str(out[0]),
-                                           "--csv", str(out[1]), "--report", str(out[2])])
-                    digests[f"{split}/{mode}/{name}"] = _digest(out, work)
+                    digests[f"{split}/{mode}/{name}"] = _evaluate(
+                        work, f"{split}-{mode}-{name}", head + common + ["--test", test])
                 solved = work / f"{split}-{mode}-solve.jsonl"
                 _main(["solve"] + common + ["--goals", test, "--k", "3", "--out", str(solved)])
                 digests[f"{split}/{mode}/solve-k3"] = _digest([solved], work)
+        for workers in ("1", "3"):
+            digests[f"novel/oracle/sweep-parallelism-{workers}"] = _evaluate(
+                work, f"sweep-{workers}",
+                ["eval", "--train", train, "--test", str(paths["novel"]), "--seed", SEED,
+                 "--sweep", "0,40,160", "--parallelism", workers])
+        planted_train = work / "planted-train.jsonl"
+        cp.save_corpus(cp.split(cp.load_corpus(planted), 0.8, seed=int(SEED))[0], planted_train)
+        profile = cp.default_profile(planted=cp.PlantedSubflowSpec(length=3, rate=0.2))
+        library = work / "library.jsonl"
+        library.write_text("".join(wf.canonical_json(wf.to_doc(pattern)) + "\n"
+                                   for pattern in cp.planted_library(profile, int(SEED))))
+        digests["planted-train/oracle/library"] = _evaluate(
+            work, "library",
+            ["eval", "--train", str(planted_train), "--test", str(planted_train), "--seed", SEED,
+             "--library", str(library)])
     return digests
+
+
+def _evaluate(work: Path, name: str, argv: list[str]) -> str:
+    """Digest of the transcripts, CSV and report of one ``eval`` or ``ablate`` run."""
+    out = [work / f"{name}.{ext}" for ext in ("jsonl", "csv", "json")]
+    _main(argv + ["--transcripts", str(out[0]), "--csv", str(out[1]), "--report", str(out[2])])
+    return _digest(out, work)
 
 
 def mismatches(digests: dict[str, str]) -> list[str]:

@@ -16,6 +16,7 @@ from flowsmith.agents import (
     eliminate_and_refresh,
     goal_named,
     is_novel,
+    resolves,
     retrieve,
     select,
     selection_probabilities,
@@ -104,6 +105,26 @@ def test_retrieve_partial_overlap_brute_force():
     got = [(a.agent_id, s) for a, s in retrieve(net, probe, theta=0.4)]
     assert got == expected
     assert [a for a, _ in got] == ["a1", "a2"]
+
+
+def test_resolves_rejects_an_agent_that_leaves_a_held_token_to_another():
+    net = build_agents([
+        (_goal("a1", {"x", "y"}), chain_flow([0])),
+        (_goal("a2", {"z"}), chain_flow([1])),
+        (_goal("wide", {"x", "y", "z", "v"}), chain_flow([2])),
+    ], config=LifeConfig(refresh_period=100))
+    named = {agent.agent_id: agent for agent in net.active}
+    probe = _goal("probe", {"x", "y", "z", "w"})
+    # z is held beyond a1, x and y beyond a2; w is nobody's and blocks no agent
+    assert not resolves(net, probe, named["a1"])
+    assert not resolves(net, probe, named["a2"])
+    assert resolves(net, probe, named["wide"])
+    assert resolves(net, _goal("xyw", {"x", "y", "w"}), named["a1"])
+    # archived holders block nothing
+    net.epoch = 1  # off the refresh tick, so the archive keeps them
+    named["a2"].life = named["wide"].life = 0.0
+    eliminate_and_refresh(net)
+    assert resolves(net, probe, named["a1"])
 
 
 # --- repair queries -----------------------------------------------------------------

@@ -5,9 +5,9 @@ import pytest
 from flowsmith import corpus as cp
 from flowsmith import orchestrator, repair
 from flowsmith import workflow as wf
-from flowsmith.agents import build_agents
+from flowsmith.agents import Outcome, build_agents
 from flowsmith.errors import ConfigError, DecompositionFailure, MissingOracle
-from flowsmith.evaluation import ABLATABLE, ExperimentConfig
+from flowsmith.evaluation import ABLATABLE, ExperimentConfig, pass_at_k, run_episodes
 from flowsmith.goals import Goal, similarity
 from flowsmith.orchestrator import (
     Expanded,
@@ -69,6 +69,32 @@ def test_decompose_split_disabled_fails_on_novel_goal():
     composite = _union_goal("c", [net.training[0][0], net.training[1][0]])
     with pytest.raises(DecompositionFailure):
         decompose(net, composite, SolveConfig(hypothesis=False), random.Random(0))
+
+
+def test_decompose_splits_a_composite_that_retrieves_one_part_above_a_low_theta():
+    # each part's goal scores 3/6 = 0.5 against the composite, above
+    # theta 0.4, but leaves the other part's tokens to the other agent
+    net = chain_pool(6)
+    parts = [net.training[i][0] for i in (1, 4)]
+    composite = _union_goal("pair", parts)
+    tree = decompose(net, composite, SolveConfig(theta=0.4), random.Random(0))
+    assert [leaf.agent.agent_id for leaf in tree_leaves(tree)] == ["g1", "g4"]
+    with pytest.raises(DecompositionFailure):
+        decompose(net, composite, SolveConfig(theta=0.4, hypothesis=False), random.Random(0))
+
+
+def test_pass_at_1_of_two_part_composites_is_the_same_at_theta_0_4_as_at_0_8():
+    train = chain_pool(6).training
+    records = [cp.CorpusRecord(_union_goal(f"pair{i}{j}", [train[i][0], train[j][0]]),
+                               wf.concat(train[i][1], train[j][1]), "linear", "2-3")
+               for i, j in ((0, 1), (2, 3), (4, 5))]
+
+    def pass_at_1(theta):
+        episodes, _ = run_episodes(chain_pool(6), records,
+                                   SolveConfig(theta=theta, seed=3, repair_budget=0))
+        return pass_at_k(episodes, (1,))
+
+    assert pass_at_1(0.4) == pass_at_1(0.8) == {"linear 2-3": {1: 1.0}}
 
 
 def test_decompose_goal_that_splits_into_itself_fails_at_once(monkeypatch):
@@ -459,3 +485,60 @@ def test_episode_outcomes_consistent_with_verdicts():
         passed = episode.passed_rank() is not None
         has_correct = any(o.r_correct for _, o in episode.outcomes)
         assert has_correct == passed  # R_c only on pass
+
+
+# --- attribution rules ------------------------------------------------------------------
+
+
+def _goal_anchored_failure(produced, required):
+    """A goal, a candidate producing ``produced`` and its failing verdict."""
+    task = mk_task("t", {"x"}, produced)
+    candidate = mk_flow([task], ins={"x"}, outs=produced)
+    goal = Goal("ga", frozenset({"ga:x"}), frozenset({"x"}), frozenset(required))
+    verdict = verify(candidate, goal, SolveConfig(mode="goal_anchored"))
+    assert not verdict.passed and 0.0 < verdict.score < 1.0
+    return goal, candidate, verdict
+
+
+def test_solve_rewards_an_agent_on_the_path_twice_once_at_its_first_position():
+    # g0 g1 composes t00 t01; the Insert that repairs it splices in g0 again
+    net = chain_pool(4)
+    goal = _union_goal("pair", [net.training[0][0], net.training[1][0]])
+    episode = solve(net, goal, SolveConfig(seed=3, k=1), expected=chain_flow([0, 1, 0]))
+    assert [(r.action, r.agent.agent_id) for r in episode.repairs_applied] == [("Insert", "g0")]
+    rewarded = Outcome(r_correct=1, r_general=1)
+    assert episode.outcomes == [("g0", rewarded), ("g1", rewarded)]
+
+
+def test_outcomes_of_a_drifted_failure_penalise_every_path_agent_and_fail_the_blamed():
+    # drift 1 - 1/4 = 0.75 is above the 0.5 threshold
+    net = chain_pool(3)
+    g0, g1, g2 = (agent_named(net, f"g{k}") for k in range(3))
+    goal, candidate, verdict = _goal_anchored_failure({"r1"}, {"r1", "r2", "r3", "r4"})
+    outcomes = orchestrator._outcomes(net, goal, candidate, [g0, g1, g0, g2], verdict, g1)
+    assert [(agent.agent_id, o) for agent, o in outcomes] == [
+        ("g0", Outcome(p_drift=1)), ("g1", Outcome(p_fail=1, p_drift=1)),
+        ("g2", Outcome(p_drift=1))]
+
+
+def test_outcomes_of_a_failure_drifted_exactly_to_the_threshold_fail_only_the_blamed():
+    # drift 1 - 2/4 = 0.5 is not above the 0.5 threshold
+    net = chain_pool(3)
+    g0, g1, g2 = (agent_named(net, f"g{k}") for k in range(3))
+    goal, candidate, verdict = _goal_anchored_failure({"r1", "r2"}, {"r1", "r2", "r3", "r4"})
+    outcomes = orchestrator._outcomes(net, goal, candidate, [g0, g1, g2], verdict, g1)
+    assert [(agent.agent_id, o) for agent, o in outcomes] == [("g1", Outcome(p_fail=1))]
+
+
+@pytest.mark.parametrize("scale_control, life", [(True, 6.0), (False, 10.0)])
+def test_solve_fails_only_the_blamed_agent_and_touches_life_only_under_scale_control(
+        scale_control, life):
+    # g0 g1 composes t00 t01 against t00 t05: the first edit is at g1's slot
+    net = chain_pool(4)
+    goal = _union_goal("pair", [net.training[0][0], net.training[1][0]])
+    config = SolveConfig(seed=3, k=1, repair_budget=0, scale_control=scale_control)
+    episode = solve(net, goal, config, expected=chain_flow([0, 5]))
+    assert episode.outcomes == [("g1", Outcome(p_fail=1))]
+    g0, g1 = agent_named(net, "g0"), agent_named(net, "g1")
+    assert (g1.life, g1.stats.failures, g1.stats.successes) == (life, 1, 0)
+    assert (g0.life, g0.stats.failures) == (10.0, 0)

@@ -223,8 +223,11 @@ def generate(profile: CorpusProfile, seed: int, id_prefix: str = "g") -> list[Co
     corpora generated with the same seed and vocabulary can be merged.
     Raises InfeasibleProfile when the depth quota demands more nested
     records than there are multi-task records to carry them (a workflow
-    of depth >= 1 needs at least two tasks here).
+    of depth >= 1 needs at least two tasks here), and ConfigError when
+    ``seed`` is not an integer.
     """
+    if not is_int(seed):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     vocab = build_tool_vocabulary(profile.tool_vocab_size, seed)
     tool_ids = sorted(vocab)
 

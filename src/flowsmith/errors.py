@@ -1,5 +1,7 @@
 """Exception types shared across the engine, and its type tests for settings and documents."""
 
+import math
+
 
 class EngineError(Exception):
     """Base class for all engine-specific failures."""
@@ -50,13 +52,14 @@ class InfeasibleProfile(ConfigError):
 
 
 # The engine's one type decision for settings values: a bool is neither
-# an integer nor a number, although Python counts it as both.
+# an integer nor a number, although Python counts it as both, and NaN and
+# the infinities are not numbers, since no JSON file can hold them.
 def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def is_number(value) -> bool:
-    return is_int(value) or isinstance(value, float)
+    return is_int(value) or isinstance(value, float) and math.isfinite(value)
 
 
 def name_list(value, key: str) -> tuple[str, ...]:

@@ -22,6 +22,11 @@ operands' subtrees into the result, and :func:`node_from_doc` and
 between every document that describes it, and one save turn each node
 object into its document once.
 
+Only :func:`children_of` (read) and :func:`_with_children` (rebuild) know
+how a Sequence, a Branch ``(then[, else])`` or a Nest ``(body,)`` lays out
+its children; the binding walk and normalization's Sequence and Nest
+cases, which run on every repair, read the fields directly.
+
 Conventions: a flat workflow has depth 0 and each Nest wrapper adds one
 level; Branch adds none.  Structural equality compares normalized trees,
 where nested Sequences are spliced into their parent, empty Sequences
@@ -205,6 +210,15 @@ def children_of(node: WorkflowNode) -> tuple[WorkflowNode, ...]:
     return ()
 
 
+def _with_children(node: WorkflowNode, kids: tuple[WorkflowNode, ...]) -> WorkflowNode:
+    """``node`` rebuilt around ``kids``, laid out as :func:`children_of` reads them."""
+    if isinstance(node, Sequence):
+        return Sequence(kids)
+    if isinstance(node, Branch):
+        return Branch(node.cond, *kids)
+    return Nest(node.sub_goal_id, *kids)
+
+
 def child_list(node: WorkflowNode) -> tuple[WorkflowNode, ...]:
     """A node viewed as a splice list: its children if a Sequence, else itself."""
     if isinstance(node, Sequence):
@@ -225,20 +239,12 @@ def node_at(root: WorkflowNode, path: Path) -> WorkflowNode:
 def replace_at(root: WorkflowNode, path: Path, new: WorkflowNode) -> WorkflowNode:
     if not path:
         return new
-    step, rest = path[0], path[1:]
-    kids = children_of(root)
+    step = path[0]
+    kids = list(children_of(root))
     if not 0 <= step < len(kids):
         raise BadPath(f"path {path} does not resolve in {type(root).__name__}")
-    replaced = replace_at(kids[step], rest, new)
-    if isinstance(root, Sequence):
-        out = list(root.children)
-        out[step] = replaced
-        return Sequence(tuple(out))
-    if isinstance(root, Branch):
-        if step == 0:
-            return Branch(root.cond, replaced, root.orelse)
-        return Branch(root.cond, root.then, replaced)
-    return Nest(root.sub_goal_id, replaced)  # a task node has no index to pass
+    kids[step] = replace_at(kids[step], path[1:], new)
+    return _with_children(root, tuple(kids))
 
 
 def task_order(node: WorkflowNode) -> tuple[TaskNode, ...]:
@@ -335,23 +341,12 @@ def metrics(w: Workflow, check: bool = True) -> StructMetrics:
 def node_metrics(node: WorkflowNode) -> StructMetrics:
     if isinstance(node, TaskNode):
         return StructMetrics(1, 0, 0)
-    if isinstance(node, Sequence):
-        parts = [node_metrics(c) for c in node.children]
-        return StructMetrics(
-            sum(p.length for p in parts),
-            max((p.depth for p in parts), default=0),
-            sum(p.branch_count for p in parts),
-        )
-    if isinstance(node, Branch):
-        then_m = node_metrics(node.then)
-        else_m = node_metrics(node.orelse) if node.orelse is not None else StructMetrics(0, 0, 0)
-        return StructMetrics(
-            then_m.length + else_m.length,
-            max(then_m.depth, else_m.depth),
-            then_m.branch_count + else_m.branch_count + 1,
-        )
-    body = node_metrics(node.body)
-    return StructMetrics(body.length, body.depth + 1, body.branch_count)
+    parts = [node_metrics(child) for child in children_of(node)]
+    return StructMetrics(
+        sum(p.length for p in parts),
+        max((p.depth for p in parts), default=0) + isinstance(node, Nest),
+        sum(p.branch_count for p in parts) + isinstance(node, Branch),
+    )
 
 
 # --- normalization and flattening ------------------------------------------
@@ -372,11 +367,11 @@ def normalize_node(node: WorkflowNode, strip_nests: bool = False) -> WorkflowNod
             return body
         return node if body is node.body else Nest(node.sub_goal_id, body)
     if isinstance(node, Branch):
-        then = normalize_node(node.then, strip_nests)
-        orelse = normalize_node(node.orelse, strip_nests) if node.orelse is not None else None
-        if then is node.then and orelse is node.orelse:
+        arms = children_of(node)
+        norms = tuple([normalize_node(arm, strip_nests) for arm in arms])
+        if all(norm is arm for norm, arm in zip(norms, arms)):
             return node
-        return Branch(node.cond, then, orelse)
+        return _with_children(node, norms)
     out: list[WorkflowNode] = []
     changed = False
     for child in node.children:
@@ -534,20 +529,14 @@ def _diff_nodes(src: WorkflowNode, tgt: WorkflowNode, path: Path) -> list[Edit]:
         return []
     if isinstance(src, Sequence) or isinstance(tgt, Sequence):
         return _diff_children(child_list(src), child_list(tgt), path)
-    if type(src) is not type(tgt):
+    src_kids, tgt_kids = children_of(src), children_of(tgt)
+    if (type(src) is not type(tgt) or isinstance(src, TaskNode) or len(src_kids) != len(tgt_kids)
+            or (src.cond != tgt.cond if isinstance(src, Branch)
+                else src.sub_goal_id != tgt.sub_goal_id)):
         return [ReplaceSubtree(path, tgt)]
-    if isinstance(src, TaskNode):
-        return [ReplaceSubtree(path, tgt)]
-    if isinstance(src, Nest):
-        if src.sub_goal_id != tgt.sub_goal_id:
-            return [ReplaceSubtree(path, tgt)]
-        return _diff_nodes(src.body, tgt.body, path + (0,))
-    # Branch
-    if src.cond != tgt.cond or (src.orelse is None) != (tgt.orelse is None):
-        return [ReplaceSubtree(path, tgt)]
-    edits = _diff_nodes(src.then, tgt.then, path + (0,))
-    if src.orelse is not None:
-        edits.extend(_diff_nodes(src.orelse, tgt.orelse, path + (1,)))
+    edits: list[Edit] = []
+    for i, (src_kid, tgt_kid) in enumerate(zip(src_kids, tgt_kids)):
+        edits.extend(_diff_nodes(src_kid, tgt_kid, path + (i,)))
     return edits
 
 
@@ -618,31 +607,27 @@ def find_subflows(w: Workflow, library: list[Workflow]) -> list[tuple[int, Path]
     A pattern matches on its tool_id sequence.  Results are
     (pattern_index, path-of-first-task) sorted lexicographically.
     """
-    flat_root = normalize_node(w.root, strip_nests=True)
-    sites: list[tuple[Path, tuple[WorkflowNode, ...]]] = []
+    # Each site's tool ids, None for a Branch (whose arms are sites too).
+    sites: list[tuple[Path, tuple["str | None", ...]]] = []
 
     def collect(node: WorkflowNode, path: Path) -> None:
         kids = child_list(node)
-        sites.append((path, kids))
+        sites.append((path, tuple([k.tool_id if isinstance(k, TaskNode) else None
+                                   for k in kids])))
         for i, child in enumerate(kids):
-            if isinstance(child, Branch):
-                collect(child.then, path + (i, 0))
-                if child.orelse is not None:
-                    collect(child.orelse, path + (i, 1))
+            for j, arm in enumerate(children_of(child)):
+                collect(arm, path + (i, j))
 
-    collect(flat_root, ())
+    collect(normalize_node(w.root, strip_nests=True), ())
     matches: list[tuple[int, Path]] = []
     for p_idx, pattern in enumerate(library):
         tools = tuple(t.tool_id for t in task_order(pattern.root))
         width = len(tools)
         if width == 0:
             continue
-        for site_path, kids in sites:
-            for start in range(len(kids) - width + 1):
-                window = kids[start : start + width]
-                if all(isinstance(k, TaskNode) for k in window) and tuple(
-                    k.tool_id for k in window
-                ) == tools:
+        for site_path, ids in sites:
+            for start in range(len(ids) - width + 1):
+                if ids[start : start + width] == tools:
                     matches.append((p_idx, site_path + (start,)))
     matches.sort()
     return matches
@@ -682,14 +667,12 @@ def shape_signature(w: Workflow) -> tuple[str, tuple[str, ...]]:
         if isinstance(node, TaskNode):
             out.append("t")
             tools.append(node.tool_id)
-        elif isinstance(node, Sequence):
-            for child in node.children:
-                splice(child, out)
-        elif isinstance(node, Nest):
-            splice(node.body, out)
-        else:
+        elif isinstance(node, Branch):
             alt = skeleton(node.orelse) if node.orelse is not None else "-"
             out.append("[" + skeleton(node.then) + "|" + alt + "]")
+        else:
+            for child in children_of(node):
+                splice(child, out)
 
     def skeleton(node: WorkflowNode) -> str:
         out: list[str] = []
@@ -846,8 +829,9 @@ def from_doc(doc: dict, tasks: "dict | None" = None) -> Workflow:
 
 
 def canonical_json(obj: object) -> str:
-    """Sorted keys, no insignificant whitespace: byte-stable for equal values."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Sorted keys, no insignificant whitespace: byte-stable for equal values.
+    NaN and the infinities raise ValueError, since JSON has no token for them."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def dumps(w: Workflow) -> str:

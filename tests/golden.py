@@ -6,6 +6,12 @@ hashes what each run writes:
 
 - a 200-record default-profile corpus at seed 7, split 160 / 40, and
   70 novel goals (35 linear, 35 nested) built from the train split;
+- 35 more linear novel goals whose expected flows carry a guarded side
+  path: a Branch, appended by ``branch``, that runs the workflow of the
+  goal's lowest-id part when the first sorted output of that part's tasks
+  exists.  Each is bucketed by the metrics of its branched flow, and
+  ``eval`` runs on them, so the Branch handling of normalization, diff,
+  binding, node documents and the MissingBranch repair is pinned end to end;
 - on the held-out split and on the novel goals, in oracle and
   goal_anchored mode: plain ``eval``, ``ablate --disable`` for each
   ablatable component, ``eval --budget 0``, ``eval`` with a life
@@ -67,12 +73,28 @@ def _prepare(work: Path) -> dict[str, Path]:
              + cp.make_novel_goals(train, seed=int(SEED), count=35, structure="nested"))
     paths = {"corpus": corpus_path, "train": work / "train.jsonl",
              "heldout": work / "heldout.jsonl", "novel": work / "novel.jsonl",
-             "life": work / "life.json"}
+             "branched": work / "branched.jsonl", "life": work / "life.json"}
     cp.save_corpus(train, paths["train"])
     cp.save_corpus(held_out, paths["heldout"])
     cp.save_corpus(novel, paths["novel"])
+    cp.save_corpus(_branched_goals(train), paths["branched"])
     paths["life"].write_text(json.dumps(LIFE))
     return paths
+
+
+def _branched_goals(train: list[cp.CorpusRecord]) -> list[cp.CorpusRecord]:
+    """35 linear novel goals, each expected flow given a guarded side path
+    that runs the workflow of its lowest-id part."""
+    by_id = {record.goal.id: record for record in train}
+    out = []
+    for record in cp.make_novel_goals(train, seed=int(SEED), count=35, structure="linear",
+                                      id_prefix="novel-branched"):
+        part = by_id[min(record.goal.subgoal_template)].workflow
+        key = min(field for task in wf.task_order(part.root) for field in task.output_schema)
+        flow = wf.branch(record.workflow, wf.Predicate(key, "exists"), part)
+        kind, size = cp.bucket_labels(wf.node_metrics(flow.root))
+        out.append(cp.CorpusRecord(record.goal, flow, kind, size))
+    return out
 
 
 def _main(argv: list[str]) -> None:
@@ -120,6 +142,9 @@ def compute() -> dict[str, str]:
                 work, f"sweep-{workers}",
                 ["eval", "--train", train, "--test", str(paths["novel"]), "--seed", SEED,
                  "--sweep", "0,40,160", "--parallelism", workers])
+        digests["branched/oracle/eval"] = _evaluate(
+            work, "branched",
+            ["eval", "--train", train, "--test", str(paths["branched"]), "--seed", SEED])
         planted_train = work / "planted-train.jsonl"
         cp.save_corpus(cp.split(cp.load_corpus(planted), 0.8, seed=int(SEED))[0], planted_train)
         profile = cp.default_profile(planted=cp.PlantedSubflowSpec(length=3, rate=0.2))

@@ -188,12 +188,15 @@ SOLVE = ["solve", "--train", "{train}", "--goals", "{test}"]
     ({**PROFILE, "total": 2.5}, ["gen-corpus", "--profile", "{file}"]),
     ({**PROFILE, "tool_vocab_size": 2.5}, ["gen-corpus", "--profile", "{file}"]),
     ({**PROFILE, "planted": {"length": 2.5, "rate": 0.5}}, ["gen-corpus", "--profile", "{file}"]),
+    *(({"seed": seed}, ["gen-corpus", "--n", "10", "--config", "{file}"])
+      for seed in ("7", True, 7.5, [1])),
 ], ids=["zero-records", "histogram-sum", "missing-total", "config-array",
         "life-out-of-range", "k-zero", "theta-out-of-range", "eta-out-of-range",
         "negative-budget", "theta-not-a-number", "seed-not-a-number", "planted-length",
         "unknown-config-key", "two-alphas", "four-alphas", "fractional-refresh-period",
         "boolean-l-init", "planted-rate-alone", "fractional-total",
-        "fractional-vocabulary", "fractional-planted-length"])
+        "fractional-vocabulary", "fractional-planted-length", "string-corpus-seed",
+        "boolean-corpus-seed", "fractional-corpus-seed", "array-corpus-seed"])
 def test_bad_user_input_exits_two(corpora, capsys, input_doc, argv):
     tmp_path, train, test = corpora
     input_file = tmp_path / "input.json"
@@ -221,6 +224,13 @@ def test_config_k_list_of_strings_exits_two(corpora, capsys):
 
 def test_config_k_list_number_exits_two(corpora, capsys):
     _assert_eval_config_exits_two(corpora, capsys, {"k_list": 3})
+
+
+@pytest.mark.parametrize("config_doc", [{"drift_threshold": float("nan")},
+                                        {"l_max": float("inf")}],
+                         ids=["nan-drift-threshold", "infinite-l-max"])
+def test_config_non_finite_number_exits_two(corpora, capsys, config_doc):
+    _assert_eval_config_exits_two(corpora, capsys, config_doc)
 
 
 def _edited_line(line: str, edit) -> str:

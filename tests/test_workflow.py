@@ -310,6 +310,12 @@ def test_serialization_round_trip_bit_exact(small_corpus):
         assert wf.dumps(back) == text
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_canonical_json_refuses_non_finite_numbers(value):
+    with pytest.raises(ValueError):
+        wf.canonical_json({"x": [value]})
+
+
 def test_serialization_canonical_writer_is_byte_stable():
     flow = chain_flow([3, 1], wid="w", gid="g")
     assert wf.dumps(flow) == wf.dumps(wf.loads(wf.dumps(flow)))
@@ -529,6 +535,135 @@ def test_one_walk_facts_match_their_previous_definitions(node, inputs, outputs):
     assert flow.replace(id="renamed").produced is flow.produced
     extended = flow.replace(root=wf.Sequence((node, chain_tasks([9])[0])))
     assert extended.produced == _reference_produced_fields(extended.root)
+
+def _reference_node_metrics(node):
+    """node_metrics as it was: one case per node kind."""
+    if isinstance(node, wf.TaskNode):
+        return wf.StructMetrics(1, 0, 0)
+    if isinstance(node, wf.Sequence):
+        parts = [_reference_node_metrics(c) for c in node.children]
+        return wf.StructMetrics(sum(p.length for p in parts),
+                                max((p.depth for p in parts), default=0),
+                                sum(p.branch_count for p in parts))
+    if isinstance(node, wf.Branch):
+        then_m = _reference_node_metrics(node.then)
+        else_m = (_reference_node_metrics(node.orelse) if node.orelse is not None
+                  else wf.StructMetrics(0, 0, 0))
+        return wf.StructMetrics(then_m.length + else_m.length, max(then_m.depth, else_m.depth),
+                                then_m.branch_count + else_m.branch_count + 1)
+    body = _reference_node_metrics(node.body)
+    return wf.StructMetrics(body.length, body.depth + 1, body.branch_count)
+
+
+def _reference_replace_at(root, path, new):
+    """replace_at as it was: each node kind rebuilt by hand."""
+    if not path:
+        return new
+    step, rest = path[0], path[1:]
+    kids = wf.children_of(root)
+    if not 0 <= step < len(kids):
+        raise BadPath(f"path {path} does not resolve in {type(root).__name__}")
+    replaced = _reference_replace_at(kids[step], rest, new)
+    if isinstance(root, wf.Sequence):
+        out = list(root.children)
+        out[step] = replaced
+        return wf.Sequence(tuple(out))
+    if isinstance(root, wf.Branch):
+        if step == 0:
+            return wf.Branch(root.cond, replaced, root.orelse)
+        return wf.Branch(root.cond, root.then, replaced)
+    return wf.Nest(root.sub_goal_id, replaced)
+
+
+def _reference_normalize_stripped(node):
+    """normalize_node(strip_nests=True) as it was, sharing the subtrees
+    that are already normal."""
+    if isinstance(node, wf.TaskNode):
+        return node
+    if isinstance(node, wf.Nest):
+        return _reference_normalize_stripped(node.body)
+    if isinstance(node, wf.Branch):
+        then = _reference_normalize_stripped(node.then)
+        orelse = _reference_normalize_stripped(node.orelse) if node.orelse is not None else None
+        if then is node.then and orelse is node.orelse:
+            return node
+        return wf.Branch(node.cond, then, orelse)
+    out, changed = [], False
+    for child in node.children:
+        norm = _reference_normalize_stripped(child)
+        if isinstance(norm, wf.Sequence):
+            out.extend(norm.children)
+            changed = True
+        else:
+            out.append(norm)
+            changed = changed or norm is not child
+    if len(out) == 1:
+        return out[0]
+    return wf.Sequence(tuple(out)) if changed else node
+
+
+def _reference_find_subflows(w, library):
+    """find_subflows as it was: each window of nodes tested task by task."""
+    flat_root = _reference_normalize_stripped(w.root)
+    sites = []
+
+    def collect(node, path):
+        kids = wf.child_list(node)
+        sites.append((path, kids))
+        for i, child in enumerate(kids):
+            if isinstance(child, wf.Branch):
+                collect(child.then, path + (i, 0))
+                if child.orelse is not None:
+                    collect(child.orelse, path + (i, 1))
+
+    collect(flat_root, ())
+    matches = []
+    for p_idx, pattern in enumerate(library):
+        tools = tuple(t.tool_id for t in wf.task_order(pattern.root))
+        if not tools:
+            continue
+        for site_path, kids in sites:
+            for start in range(len(kids) - len(tools) + 1):
+                window = kids[start : start + len(tools)]
+                if all(isinstance(k, wf.TaskNode) for k in window) and tuple(
+                        k.tool_id for k in window) == tools:
+                    matches.append((p_idx, site_path + (start,)))
+    matches.sort()
+    return matches
+
+
+def _paths(node, path=()):
+    yield path
+    for i, child in enumerate(wf.children_of(node)):
+        yield from _paths(child, path + (i,))
+
+
+_b1 = wf.Branch(wf.Predicate("o1", "exists"), _t00)
+_b2 = wf.Branch(wf.Predicate("o1", "exists"), _t01, wf.Sequence((_t05, wf.Nest("s", _t00))))
+
+
+@given(_node_strategy(branches=True))
+@example(wf.Sequence((_t00, _b2, wf.Nest("s", _b1), wf.Sequence(()))))
+@example(wf.Branch(wf.Predicate("o1", "exists"), _b2, wf.Sequence(())))
+@settings(max_examples=400, deadline=None)
+def test_child_layout_walks_match_their_previous_definitions(node):
+    assert wf.node_metrics(node) == _reference_node_metrics(node)
+    stripped = wf.normalize_node(node, strip_nests=True)
+    assert stripped == _reference_normalize_stripped(node)
+    assert (stripped is node) == (_reference_normalize_stripped(node) is node)
+    marker = chain_tasks([9])[0]
+    for path in _paths(node):
+        assert wf.replace_at(node, path, marker) == _reference_replace_at(node, path, marker)
+        kids = wf.children_of(wf.node_at(node, path))
+        with pytest.raises(BadPath):
+            wf.replace_at(node, path + (len(kids),), marker)
+    # patterns drawn from the tree's own task runs, one to three tasks wide
+    tasks = wf.task_order(node)
+    library = [wf.Workflow(root=wf.Sequence(tasks[start : start + width]))
+               for width in (0, 1, 2, 3) for start in range(max(len(tasks) - width, 0) + 1)]
+    flow = wf.Workflow(root=node)
+    assert wf.find_subflows(flow, library) == _reference_find_subflows(flow, library)
+
 
 @given(_node_strategy(branches=True), _fields)
 @settings(max_examples=150, deadline=None)

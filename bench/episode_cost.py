@@ -22,7 +22,9 @@ of ``workflow.normalize_node``, ``task_order``, ``produced_fields`` and
 new walk).  It also counts the ``retrieve`` and ``cover_split`` calls of
 the solve loop and how many of them the pool answered from its read
 memo, which a call that leaves the memo's size unchanged is; a pool
-without a memo answers none.  Each count is divided by the episodes.  The counts repeat
+without a memo answers none.  And it counts the ``compose`` and
+``verify`` calls, at both the ``orchestrator`` and the ``repair``
+attributes.  Each count is divided by the episodes.  The counts repeat
 exactly from run to run; the result is one JSON document on standard
 output.
 """
@@ -45,6 +47,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
 WALKS = ("normalize_node", "task_order", "produced_fields", "dataflow_violations")
 READS = ("retrieve", "cover_split")
+CALLS = ("compose", "verify")
 
 
 @contextmanager
@@ -97,7 +100,7 @@ def run(workload, directory: Path, sites: dict) -> None:
 
 
 def measure(workload, reps: int) -> dict:
-    from flowsmith import evaluation, orchestrator
+    from flowsmith import evaluation, orchestrator, repair
     from flowsmith import workflow as wf
 
     run_episode = evaluation.run_episode
@@ -125,6 +128,11 @@ def measure(workload, reps: int) -> dict:
     count_sites.update({(orchestrator, name): read_counter(getattr(orchestrator, name), name,
                                                            counts)
                         for name in READS})
+    count_sites.update({(orchestrator, name): walk_counter(getattr(orchestrator, name), name,
+                                                           counts, inside)
+                        for name in CALLS})
+    count_sites.update({(repair, name): walk_counter(getattr(repair, name), name, counts, inside)
+                        for name in CALLS})
     count_sites[(evaluation, "run_episode")] = counted_episode
     with tempfile.TemporaryDirectory(prefix="episode_cost.") as tmp:
         for _ in range(reps):
@@ -143,6 +151,7 @@ def measure(workload, reps: int) -> dict:
             **{f"{name}_walks": round(counts[name] / episodes, 3) for name in WALKS},
             **{key: round(counts[key] / episodes, 3)
                for name in READS for key in (f"{name}_calls", f"{name}_from_memo")},
+            **{f"{name}_calls": round(counts[name] / episodes, 3) for name in CALLS},
         },
     }
 

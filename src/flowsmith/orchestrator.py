@@ -17,14 +17,15 @@ unmatched goal is not split and a failed candidate is not repaired.
 
 ``solve`` is the one place a decomposition failure ends a rank: the
 episode becomes an early failure and keeps the ranks already run.  Each
-candidate is verified once, and a failing verdict is handed to the
+candidate is verified once, a rank that repeats the previous rank's
+decomposition reuses its verdict, and a failing verdict is handed to the
 repair loop as it is.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 from . import workflow as wf
@@ -146,6 +147,10 @@ class RepairRecord:
         }
 
 
+# The keys of an outcome's document, in field order.
+_OUTCOME_FIELDS = tuple(f.name for f in fields(Outcome))
+
+
 @dataclass
 class EpisodeResult:
     goal_id: str
@@ -174,7 +179,8 @@ class EpisodeResult:
             ],
             "repairs": [r.to_doc() for r in self.repairs_applied],
             "outcomes": [
-                [agent_id, {**asdict(o), "p_redundant": round(o.p_redundant, 9)}]
+                [agent_id, {**{name: getattr(o, name) for name in _OUTCOME_FIELDS},
+                            "p_redundant": round(o.p_redundant, 9)}]
                 for agent_id, o in self.outcomes
             ],
         }
@@ -365,7 +371,11 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
     control off through ``apply_stats``, which counts without touching
     life.  The fault is localized in the composed candidate, before any
     repair, because the decomposition tree's parts fill its top-level
-    slots.
+    slots.  A rank whose tree equals the previous rank's (the same agents
+    in the same structure) reuses that rank's unrepaired candidate,
+    verdict and blamed agent, since ``compose`` and ``verify`` are pure in
+    the tree and the target; it still repairs with its own rng and
+    issues its own outcomes.
     """
     from .repair import repair_loop  # deferred to avoid an import cycle
 
@@ -378,6 +388,7 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
         steps=0, seed=config.seed,
     )
 
+    previous = None  # (tree, candidate, verdict, blamed) of the last rank, before repair
     for rank in range(1, config.k + 1):
         rng = random.Random(derive_seed(config.seed, goal.id, rank))
         try:
@@ -385,15 +396,17 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
         except DecompositionFailure:
             episode.early_failure = True
             break
-        candidate = compose(tree)
         path_agents = [leaf.agent for leaf in tree_leaves(tree)]
         episode.steps += len(path_agents)
 
-        verdict = verify(candidate, target, config)
+        if previous is None or previous[0] != tree:
+            candidate = compose(tree)
+            verdict = verify(candidate, target, config)
+            previous = (tree, candidate, verdict, _localize_fault(verdict, tree))
+        _, candidate, verdict, blamed = previous
         if not config.verification:
             episode.candidates.append((candidate, verdict))
             break
-        blamed = _localize_fault(verdict, tree)
 
         if not verdict.passed and config.hypothesis and config.repair_budget >= 1:
             candidate, verdict, trace, _ = repair_loop(net, goal, candidate, verdict,

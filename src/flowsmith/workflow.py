@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
@@ -735,7 +736,8 @@ def _task_key(doc: dict) -> "tuple | None":
     ``1.0`` and ``true`` (and ``0.0`` and ``-0.0``) stay apart, and a
     string schema never keys like the list of its characters.  A schema
     holding a non-string, a tool_id that is not a string or a param value
-    that is not a JSON scalar builds no node, so its key is never stored.
+    that is not a JSON scalar (or is an infinite float) builds no node, so
+    its key is never stored.
     """
     tool_id = doc.get("tool_id")
     inputs = doc.get("input_schema", ())
@@ -757,8 +759,10 @@ def _task_from_doc(doc: dict) -> TaskNode:
     tool_id, params = doc["tool_id"], doc.get("params", {})
     if type(tool_id) is not str or not tool_id:
         raise ValueError(f"tool_id must be a non-empty string, got {tool_id!r}")
-    if type(params) is not dict or any(type(v) not in _KEY_LITERALS for v in params.values()):
-        raise ValueError("params must map names to strings, numbers, bools or null, "
+    if type(params) is not dict or any(type(v) not in _KEY_LITERALS
+                                       or type(v) is float and not math.isfinite(v)
+                                       for v in params.values()):
+        raise ValueError("params must map names to strings, finite numbers, bools or null, "
                          f"got {params!r}")
     return TaskNode(
         tool_id=tool_id,

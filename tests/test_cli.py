@@ -298,6 +298,24 @@ def test_corrupt_corpus_line_exits_three(corpora, capsys):
         assert line is None or f"line {line}:" in err, name
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "infinity", "minus-infinity"])
+def test_non_finite_task_param_exits_three_naming_its_line(corpora, capsys, value):
+    # json reads NaN and Infinity tokens, which no written file may hold
+    tmp_path, train, test = corpora
+    lines = open(train).read().splitlines()
+    task = next(n for n, line in enumerate(lines, 1)
+                if json.loads(line)["workflow"]["root"]["kind"] == "task")
+    lines[task - 1] = _edited_line(
+        lines[task - 1], lambda doc: doc["workflow"]["root"]["params"].update(p=value))
+    broken = tmp_path / "non-finite.jsonl"
+    broken.write_text("\n".join(lines) + "\n")
+    code = cli.main(["eval", "--train", str(broken), "--test", test,
+                     "--report", str(tmp_path / "r.json")])
+    assert code == 3
+    assert f"corrupt corpus {str(broken)!r} line {task}:" in capsys.readouterr().err
+
+
 def _oracle_subgoals(value):
     return lambda doc: doc["goal"].update(oracle_subgoals=value)
 

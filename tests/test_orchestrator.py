@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -345,6 +346,65 @@ def test_solve_counts_one_verify_per_candidate(monkeypatch):
     assert episode.passed_rank() == 1
     assert [r.action for r in episode.repairs_applied] == ["Insert"]
     assert len(calls) == 2  # the composed candidate, then the repaired one
+
+
+def _count_compose_and_verify(monkeypatch) -> Counter:
+    """Count ``compose`` and ``verify`` calls at the orchestrator and repair attributes."""
+    calls = Counter()
+    for name, fn in (("compose", compose), ("verify", verify)):
+        def counted(*args, name=name, fn=fn, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        for module in (orchestrator, repair):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_solve_reuses_a_repeated_rank_and_still_penalises_it(monkeypatch):
+    # Ranks 1-3 decompose g1 to its own agent, and each fails it; rank 4
+    # then finds no agent and ends the episode early
+    calls = _count_compose_and_verify(monkeypatch)
+    net = chain_pool(6)
+    goal = net.training[1][0]
+    episode = solve(net, goal, SolveConfig(seed=2, repair_budget=0),
+                    expected=chain_flow([3, 4], wid="x", gid=goal.id))
+    assert episode.early_failure and len(episode.candidates) == 3
+    assert calls == {"compose": 1, "verify": 1}
+    assert episode.outcomes == [(goal.id, Outcome(p_fail=1))] * 3
+
+
+def test_solve_repairs_each_repeated_rank_from_the_unrepaired_candidate(monkeypatch):
+    # g0 composes t00 against t00 t01 t02.  One Insert (budget 1) per rank
+    # leaves t02 missing, so every rank ends at t00 t01; a rank that
+    # started from the previous rank's repaired candidate would pass.
+    calls = _count_compose_and_verify(monkeypatch)
+    net = chain_pool(6)
+    goal = net.training[0][0]
+    episode = solve(net, goal, SolveConfig(seed=11, repair_budget=1),
+                    expected=chain_flow([0, 1, 2], gid=goal.id))
+    assert episode.passed_rank() is None
+    assert [r.action for r in episode.repairs_applied] == ["Insert"] * 3
+    assert [wf.task_order(c.root) for c, _ in episode.candidates] == [tuple(chain_tasks([0, 1]))] * 3
+    assert calls == {"compose": 1, "verify": 4}  # one composed candidate, three repaired
+
+
+def test_solve_composes_afresh_each_rank_that_draws_another_agent(monkeypatch):
+    # ga and gb have equal tokens, so both resolve the goal; at seed 3 the
+    # ranks alternate between them, so every tree holds the same goal but
+    # not the same agent as the tree before it
+    calls = _count_compose_and_verify(monkeypatch)
+    flows = [chain_flow([k], wid=f"w{k}", gid=gid) for k, gid in enumerate(("ga", "gb"))]
+    tokens = frozenset({"t:x", "t:y"})
+    net = build_agents([(Goal(f.goal_id, tokens, f.declared_inputs, f.declared_outputs), f)
+                        for f in flows])
+    goal = Goal("q", tokens, flows[0].declared_inputs | flows[1].declared_inputs)
+    episode = solve(net, goal, SolveConfig(seed=3, repair_budget=0),
+                    expected=chain_flow([2], gid="q"))
+    assert [wf.task_order(c.root) for c, _ in episode.candidates] == [
+        tuple(chain_tasks([k])) for k in (0, 1, 0, 1, 0)]
+    assert [agent_id for agent_id, o in episode.outcomes if o.p_fail] == [
+        "ga", "gb", "ga", "gb", "ga"]
+    assert calls == {"compose": 5, "verify": 5}
 
 
 def test_solve_hypothesis_disabled_never_repairs():

@@ -22,11 +22,14 @@ of ``workflow.normalize_node``, ``task_order``, ``produced_fields`` and
 new walk).  It also counts the ``retrieve`` and ``cover_split`` calls of
 the solve loop and how many of them the pool answered from its read
 memo, which a call that leaves the memo's size unchanged is; a pool
-without a memo answers none.  And it counts the ``compose`` and
-``verify`` calls, at both the ``orchestrator`` and the ``repair``
-attributes.  Each count is divided by the episodes.  The counts repeat
-exactly from run to run; the result is one JSON document on standard
-output.
+without a memo answers none.  And it counts the ``decompose``,
+``compose`` and ``verify`` calls, at both the ``orchestrator`` and the
+``repair`` attributes, and the rng seedings of the solve loop (calls of
+``orchestrator.derive_seed``).  Each count is divided by the episodes.
+The counts repeat exactly from run to run.  The timed passes also time
+the one ``evaluation.transcripts_text`` call of each experiment, which
+encodes the transcript; its best time over the passes is reported in
+ms.  The result is one JSON document on standard output.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
 WALKS = ("normalize_node", "task_order", "produced_fields", "dataflow_violations")
 READS = ("retrieve", "cover_split")
-CALLS = ("compose", "verify")
+CALLS = ("decompose", "compose", "verify")
 
 
 @contextmanager
@@ -104,7 +107,9 @@ def measure(workload, reps: int) -> dict:
     from flowsmith import workflow as wf
 
     run_episode = evaluation.run_episode
+    transcripts_text = evaluation.transcripts_text
     best: dict[str, float] = {}
+    encode_s: list[float] = []
 
     def timed_episode(net, record, solve_cfg):
         start = perf_counter()
@@ -112,6 +117,12 @@ def measure(workload, reps: int) -> dict:
         elapsed = perf_counter() - start
         best[record.goal.id] = min(elapsed, best.get(record.goal.id, elapsed))
         return result
+
+    def timed_transcripts(episodes):
+        start = perf_counter()
+        text = transcripts_text(episodes)
+        encode_s.append(perf_counter() - start)
+        return text
 
     counts: Counter = Counter()
     inside = [False]  # whether a run_episode call is under way
@@ -133,10 +144,13 @@ def measure(workload, reps: int) -> dict:
                         for name in CALLS})
     count_sites.update({(repair, name): walk_counter(getattr(repair, name), name, counts, inside)
                         for name in CALLS})
+    count_sites[(orchestrator, "derive_seed")] = walk_counter(orchestrator.derive_seed,
+                                                             "derive_seed", counts, inside)
     count_sites[(evaluation, "run_episode")] = counted_episode
     with tempfile.TemporaryDirectory(prefix="episode_cost.") as tmp:
         for _ in range(reps):
-            run(workload, Path(tmp), {(evaluation, "run_episode"): timed_episode})
+            run(workload, Path(tmp), {(evaluation, "run_episode"): timed_episode,
+                                      (evaluation, "transcripts_text"): timed_transcripts})
         run(workload, Path(tmp), count_sites)
     ms = [1000.0 * s for s in best.values()]
     episodes = len(ms)
@@ -147,11 +161,13 @@ def measure(workload, reps: int) -> dict:
             "p90": round(statistics.quantiles(ms, n=10)[8], 4),
             "sum": round(sum(ms), 2),
         },
+        "best_transcripts_text_ms": round(1000.0 * min(encode_s), 2),
         "per_episode": {
             **{f"{name}_walks": round(counts[name] / episodes, 3) for name in WALKS},
             **{key: round(counts[key] / episodes, 3)
                for name in READS for key in (f"{name}_calls", f"{name}_from_memo")},
             **{f"{name}_calls": round(counts[name] / episodes, 3) for name in CALLS},
+            "rng_seedings": round(counts["derive_seed"] / episodes, 3),
         },
     }
 

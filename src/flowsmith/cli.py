@@ -19,7 +19,7 @@ from dataclasses import asdict, replace
 
 from . import corpus as corpus_mod
 from .agents import LifeConfig
-from .errors import ConfigError, EngineError
+from .errors import ConfigError, EngineError, is_number
 from .evaluation import ABLATABLE, ExperimentConfig, MetricsReport, csv_text, run_experiment
 from .orchestrator import MODES
 
@@ -208,6 +208,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
             bucket: {int(k): value for k, value in table.items()}
             for bucket, table in doc["per_bucket"].items()
         }
+        for bucket, table in per_bucket.items():
+            for k, value in table.items():
+                if k < 1 or not is_number(value) or not 0.0 <= value <= 1.0:
+                    raise ValueError(f"bucket {bucket!r} has pass@{k} = {value!r}, "
+                                     "not a number in [0, 1] at a k >= 1")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed report {args.report!r}: {type(exc).__name__}: {exc}") from exc
     corpus_mod.write_atomic(args.csv, csv_text(per_bucket))

@@ -134,10 +134,12 @@ def csv_text(per_bucket: dict[str, dict[int, float]]) -> str:
 
 
 def transcripts_text(episodes: list[BucketedEpisode]) -> str:
-    """One canonical JSON line per episode, tagged with its bucket."""
+    """One canonical JSON line per episode, tagged with its bucket; the
+    candidates share procedure subtrees, so one node-document table serves all."""
     lines = []
+    docs: dict = {}
     for item in episodes:
-        doc = item.episode.to_doc()
+        doc = item.episode.to_doc(docs)
         doc["bucket"] = item.record.bucket
         lines.append(wf.canonical_json(doc))
     return "\n".join(lines) + ("\n" if lines else "")

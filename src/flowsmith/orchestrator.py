@@ -20,6 +20,14 @@ episode becomes an early failure and keeps the ranks already run.  Each
 candidate is verified once, a rank that repeats the previous rank's
 decomposition reuses its verdict, and a failing verdict is handed to the
 repair loop as it is.
+
+A decomposition is *forced* when no goal in it had two or more agents to
+select from.  Within an episode membership is fixed, lives only fall (a
+pass ends it), and a retrieved agent's weight, life times compatibility,
+is above zero while its life is and the input gate admits it (its
+similarity exceeds theta).  So while every leaf agent of a forced tree
+lives (or with scale control off, which reads no life), the next rank
+would decompose the same tree, and ``solve`` reuses it.
 """
 
 from __future__ import annotations
@@ -167,14 +175,15 @@ class EpisodeResult:
                 return rank
         return None
 
-    def to_doc(self) -> dict:
+    def to_doc(self, docs: "dict | None" = None) -> dict:
+        """The episode's document; ``docs`` is ``workflow.node_to_doc``'s table."""
         return {
             "goal_id": self.goal_id,
             "seed": self.seed,
             "early_failure": self.early_failure,
             "steps": self.steps,
             "candidates": [
-                {"workflow": wf.to_doc(c), "verdict": v.to_doc()}
+                {"workflow": wf.to_doc(c, docs), "verdict": v.to_doc()}
                 for c, v in self.candidates
             ],
             "repairs": [r.to_doc() for r in self.repairs_applied],
@@ -190,7 +199,7 @@ class EpisodeResult:
 
 
 def decompose(net: AgentNetwork, goal: Goal, config: SolveConfig,
-              rng: random.Random) -> DecompositionTree:
+              rng: random.Random, contested: list[Goal] | None = None) -> DecompositionTree:
     """Resolve the goal by an agent above theta that ``resolves`` it, else split.
 
     With hypotheses off an unmatched goal raises DecompositionFailure
@@ -198,11 +207,15 @@ def decompose(net: AgentNetwork, goal: Goal, config: SolveConfig,
     structural hypothesis.  A goal whose split is one part with its own
     token set also raises at once: retrieval, compatibility and selection
     read only tokens, scope and life, so recursing into that part would
-    fail the same way at every level until the depth budget.
+    fail the same way at every level until the depth budget.  It draws
+    one ``rng.random()`` per leaf, and appends to ``contested``, if given,
+    each goal that had two or more agents to select from.
     """
     def walk(g: Goal, depth: int, scope: frozenset[str]) -> tuple[DecompositionTree, frozenset[str]]:
         weighted = [(agent, compatibility(agent, g, scope, input_gate=config.input_goal))
                     for agent, _ in retrieve(net, g, config.theta) if resolves(net, g, agent)]
+        if contested is not None and len(weighted) > 1:
+            contested.append(g)
         if weighted:
             try:
                 chosen = select(weighted, rng, use_life=config.scale_control)
@@ -375,7 +388,9 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
     in the same structure) reuses that rank's unrepaired candidate,
     verdict and blamed agent, since ``compose`` and ``verify`` are pure in
     the tree and the target; it still repairs with its own rng and
-    issues its own outcomes.
+    issues its own outcomes.  A rank that would repeat a forced tree
+    (module docstring) skips ``decompose``; it seeds an rng only to repair,
+    after the one draw per leaf that ``decompose`` would have made.
     """
     from .repair import repair_loop  # deferred to avoid an import cycle
 
@@ -389,13 +404,20 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
     )
 
     previous = None  # (tree, candidate, verdict, blamed) of the last rank, before repair
+    forced = False  # whether no goal of the last decomposition had two agents to choose from
     for rank in range(1, config.k + 1):
-        rng = random.Random(derive_seed(config.seed, goal.id, rank))
-        try:
-            tree = decompose(net, goal, config, rng)
-        except DecompositionFailure:
-            episode.early_failure = True
-            break
+        if forced and (not config.scale_control
+                       or all(leaf.agent.life > 0.0 for leaf in tree_leaves(previous[0]))):
+            tree, rng = previous[0], None
+        else:
+            rng = random.Random(derive_seed(config.seed, goal.id, rank))
+            contested: list[Goal] = []
+            try:
+                tree = decompose(net, goal, config, rng, contested)
+            except DecompositionFailure:
+                episode.early_failure = True
+                break
+            forced = not contested
         path_agents = [leaf.agent for leaf in tree_leaves(tree)]
         episode.steps += len(path_agents)
 
@@ -409,6 +431,10 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
             break
 
         if not verdict.passed and config.hypothesis and config.repair_budget >= 1:
+            if rng is None:  # draw what decompose would have drawn: one per leaf
+                rng = random.Random(derive_seed(config.seed, goal.id, rank))
+                for _ in path_agents:
+                    rng.random()
             candidate, verdict, trace, _ = repair_loop(net, goal, candidate, verdict,
                                                        target, config, rng)
             path_agents += [record.agent for record in trace if record.agent is not None]

@@ -406,11 +406,20 @@ def test_report_verb_reemits_csv(corpora, capsys):
 
 
 @pytest.mark.parametrize("doc", [[1], {"per_bucket": [1]}, {"per_bucket": {"a": 1}},
-                                 {"per_bucket": {"a": {"x": 0.5}}}, {}],
-                         ids=["list", "bucket-list", "table-number", "bad-k", "no-table"])
+                                 {"per_bucket": {"a": {"x": 0.5}}}, {},
+                                 {"per_bucket": {"a": {"1": "z"}}},
+                                 {"per_bucket": {"a": {"1": float("nan")}}},
+                                 {"per_bucket": {"a": {"1": True}}},
+                                 {"per_bucket": {"a": {"1": 1.5}}},
+                                 {"per_bucket": {"a": {"1": -0.5}}},
+                                 {"per_bucket": {"a": {"0": 0.5}}},
+                                 {"per_bucket": {"a": {"-1": 0.5}}}],
+                         ids=["list", "bucket-list", "table-number", "bad-k", "no-table",
+                              "string-value", "nan-value", "bool-value", "above-one",
+                              "below-zero", "k-zero", "k-negative"])
 def test_report_verb_rejects_malformed_report(tmp_path, capsys, doc):
     report, csv = tmp_path / "report.json", tmp_path / "out.csv"
-    report.write_text(json.dumps(doc))
+    report.write_text(json.dumps(doc))  # json writes NaN as the bare token NaN
     assert cli.main(["report", "--report", str(report), "--csv", str(csv)]) == 3
     assert "malformed report" in capsys.readouterr().err
     assert not csv.exists()

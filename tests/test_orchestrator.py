@@ -348,36 +348,54 @@ def test_solve_counts_one_verify_per_candidate(monkeypatch):
     assert len(calls) == 2  # the composed candidate, then the repaired one
 
 
-def _count_compose_and_verify(monkeypatch) -> Counter:
-    """Count ``compose`` and ``verify`` calls at the orchestrator and repair attributes."""
+def _count_stage_calls(monkeypatch) -> Counter:
+    """Count ``decompose``, ``compose`` and ``verify`` calls at the
+    orchestrator and repair attributes, and rng seedings (``derive_seed``)."""
     calls = Counter()
-    for name, fn in (("compose", compose), ("verify", verify)):
-        def counted(*args, name=name, fn=fn, **kwargs):
+    sites = [(module, name) for name in ("decompose", "compose", "verify")
+             for module in (orchestrator, repair)] + [(orchestrator, "derive_seed")]
+    for module, name in sites:
+        def counted(*args, name=name, fn=getattr(module, name), **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        for module in (orchestrator, repair):
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_solve_reuses_a_repeated_rank_and_still_penalises_it(monkeypatch):
-    # Ranks 1-3 decompose g1 to its own agent, and each fails it; rank 4
-    # then finds no agent and ends the episode early
-    calls = _count_compose_and_verify(monkeypatch)
+    # Ranks 1-3 resolve g1 to its own agent, its only choice, and each
+    # fails it; ranks 2 and 3 repeat rank 1 without decomposing or
+    # seeding an rng.  Rank 4 finds the agent dead, decomposes, finds no
+    # agent and ends the episode early
+    calls = _count_stage_calls(monkeypatch)
     net = chain_pool(6)
     goal = net.training[1][0]
     episode = solve(net, goal, SolveConfig(seed=2, repair_budget=0),
                     expected=chain_flow([3, 4], wid="x", gid=goal.id))
     assert episode.early_failure and len(episode.candidates) == 3
-    assert calls == {"compose": 1, "verify": 1}
+    assert calls == {"decompose": 2, "derive_seed": 2, "compose": 1, "verify": 1}
     assert episode.outcomes == [(goal.id, Outcome(p_fail=1))] * 3
+
+
+def test_solve_reuses_a_forced_rank_whose_dead_leaf_scale_control_ignores(monkeypatch):
+    # Without scale control selection reads no life, so a dead g1 is
+    # still chosen, and every rank after the first repeats rank 1
+    calls = _count_stage_calls(monkeypatch)
+    net = chain_pool(6)
+    goal = net.training[1][0]
+    agent_named(net, goal.id).life = 0.0
+    episode = solve(net, goal, SolveConfig(seed=2, repair_budget=0, scale_control=False),
+                    expected=chain_flow([3, 4], wid="x", gid=goal.id))
+    assert not episode.early_failure and len(episode.candidates) == 5
+    assert calls == {"decompose": 1, "derive_seed": 1, "compose": 1, "verify": 1}
+    assert episode.outcomes == [(goal.id, Outcome(p_fail=1))] * 5
 
 
 def test_solve_repairs_each_repeated_rank_from_the_unrepaired_candidate(monkeypatch):
     # g0 composes t00 against t00 t01 t02.  One Insert (budget 1) per rank
     # leaves t02 missing, so every rank ends at t00 t01; a rank that
     # started from the previous rank's repaired candidate would pass.
-    calls = _count_compose_and_verify(monkeypatch)
+    calls = _count_stage_calls(monkeypatch)
     net = chain_pool(6)
     goal = net.training[0][0]
     episode = solve(net, goal, SolveConfig(seed=11, repair_budget=1),
@@ -385,14 +403,31 @@ def test_solve_repairs_each_repeated_rank_from_the_unrepaired_candidate(monkeypa
     assert episode.passed_rank() is None
     assert [r.action for r in episode.repairs_applied] == ["Insert"] * 3
     assert [wf.task_order(c.root) for c, _ in episode.candidates] == [tuple(chain_tasks([0, 1]))] * 3
-    assert calls == {"compose": 1, "verify": 4}  # one composed candidate, three repaired
+    # one composed candidate, three repaired; each repairing rank seeds its rng
+    assert calls == {"decompose": 2, "derive_seed": 4, "compose": 1, "verify": 4}
+
+
+def test_solve_repairs_a_repeated_rank_with_the_draws_it_would_have_decomposed_with():
+    # g1 and h1 both produce o1, so each Insert draws between them; the
+    # ids are those each rank drew when every rank decomposed, which a
+    # repair rng that skipped the leaf's draw does not give at seed 2
+    net = chain_pool(6)
+    twin = chain_flow([1], wid="wh", gid="h1")
+    net = build_agents(net.training + [
+        (Goal("h1", frozenset({"h1:a"}), twin.declared_inputs, twin.declared_outputs), twin)])
+    goal = net.training[0][0]
+    episode = solve(net, goal, SolveConfig(seed=2, repair_budget=1),
+                    expected=chain_flow([0, 1, 2], gid=goal.id))
+    assert len(episode.candidates) == 3
+    assert [r.agent.agent_id for r in episode.repairs_applied] == ["h1", "h1", "g1"]
 
 
 def test_solve_composes_afresh_each_rank_that_draws_another_agent(monkeypatch):
     # ga and gb have equal tokens, so both resolve the goal; at seed 3 the
     # ranks alternate between them, so every tree holds the same goal but
-    # not the same agent as the tree before it
-    calls = _count_compose_and_verify(monkeypatch)
+    # not the same agent as the tree before it.  Each rank chose between
+    # two agents, so each decomposes afresh
+    calls = _count_stage_calls(monkeypatch)
     flows = [chain_flow([k], wid=f"w{k}", gid=gid) for k, gid in enumerate(("ga", "gb"))]
     tokens = frozenset({"t:x", "t:y"})
     net = build_agents([(Goal(f.goal_id, tokens, f.declared_inputs, f.declared_outputs), f)
@@ -404,7 +439,7 @@ def test_solve_composes_afresh_each_rank_that_draws_another_agent(monkeypatch):
         tuple(chain_tasks([k])) for k in (0, 1, 0, 1, 0)]
     assert [agent_id for agent_id, o in episode.outcomes if o.p_fail] == [
         "ga", "gb", "ga", "gb", "ga"]
-    assert calls == {"compose": 5, "verify": 5}
+    assert calls == {"decompose": 5, "derive_seed": 5, "compose": 5, "verify": 5}
 
 
 def test_solve_hypothesis_disabled_never_repairs():

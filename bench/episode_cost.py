@@ -25,7 +25,10 @@ memo, which a call that leaves the memo's size unchanged is; a pool
 without a memo answers none.  And it counts the ``decompose``,
 ``compose`` and ``verify`` calls, at both the ``orchestrator`` and the
 ``repair`` attributes, and the rng seedings of the solve loop (calls of
-``orchestrator.derive_seed``).  Each count is divided by the episodes.
+``orchestrator.derive_seed``).  And it counts the ranks whose repair
+loop stopped for each reason (``passed``, ``stalled``, ``budget``), read
+from each ``orchestrator.Rank``'s ``stop``; a source without ``Rank``
+reports no such counts.  Each count is divided by the episodes.
 The counts repeat exactly from run to run.  The timed passes also time
 the one ``evaluation.transcripts_text`` call of each experiment, which
 encodes the transcript; its best time over the passes is reported in
@@ -51,6 +54,7 @@ SEED = 7
 WALKS = ("normalize_node", "task_order", "produced_fields", "dataflow_violations")
 READS = ("retrieve", "cover_split")
 CALLS = ("decompose", "compose", "verify")
+STOPS = ("passed", "stalled", "budget")
 
 
 @contextmanager
@@ -130,9 +134,11 @@ def measure(workload, reps: int) -> dict:
     def counted_episode(net, record, solve_cfg):
         inside[0] = True
         try:
-            return run_episode(net, record, solve_cfg)
+            result = run_episode(net, record, solve_cfg)
         finally:
             inside[0] = False
+        counts.update(f"stop_{rank.stop}" for rank in getattr(result.episode, "ranks", ()))
+        return result
 
     count_sites = {(wf, name): walk_counter(getattr(wf, name), name, counts, inside)
                    for name in WALKS}
@@ -168,6 +174,8 @@ def measure(workload, reps: int) -> dict:
                for name in READS for key in (f"{name}_calls", f"{name}_from_memo")},
             **{f"{name}_calls": round(counts[name] / episodes, 3) for name in CALLS},
             "rng_seedings": round(counts["derive_seed"] / episodes, 3),
+            **{f"repair_stops_{stop}": round(counts[f"stop_{stop}"] / episodes, 3)
+               for stop in STOPS if hasattr(orchestrator, "Rank")},
         },
     }
 

@@ -28,13 +28,13 @@ print("\n== trained goal: direct retrieval, no repair ==")
 record = records[0]
 episode = solve(net, record.goal, config, expected=record.workflow)
 print(f"goal {record.goal.id}: pass at rank {episode.passed_rank()}, "
-      f"repairs {len(episode.repairs_applied)}")
+      f"repairs {sum(len(rank.repairs) for rank in episode.ranks)}")
 
 print("\n== novel linear composite: retrieval misses, decomposition + reorder ==")
 novel = cp.make_novel_goals(records, seed=12, count=3, parts_range=(3, 3))
 for rec in novel:
     episode = solve(net, rec.goal, config, expected=rec.workflow)
-    trail = [f"{r.hypothesis}->{r.action}" for r in episode.repairs_applied]
+    trail = [f"{r.hypothesis}->{r.action}" for rank in episode.ranks for r in rank.repairs]
     print(f"goal {rec.goal.id} (parts {list(rec.goal.subgoal_template)}): "
           f"pass at rank {episode.passed_rank()}, repairs {trail or 'none'}")
 
@@ -43,8 +43,8 @@ nested = cp.make_novel_goals(records, seed=13, count=2, parts_range=(2, 3),
                              structure="nested")
 for rec in nested:
     episode = solve(net, rec.goal, config, expected=rec.workflow)
-    trail = [f"{r.hypothesis}->{r.action}" for r in episode.repairs_applied]
-    final, verdict = episode.candidates[-1]
+    trail = [f"{r.hypothesis}->{r.action}" for rank in episode.ranks for r in rank.repairs]
+    final = episode.ranks[-1].candidate
     print(f"goal {rec.goal.id}: pass at rank {episode.passed_rank()}, "
           f"depth {wf.metrics(final, check=False).depth}, repairs {trail}")
 
@@ -52,9 +52,9 @@ print("\n== the same novel goal without structural hypotheses ==")
 blocked = SolveConfig(seed=42, hypothesis=False)
 episode = solve(net, novel[0].goal, blocked, expected=novel[0].workflow)
 print(f"goal {novel[0].goal.id}: early failure {episode.early_failure}, "
-      f"candidates {len(episode.candidates)}")
+      f"candidates {len(episode.ranks)}")
 
 print("\n== rewards issued on the passing path ==")
 episode = solve(net, novel[0].goal, config, expected=novel[0].workflow)
-for agent_id, outcome in episode.outcomes:
-    print(f"  {agent_id}: correct={outcome.r_correct} general={outcome.r_general}")
+for agent, outcome in episode.ranks[-1].outcomes:
+    print(f"  {agent.agent_id}: correct={outcome.r_correct} general={outcome.r_general}")

@@ -34,7 +34,7 @@ each training goal with the active agents, about 0.46 s at 1,600
 agents and 10.7 s at 6,400 (``bench/pool_scale.py``,
 ``BENCH_15.json``).  Most of those pairs share no token, and
 ``similarity`` answers them without building a set.  The pass stays a
-scan until ROADMAP item 1a lands.
+scan until ROADMAP item 1b lands.
 """
 
 from __future__ import annotations

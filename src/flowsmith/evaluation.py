@@ -15,6 +15,8 @@ with ``ConfigError`` before any file is read.
 
 from __future__ import annotations
 
+import csv
+import io
 import os
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
@@ -126,11 +128,12 @@ class MetricsReport:
 
 
 def csv_text(per_bucket: dict[str, dict[int, float]]) -> str:
-    """The flat ``bucket,k,value`` CSV of a pass@k table."""
-    rows = ["bucket,k,value"]
-    for bucket, table in sorted(per_bucket.items()):
-        rows.extend(f"{bucket},{k},{table[k]}" for k in sorted(table))
-    return "\n".join(rows) + "\n"
+    """The flat ``bucket,k,value`` CSV of a pass@k table; a bucket name
+    holding a comma, a quote or a line break is quoted."""
+    rows = [(name, k, table[k]) for name, table in sorted(per_bucket.items()) for k in sorted(table)]
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([("bucket", "k", "value"), *rows])
+    return out.getvalue()
 
 
 def transcripts_text(episodes: list[BucketedEpisode]) -> str:
@@ -173,11 +176,8 @@ def reuse_efficiency(episodes: list[BucketedEpisode], library: list[wf.Workflow]
     """Percentage of passing episodes whose final workflow contains a library pattern."""
     if not library:
         return 0.0
-    passing = []
-    for item in episodes:
-        rank = item.episode.passed_rank()
-        if rank is not None:
-            passing.append(item.episode.candidates[rank - 1][0])
+    passing = [rank.candidate for item in episodes for rank in item.episode.ranks
+               if rank.verdict.passed]  # a pass ends its episode
     if not passing:
         return 0.0
     hits = sum(1 for flow in passing if wf.find_subflows(flow, library))
@@ -291,7 +291,7 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
         runtime={
             "episodes": len(episodes),
             "solver_steps": sum(e.episode.steps for e in episodes),
-            "repairs": sum(len(e.episode.repairs_applied) for e in episodes),
+            "repairs": sum(len(rank.repairs) for e in episodes for rank in e.episode.ranks),
             "early_failures": sum(1 for e in episodes if e.episode.early_failure),
         },
         config_echo=_config_echo(config),

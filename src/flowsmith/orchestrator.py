@@ -16,10 +16,11 @@ switch covers both kinds of structural hypothesis: with it off, an
 unmatched goal is not split and a failed candidate is not repaired.
 
 ``solve`` is the one place a decomposition failure ends a rank: the
-episode becomes an early failure and keeps the ranks already run.  Each
-candidate is verified once, a rank that repeats the previous rank's
-decomposition reuses its verdict, and a failing verdict is handed to the
-repair loop as it is.
+episode becomes an early failure and keeps the ranks already run.  It
+records each rank as one ``Rank``: the final candidate and verdict, the
+repairs, the repair loop's stop reason and the outcomes.  Each candidate
+is verified once, and a failing verdict is handed to the repair loop as
+it is.
 
 A decomposition is *forced* when no goal in it had two or more agents to
 select from.  Within an episode membership is fixed, lives only fall (a
@@ -27,7 +28,9 @@ pass ends it), and a retrieved agent's weight, life times compatibility,
 is above zero while its life is and the input gate admits it (its
 similarity exceeds theta).  So while every leaf agent of a forced tree
 lives (or with scale control off, which reads no life), the next rank
-would decompose the same tree, and ``solve`` reuses it.
+would decompose the same tree, and ``solve`` reuses it with its
+candidate, verdict and blame.  That is the only reuse: every other rank
+decomposes, composes and verifies afresh.
 """
 
 from __future__ import annotations
@@ -159,21 +162,34 @@ class RepairRecord:
 _OUTCOME_FIELDS = tuple(f.name for f in fields(Outcome))
 
 
+@dataclass(slots=True)
+class Rank:
+    """One rank of an episode: its final candidate and verdict, the repairs
+    that led there, why the repair loop stopped (None when it did not
+    run) and the outcome issued to each agent."""
+
+    candidate: wf.Workflow
+    verdict: Verdict
+    repairs: tuple[RepairRecord, ...] = ()
+    stop: str | None = None
+    outcomes: tuple[tuple[AtomicAgent, Outcome], ...] = ()
+
+
 @dataclass
 class EpisodeResult:
     goal_id: str
-    candidates: list[tuple[wf.Workflow, Verdict]]
-    repairs_applied: list[RepairRecord]
-    outcomes: list[tuple[str, Outcome]]
+    ranks: list[Rank]
     steps: int
     seed: int
     early_failure: bool = False
 
+    @property
+    def candidates(self) -> list[tuple[wf.Workflow, Verdict]]:
+        """Each rank's (candidate, verdict), a read-only view of ``ranks``."""
+        return [(rank.candidate, rank.verdict) for rank in self.ranks]
+
     def passed_rank(self) -> int | None:
-        for rank, (_, verdict) in enumerate(self.candidates, start=1):
-            if verdict.passed:
-                return rank
-        return None
+        return next((n for n, rank in enumerate(self.ranks, start=1) if rank.verdict.passed), None)
 
     def to_doc(self, docs: "dict | None" = None) -> dict:
         """The episode's document; ``docs`` is ``workflow.node_to_doc``'s table."""
@@ -183,14 +199,14 @@ class EpisodeResult:
             "early_failure": self.early_failure,
             "steps": self.steps,
             "candidates": [
-                {"workflow": wf.to_doc(c, docs), "verdict": v.to_doc()}
-                for c, v in self.candidates
+                {"workflow": wf.to_doc(rank.candidate, docs), "verdict": rank.verdict.to_doc()}
+                for rank in self.ranks
             ],
-            "repairs": [r.to_doc() for r in self.repairs_applied],
+            "repairs": [r.to_doc() for rank in self.ranks for r in rank.repairs],
             "outcomes": [
-                [agent_id, {**{name: getattr(o, name) for name in _OUTCOME_FIELDS},
-                            "p_redundant": round(o.p_redundant, 9)}]
-                for agent_id, o in self.outcomes
+                [agent.agent_id, {**{name: getattr(o, name) for name in _OUTCOME_FIELDS},
+                                  "p_redundant": round(o.p_redundant, 9)}]
+                for rank in self.ranks for agent, o in rank.outcomes
             ],
         }
 
@@ -241,8 +257,12 @@ def decompose(net: AgentNetwork, goal: Goal, config: SolveConfig,
             produced = produced | out
         return Expanded(g, tuple(children)), produced
 
-    tree, _ = walk(goal, 1, goal.input_schema)
-    return tree
+    # walk's closure refers to walk itself; clearing it breaks that cycle, which would
+    # otherwise keep net and rng alive until the cyclic garbage collector runs
+    try:
+        return walk(goal, 1, goal.input_schema)[0]
+    finally:
+        del walk
 
 
 def tree_leaves(tree: DecompositionTree) -> list[Resolved]:
@@ -380,17 +400,18 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
     hypotheses are enabled and the repair budget is positive.  Without
     verification one candidate is composed and scored, with no reward or
     penalty.  ``_outcomes`` decides each rank's outcomes, and one loop
-    records and issues them: through ``update_life``, or with scale
-    control off through ``apply_stats``, which counts without touching
-    life.  The fault is localized in the composed candidate, before any
-    repair, because the decomposition tree's parts fill its top-level
-    slots.  A rank whose tree equals the previous rank's (the same agents
-    in the same structure) reuses that rank's unrepaired candidate,
+    issues them: through ``update_life``, or with scale control off
+    through ``apply_stats``, which counts without touching life.  The
+    fault is localized in the composed candidate, before any repair,
+    because the decomposition tree's parts fill its top-level slots.
+    Each rank appends one ``Rank`` to the episode.
+
+    A rank that would repeat a forced tree (module docstring) skips
+    ``decompose`` and takes the last rank's tree, unrepaired candidate,
     verdict and blamed agent, since ``compose`` and ``verify`` are pure in
-    the tree and the target; it still repairs with its own rng and
-    issues its own outcomes.  A rank that would repeat a forced tree
-    (module docstring) skips ``decompose``; it seeds an rng only to repair,
-    after the one draw per leaf that ``decompose`` would have made.
+    the tree and the target.  It still repairs, with an rng seeded for
+    its own rank after the one draw per leaf that ``decompose`` would
+    have made, and issues its own outcomes.
     """
     from .repair import repair_loop  # deferred to avoid an import cycle
 
@@ -398,17 +419,11 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
     if config.mode == "oracle" and expected is None:
         raise MissingOracle(f"no expected workflow supplied for goal {goal.id!r}")
 
-    episode = EpisodeResult(
-        goal_id=goal.id, candidates=[], repairs_applied=[], outcomes=[],
-        steps=0, seed=config.seed,
-    )
-
-    previous = None  # (tree, candidate, verdict, blamed) of the last rank, before repair
+    episode = EpisodeResult(goal_id=goal.id, ranks=[], steps=0, seed=config.seed)
     forced = False  # whether no goal of the last decomposition had two agents to choose from
     for rank in range(1, config.k + 1):
-        if forced and (not config.scale_control
-                       or all(leaf.agent.life > 0.0 for leaf in tree_leaves(previous[0]))):
-            tree, rng = previous[0], None
+        if forced and (not config.scale_control or all(agent.life > 0.0 for agent in leaf_agents)):
+            rng = None  # the last rank's tree, composed candidate, verdict and blame stand
         else:
             rng = random.Random(derive_seed(config.seed, goal.id, rank))
             contested: list[Goal] = []
@@ -418,36 +433,32 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
                 episode.early_failure = True
                 break
             forced = not contested
-        path_agents = [leaf.agent for leaf in tree_leaves(tree)]
-        episode.steps += len(path_agents)
-
-        if previous is None or previous[0] != tree:
-            candidate = compose(tree)
-            verdict = verify(candidate, target, config)
-            previous = (tree, candidate, verdict, _localize_fault(verdict, tree))
-        _, candidate, verdict, blamed = previous
+            leaf_agents = [leaf.agent for leaf in tree_leaves(tree)]
+            composed = compose(tree)
+            composed_verdict = verify(composed, target, config)
+            blamed = _localize_fault(composed_verdict, tree)
+        episode.steps += len(leaf_agents)
+        candidate, verdict, trace, stop = composed, composed_verdict, [], None
         if not config.verification:
-            episode.candidates.append((candidate, verdict))
+            episode.ranks.append(Rank(candidate, verdict))
             break
 
         if not verdict.passed and config.hypothesis and config.repair_budget >= 1:
             if rng is None:  # draw what decompose would have drawn: one per leaf
                 rng = random.Random(derive_seed(config.seed, goal.id, rank))
-                for _ in path_agents:
+                for _ in leaf_agents:
                     rng.random()
-            candidate, verdict, trace, _ = repair_loop(net, goal, candidate, verdict,
-                                                       target, config, rng)
-            path_agents += [record.agent for record in trace if record.agent is not None]
-            episode.repairs_applied.extend(trace)
+            candidate, verdict, trace, stop = repair_loop(net, goal, candidate, verdict,
+                                                          target, config, rng)
             episode.steps += len(trace)
-        episode.candidates.append((candidate, verdict))
-
-        for agent, outcome in _outcomes(net, goal, candidate, path_agents, verdict, blamed):
-            episode.outcomes.append((agent.agent_id, outcome))
+        path_agents = leaf_agents + [record.agent for record in trace if record.agent is not None]
+        outcomes = _outcomes(net, goal, candidate, path_agents, verdict, blamed)
+        for agent, outcome in outcomes:
             if config.scale_control:
                 update_life(agent, outcome, net.config)
             else:
                 apply_stats(agent, outcome)
+        episode.ranks.append(Rank(candidate, verdict, tuple(trace), stop, tuple(outcomes)))
         if verdict.passed:
             break
     return episode

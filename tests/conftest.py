@@ -72,6 +72,11 @@ def agent_named(net, agent_id: str):
     return next(a for a in net.active + net.archive if a.agent_id == agent_id)
 
 
+def outcome_ids(episode) -> list[list[tuple[str, object]]]:
+    """Each rank's outcomes as (agent id, outcome) pairs."""
+    return [[(agent.agent_id, o) for agent, o in rank.outcomes] for rank in episode.ranks]
+
+
 # --- independent oracles ---------------------------------------------------------
 
 

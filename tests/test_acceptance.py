@@ -37,7 +37,7 @@ from flowsmith.evaluation import (
     run_experiment,
 )
 from flowsmith.goals import Goal
-from flowsmith.orchestrator import EpisodeResult, SolveConfig, Verdict, solve, verify
+from flowsmith.orchestrator import EpisodeResult, Rank, SolveConfig, Verdict, solve, verify
 from flowsmith.repair import repair_loop
 
 from .conftest import chain_flow, chain_pool, enumerate_single_edits, mk_flow
@@ -448,8 +448,7 @@ def test_criterion_10_reuse_mechanics():
     def fixture_episode(i: int, passes: bool, carries: bool) -> BucketedEpisode:
         flow = with_pattern if carries else without
         verdict = Verdict(passed=passes, score=1.0 if passes else 0.0, mode="oracle")
-        episode = EpisodeResult(goal_id=f"fix{i}", candidates=[(flow, verdict)],
-                                repairs_applied=[], outcomes=[], steps=1, seed=0)
+        episode = EpisodeResult(goal_id=f"fix{i}", ranks=[Rank(flow, verdict)], steps=1, seed=0)
         goal = Goal(id=f"fix{i}", tokens=frozenset({f"fix{i}"}))
         record = cp.CorpusRecord(goal, flow, "linear", "2-3")
         return BucketedEpisode(record=record, episode=episode)

@@ -1,4 +1,5 @@
 import json
+from csv import reader as csv_reader
 
 import pytest
 
@@ -403,6 +404,17 @@ def test_report_verb_reemits_csv(corpora, capsys):
     lines = csv.read_text().splitlines()
     assert lines[0] == "bucket,k,value" and len(lines) > 1
     assert csv.read_bytes() == first.read_bytes()
+
+
+def test_report_verb_quotes_bucket_names_that_hold_csv_syntax(tmp_path, capsys):
+    buckets = {"a,b": {"1": 0.5}, 'say "x"': {"1": 0.75}, "c\nd": {"1": 0.25}}
+    report, csv = tmp_path / "report.json", tmp_path / "out.csv"
+    report.write_text(json.dumps({"per_bucket": buckets}))
+    assert cli.main(["report", "--report", str(report), "--csv", str(csv)]) == 0
+    with csv.open(newline="") as handle:
+        rows = list(csv_reader(handle))
+    assert rows == [["bucket", "k", "value"], ["a,b", "1", "0.5"], ["c\nd", "1", "0.25"],
+                    ['say "x"', "1", "0.75"]]
 
 
 @pytest.mark.parametrize("doc", [[1], {"per_bucket": [1]}, {"per_bucket": {"a": 1}},

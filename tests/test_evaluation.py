@@ -4,6 +4,7 @@ import pytest
 
 from flowsmith import corpus as cp
 from flowsmith import workflow as wf
+from flowsmith.agents import Outcome
 from flowsmith.errors import ConfigError
 from flowsmith.evaluation import (
     ABLATABLE,
@@ -18,22 +19,20 @@ from flowsmith.evaluation import (
     write_atomic,
 )
 from flowsmith.goals import Goal
-from flowsmith.orchestrator import EpisodeResult, SolveConfig, Verdict
+from flowsmith.orchestrator import EpisodeResult, Rank, SolveConfig, Verdict
 
-from .conftest import agent_named, chain_flow, chain_pool, mk_flow, mk_task
+from .conftest import agent_named, chain_flow, chain_pool, mk_flow, mk_task, outcome_ids
 
 
 def _episode(goal_id: str, pass_rank: int | None, k: int = 5,
              final: wf.Workflow | None = None) -> EpisodeResult:
-    candidates = []
     flow = final if final is not None else chain_flow([0])
-    ranks = pass_rank if pass_rank is not None else k
+    ranks = []
     for rank in range(1, (pass_rank or k) + 1):
         passed = pass_rank is not None and rank == pass_rank
-        candidates.append((flow, Verdict(passed=passed, score=1.0 if passed else 0.0,
-                                         mode="oracle")))
-    return EpisodeResult(goal_id=goal_id, candidates=candidates, repairs_applied=[],
-                         outcomes=[], steps=ranks, seed=0)
+        ranks.append(Rank(flow, Verdict(passed=passed, score=1.0 if passed else 0.0,
+                                        mode="oracle")))
+    return EpisodeResult(goal_id=goal_id, ranks=ranks, steps=len(ranks), seed=0)
 
 
 def _bucketed(goal_id, pass_rank, bucket=("linear", "2-3"), final=None):
@@ -352,8 +351,7 @@ def test_run_episode_keeps_the_ranks_before_an_early_failure():
     record = cp.CorpusRecord(goal, chain_flow([0, 1], gid=goal.id), "linear", "2-3")
     episode = run_episode(net, record, SolveConfig(seed=11, k=5, hypothesis=False)).episode
     assert episode.early_failure
-    assert len(episode.candidates) == 3
-    assert [agent_id for agent_id, _ in episode.outcomes] == ["g0"] * 3
+    assert outcome_ids(episode) == [[("g0", Outcome(p_fail=1))]] * 3
     assert agent_named(net, "g0").life == 0.0
 
 

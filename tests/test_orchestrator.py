@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -23,7 +25,7 @@ from flowsmith.orchestrator import (
 )
 
 from .conftest import (agent_named, chain_flow, chain_pool, chain_tasks, mk_flow, mk_task,
-                       oracle_equal)
+                       oracle_equal, outcome_ids)
 
 
 def _union_goal(gid, parts):
@@ -124,6 +126,25 @@ def test_decompose_resolution_soundness():
     tree = decompose(net, composite, SolveConfig(theta=theta), random.Random(0))
     for leaf in tree_leaves(tree):
         assert similarity(leaf.agent.goal, leaf.goal) > theta
+
+
+def test_decompose_frees_the_pool_and_rng_without_the_cyclic_collector():
+    # decompose recurses through a closure that refers to itself; a cycle
+    # left through it would keep the pool and the rng alive until a
+    # collection, whether decompose returned or raised
+    net, rng = chain_pool(4), random.Random(0)
+    goal = net.training[1][0]
+    novel = _union_goal("pair", [net.training[0][0], goal])
+    refs = [weakref.ref(net), weakref.ref(rng)]
+    gc.disable()
+    try:
+        decompose(net, goal, SolveConfig(), rng)
+        with pytest.raises(DecompositionFailure):
+            decompose(net, novel, SolveConfig(hypothesis=False), rng)
+        del net, rng
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 # --- compose ------------------------------------------------------------------------
@@ -308,8 +329,8 @@ def test_solve_trained_goal_passes_first_with_reward():
     goal, flow = net.training[2]
     episode = solve(net, goal, SolveConfig(seed=11), expected=flow)
     assert episode.passed_rank() == 1
-    assert episode.candidates                      # non-empty after solve
-    rewarded = [o for a, o in episode.outcomes if a == goal.id and o.r_correct]
+    (first,) = episode.ranks                       # a pass at rank 1 ends the episode
+    rewarded = [o for a, o in first.outcomes if a.agent_id == goal.id and o.r_correct]
     assert len(rewarded) == 1
     assert rewarded[0].r_general == 0              # a trained goal is not novel
 
@@ -327,7 +348,7 @@ def test_solve_novel_composite_with_hypothesis_disabled_is_an_early_failure():
     config = SolveConfig(seed=11, hypothesis=False)
     episode = solve(net, novel.goal, config, expected=novel.workflow)
     assert episode.early_failure
-    assert episode.candidates == [] and episode.outcomes == []
+    assert episode.ranks == []
 
 
 def test_solve_counts_one_verify_per_candidate(monkeypatch):
@@ -344,7 +365,8 @@ def test_solve_counts_one_verify_per_candidate(monkeypatch):
     episode = solve(chain_pool(6), goal, SolveConfig(seed=11),
                     expected=chain_flow([0, 1], gid=goal.id))
     assert episode.passed_rank() == 1
-    assert [r.action for r in episode.repairs_applied] == ["Insert"]
+    assert [([r.action for r in rank.repairs], rank.stop) for rank in episode.ranks] == [
+        (["Insert"], "passed")]
     assert len(calls) == 2  # the composed candidate, then the repaired one
 
 
@@ -372,9 +394,11 @@ def test_solve_reuses_a_repeated_rank_and_still_penalises_it(monkeypatch):
     goal = net.training[1][0]
     episode = solve(net, goal, SolveConfig(seed=2, repair_budget=0),
                     expected=chain_flow([3, 4], wid="x", gid=goal.id))
-    assert episode.early_failure and len(episode.candidates) == 3
+    assert episode.early_failure
     assert calls == {"decompose": 2, "derive_seed": 2, "compose": 1, "verify": 1}
-    assert episode.outcomes == [(goal.id, Outcome(p_fail=1))] * 3
+    # budget 0: no rank runs the repair loop, so none has a stop reason
+    assert [(rank.repairs, rank.stop) for rank in episode.ranks] == [((), None)] * 3
+    assert outcome_ids(episode) == [[(goal.id, Outcome(p_fail=1))]] * 3
 
 
 def test_solve_reuses_a_forced_rank_whose_dead_leaf_scale_control_ignores(monkeypatch):
@@ -386,9 +410,9 @@ def test_solve_reuses_a_forced_rank_whose_dead_leaf_scale_control_ignores(monkey
     agent_named(net, goal.id).life = 0.0
     episode = solve(net, goal, SolveConfig(seed=2, repair_budget=0, scale_control=False),
                     expected=chain_flow([3, 4], wid="x", gid=goal.id))
-    assert not episode.early_failure and len(episode.candidates) == 5
+    assert not episode.early_failure
     assert calls == {"decompose": 1, "derive_seed": 1, "compose": 1, "verify": 1}
-    assert episode.outcomes == [(goal.id, Outcome(p_fail=1))] * 5
+    assert outcome_ids(episode) == [[(goal.id, Outcome(p_fail=1))]] * 5
 
 
 def test_solve_repairs_each_repeated_rank_from_the_unrepaired_candidate(monkeypatch):
@@ -401,8 +425,9 @@ def test_solve_repairs_each_repeated_rank_from_the_unrepaired_candidate(monkeypa
     episode = solve(net, goal, SolveConfig(seed=11, repair_budget=1),
                     expected=chain_flow([0, 1, 2], gid=goal.id))
     assert episode.passed_rank() is None
-    assert [r.action for r in episode.repairs_applied] == ["Insert"] * 3
-    assert [wf.task_order(c.root) for c, _ in episode.candidates] == [tuple(chain_tasks([0, 1]))] * 3
+    # each rank applies one Insert, spends its budget and ends at t00 t01
+    assert [([r.action for r in rank.repairs], rank.stop, wf.task_order(rank.candidate.root))
+            for rank in episode.ranks] == [(["Insert"], "budget", tuple(chain_tasks([0, 1])))] * 3
     # one composed candidate, three repaired; each repairing rank seeds its rng
     assert calls == {"decompose": 2, "derive_seed": 4, "compose": 1, "verify": 4}
 
@@ -418,28 +443,29 @@ def test_solve_repairs_a_repeated_rank_with_the_draws_it_would_have_decomposed_w
     goal = net.training[0][0]
     episode = solve(net, goal, SolveConfig(seed=2, repair_budget=1),
                     expected=chain_flow([0, 1, 2], gid=goal.id))
-    assert len(episode.candidates) == 3
-    assert [r.agent.agent_id for r in episode.repairs_applied] == ["h1", "h1", "g1"]
+    assert [[r.agent.agent_id for r in rank.repairs] for rank in episode.ranks] == [
+        ["h1"], ["h1"], ["g1"]]
 
 
 def test_solve_composes_afresh_each_rank_that_draws_another_agent(monkeypatch):
-    # ga and gb have equal tokens, so both resolve the goal; at seed 3 the
-    # ranks alternate between them, so every tree holds the same goal but
-    # not the same agent as the tree before it.  Each rank chose between
-    # two agents, so each decomposes afresh
+    # ga and gb have equal tokens, so both resolve the goal.  At seed 3 the
+    # ranks alternate between them; at seed 1 ranks 2 and 3 draw the same
+    # agent, and so the same tree, as the rank before.  Each rank chose
+    # between two agents, so each decomposes, composes and verifies afresh
     calls = _count_stage_calls(monkeypatch)
     flows = [chain_flow([k], wid=f"w{k}", gid=gid) for k, gid in enumerate(("ga", "gb"))]
     tokens = frozenset({"t:x", "t:y"})
-    net = build_agents([(Goal(f.goal_id, tokens, f.declared_inputs, f.declared_outputs), f)
-                        for f in flows])
     goal = Goal("q", tokens, flows[0].declared_inputs | flows[1].declared_inputs)
-    episode = solve(net, goal, SolveConfig(seed=3, repair_budget=0),
-                    expected=chain_flow([2], gid="q"))
-    assert [wf.task_order(c.root) for c, _ in episode.candidates] == [
-        tuple(chain_tasks([k])) for k in (0, 1, 0, 1, 0)]
-    assert [agent_id for agent_id, o in episode.outcomes if o.p_fail] == [
-        "ga", "gb", "ga", "gb", "ga"]
-    assert calls == {"decompose": 5, "derive_seed": 5, "compose": 5, "verify": 5}
+    for seed, drawn in ((3, (0, 1, 0, 1, 0)), (1, (0, 0, 0, 1, 1))):
+        calls.clear()
+        net = build_agents([(Goal(f.goal_id, tokens, f.declared_inputs, f.declared_outputs), f)
+                            for f in flows])
+        episode = solve(net, goal, SolveConfig(seed=seed, repair_budget=0),
+                        expected=chain_flow([2], gid="q"))
+        assert [wf.task_order(rank.candidate.root) for rank in episode.ranks] == [
+            tuple(chain_tasks([k])) for k in drawn]
+        assert outcome_ids(episode) == [[(("ga", "gb")[k], Outcome(p_fail=1))] for k in drawn]
+        assert calls == {"decompose": 5, "derive_seed": 5, "compose": 5, "verify": 5}
 
 
 def test_solve_hypothesis_disabled_never_repairs():
@@ -449,10 +475,11 @@ def test_solve_hypothesis_disabled_never_repairs():
     expected = chain_flow([0, 1], gid=goal.id)
     blocked = solve(chain_pool(6), goal, SolveConfig(seed=11, k=1, hypothesis=False),
                     expected=expected)
-    assert blocked.repairs_applied == []
+    assert [(rank.repairs, rank.stop) for rank in blocked.ranks] == [((), None)]
     assert blocked.passed_rank() is None
     repaired = solve(chain_pool(6), goal, SolveConfig(seed=11, k=1), expected=expected)
-    assert [r.action for r in repaired.repairs_applied] == ["Insert"]
+    assert [([r.action for r in rank.repairs], rank.stop) for rank in repaired.ranks] == [
+        (["Insert"], "passed")]
     assert repaired.passed_rank() == 1
 
 
@@ -469,7 +496,7 @@ def test_solve_novel_composite_with_repair_passes_and_replays_identically():
         replay = solve(again, record.goal, SolveConfig(seed=7, repair_budget=5),
                        expected=record.workflow)
         assert wf.canonical_json(episode.to_doc()) == wf.canonical_json(replay.to_doc())
-        rewarded = [o for _, o in episode.outcomes if o.r_correct]
+        rewarded = [o for _, o in episode.ranks[0].outcomes if o.r_correct]
         assert rewarded and all(o.r_general == 1 for o in rewarded)  # novel goal
 
 
@@ -506,9 +533,8 @@ def test_solve_failure_localizes_blame_to_one_agent():
     episode = solve(net, goal, SolveConfig(seed=2, repair_budget=0),
                     expected=wrong_expected)
     assert episode.passed_rank() is None
-    failures = [a for a, o in episode.outcomes if o.p_fail]
-    assert failures == [goal.id] * len(failures)
-    assert len(set(failures)) <= 1
+    for outcomes in outcome_ids(episode):
+        assert [a for a, o in outcomes if o.p_fail] in ([], [goal.id])
 
 
 def test_solve_blames_the_slot_of_the_composed_candidate_after_a_repair_shifts_it():
@@ -521,10 +547,11 @@ def test_solve_blames_the_slot_of_the_composed_candidate_after_a_repair_shifts_i
     goal = _union_goal("shifted", parts)
     expected = chain_flow(range(7), gid=goal.id)
     episode = solve(net, goal, SolveConfig(seed=0, k=1, repair_budget=1), expected=expected)
-    ((_, verdict),) = episode.candidates
-    assert [(r.action, r.location) for r in episode.repairs_applied] == [("Insert", (1,))]
-    assert verdict.edit_script == (wf.InsertNode((3,), chain_tasks([3])[0]),)
-    assert [agent_id for agent_id, o in episode.outcomes if o.p_fail] == ["g2"]
+    (rank,) = episode.ranks
+    assert [(r.action, r.location) for r in rank.repairs] == [("Insert", (1,))]
+    assert rank.stop == "budget"
+    assert rank.verdict.edit_script == (wf.InsertNode((3,), chain_tasks([3])[0]),)
+    assert [agent.agent_id for agent, o in rank.outcomes if o.p_fail] == ["g2"]
 
 
 # --- outcome triggers ------------------------------------------------------------------
@@ -540,9 +567,11 @@ def test_solve_reuse_reward_on_structurally_equivalent_goal():
     ])
     config = SolveConfig(seed=4)
     first = solve(net, net.training[0][0], config, expected=flow_a)
-    assert all(o.r_reuse == 0 for _, o in first.outcomes)
+    (rank,) = first.ranks
+    assert all(o.r_reuse == 0 for _, o in rank.outcomes)
     second = solve(net, net.training[1][0], config, expected=flow_b)
-    rewarded = [o for _, o in second.outcomes if o.r_correct]
+    (rank,) = second.ranks
+    rewarded = [o for _, o in rank.outcomes if o.r_correct]
     assert rewarded and all(o.r_reuse == 1 for o in rewarded)
 
 
@@ -554,8 +583,9 @@ def test_solve_drift_penalty_in_goal_anchored_mode():
                  output_schema=frozenset({"o0", "r2", "r3", "r4"}))
     episode = solve(net, probe, SolveConfig(seed=4, mode="goal_anchored"))
     assert episode.passed_rank() is None
-    drifted = [o for _, o in episode.outcomes if o.p_drift]
-    assert drifted  # 1 - Jaccard({o0}, required) = 0.75 > the 0.5 threshold
+    # 1 - Jaccard({o0}, required) = 0.75 > the 0.5 threshold at every rank
+    assert episode.ranks and all(any(o.p_drift for _, o in rank.outcomes)
+                                 for rank in episode.ranks)
 
 
 def test_solve_redundancy_penalty_scales_with_dead_nodes():
@@ -566,7 +596,7 @@ def test_solve_redundancy_penalty_scales_with_dead_nodes():
     net = build_agents([(goal, flow)])
     episode = solve(net, goal, SolveConfig(seed=4), expected=flow)
     assert episode.passed_rank() == 1
-    rewarded = [o for _, o in episode.outcomes if o.r_correct]
+    rewarded = [o for _, o in episode.ranks[0].outcomes if o.r_correct]
     assert rewarded and rewarded[0].p_redundant == pytest.approx(0.5)
 
 
@@ -577,9 +607,9 @@ def test_episode_outcomes_consistent_with_verdicts():
     for record in records[:5] + novel:
         episode = solve(chain_pool(6), record.goal, SolveConfig(seed=6),
                         expected=record.workflow)
-        passed = episode.passed_rank() is not None
-        has_correct = any(o.r_correct for _, o in episode.outcomes)
-        assert has_correct == passed  # R_c only on pass
+        # R_c only on the passing rank
+        assert [any(o.r_correct for _, o in rank.outcomes) for rank in episode.ranks] == [
+            rank.verdict.passed for rank in episode.ranks]
 
 
 # --- attribution rules ------------------------------------------------------------------
@@ -600,9 +630,10 @@ def test_solve_rewards_an_agent_on_the_path_twice_once_at_its_first_position():
     net = chain_pool(4)
     goal = _union_goal("pair", [net.training[0][0], net.training[1][0]])
     episode = solve(net, goal, SolveConfig(seed=3, k=1), expected=chain_flow([0, 1, 0]))
-    assert [(r.action, r.agent.agent_id) for r in episode.repairs_applied] == [("Insert", "g0")]
+    (rank,) = episode.ranks
+    assert [(r.action, r.agent.agent_id) for r in rank.repairs] == [("Insert", "g0")]
     rewarded = Outcome(r_correct=1, r_general=1)
-    assert episode.outcomes == [("g0", rewarded), ("g1", rewarded)]
+    assert outcome_ids(episode) == [[("g0", rewarded), ("g1", rewarded)]]
 
 
 def test_outcomes_of_a_drifted_failure_penalise_every_path_agent_and_fail_the_blamed():
@@ -633,7 +664,7 @@ def test_solve_fails_only_the_blamed_agent_and_touches_life_only_under_scale_con
     goal = _union_goal("pair", [net.training[0][0], net.training[1][0]])
     config = SolveConfig(seed=3, k=1, repair_budget=0, scale_control=scale_control)
     episode = solve(net, goal, config, expected=chain_flow([0, 5]))
-    assert episode.outcomes == [("g1", Outcome(p_fail=1))]
+    assert outcome_ids(episode) == [[("g1", Outcome(p_fail=1))]]
     g0, g1 = agent_named(net, "g0"), agent_named(net, "g1")
     assert (g1.life, g1.stats.failures, g1.stats.successes) == (life, 1, 0)
     assert (g0.life, g0.stats.failures) == (10.0, 0)

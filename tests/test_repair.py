@@ -188,7 +188,7 @@ def test_apply_nest_rebuilds_via_decomposition():
     config = SolveConfig(seed=4, repair_budget=5)
     episode = solve(net, novel.goal, config, expected=novel.workflow)
     assert episode.passed_rank() == 1
-    ops = [r.action for r in episode.repairs_applied]
+    ops = [r.action for r in episode.ranks[0].repairs]
     assert ops and ops[0] == "Nest"
 
 

@@ -24,8 +24,9 @@ the solve loop and how many of them the pool answered from its read
 memo, which a call that leaves the memo's size unchanged is; a pool
 without a memo answers none.  And it counts the ``decompose``,
 ``compose`` and ``verify`` calls, at both the ``orchestrator`` and the
-``repair`` attributes, and the rng seedings of the solve loop (calls of
-``orchestrator.derive_seed``).  And it counts the ranks whose repair
+``repair`` attributes, the rng seedings of the solve loop (calls of
+``orchestrator.derive_seed``) and the ``workflow.dead_node_ratio``
+calls.  And it counts the ranks whose repair
 loop stopped for each reason (``passed``, ``stalled``, ``budget``), read
 from each ``orchestrator.Rank``'s ``stop``; a source without ``Rank``
 reports no such counts.  Each count is divided by the episodes.
@@ -152,6 +153,8 @@ def measure(workload, reps: int) -> dict:
                         for name in CALLS})
     count_sites[(orchestrator, "derive_seed")] = walk_counter(orchestrator.derive_seed,
                                                              "derive_seed", counts, inside)
+    count_sites[(wf, "dead_node_ratio")] = walk_counter(wf.dead_node_ratio, "dead_node_ratio",
+                                                       counts, inside)
     count_sites[(evaluation, "run_episode")] = counted_episode
     with tempfile.TemporaryDirectory(prefix="episode_cost.") as tmp:
         for _ in range(reps):
@@ -174,6 +177,7 @@ def measure(workload, reps: int) -> dict:
                for name in READS for key in (f"{name}_calls", f"{name}_from_memo")},
             **{f"{name}_calls": round(counts[name] / episodes, 3) for name in CALLS},
             "rng_seedings": round(counts["derive_seed"] / episodes, 3),
+            "dead_node_ratio_calls": round(counts["dead_node_ratio"] / episodes, 3),
             **{f"repair_stops_{stop}": round(counts[f"stop_{stop}"] / episodes, 3)
                for stop in STOPS if hasattr(orchestrator, "Rank")},
         },

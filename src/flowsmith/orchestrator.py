@@ -29,14 +29,20 @@ is above zero while its life is and the input gate admits it (its
 similarity exceeds theta).  So while every leaf agent of a forced tree
 lives (or with scale control off, which reads no life), the next rank
 would decompose the same tree, and ``solve`` reuses it with its
-candidate, verdict and blame.  That is the only reuse: every other rank
-decomposes, composes and verifies afresh.
+candidate, verdict and blame; every other rank decomposes, composes and
+verifies afresh.  Within a rank the same holds: the repair loop gets a
+forced rank's tree and composed candidate, so a Nest repair of the
+episode's own goal takes them instead of decomposing again.  A verdict
+walks its candidate for the dead-node ratio only when it is first read;
+``solve`` reads it for each rank it records, so a verdict that is
+discarded for a repaired one never walks.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Union
 
 from . import workflow as wf
@@ -118,6 +124,28 @@ class SolveConfig:
                 raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
+class _OnFirstRead:
+    """A float dataclass field that may also be given as a function of no
+    arguments: the function runs when the field is first read, and its
+    result is kept.  Equality, hashing and ``repr`` read the field, so
+    they see the number."""
+
+    def __set_name__(self, owner, name):
+        self.key = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return 0.0  # the field's default
+        value = getattr(obj, self.key)
+        if callable(value):
+            value = value()
+            object.__setattr__(obj, self.key, value)
+        return value
+
+    def __set__(self, obj, value):
+        object.__setattr__(obj, self.key, value)
+
+
 @dataclass(frozen=True)
 class Verdict:
     passed: bool
@@ -125,7 +153,7 @@ class Verdict:
     mode: str
     edit_script: wf.EditScript = ()
     missing_outputs: frozenset[str] = frozenset()
-    dead_node_ratio: float = 0.0
+    dead_node_ratio: float = _OnFirstRead()
 
     def to_doc(self) -> dict:
         return {
@@ -173,6 +201,11 @@ class Rank:
     repairs: tuple[RepairRecord, ...] = ()
     stop: str | None = None
     outcomes: tuple[tuple[AtomicAgent, Outcome], ...] = ()
+
+    def __post_init__(self):
+        # Walk for the dead-node ratio now, inside the episode that records
+        # the rank, rather than when its transcript is encoded.
+        self.verdict.dead_node_ratio
 
 
 @dataclass
@@ -281,21 +314,21 @@ def compose(tree: DecompositionTree) -> wf.Workflow:
     wrapped in a Nest under its goal id; the root composes flat.  The
     result re-declares its inputs from the composed goal's interface.
     """
-
-    def go(node: DecompositionTree, is_root: bool) -> wf.Workflow:
-        if isinstance(node, Resolved):
-            return node.agent.procedure
-        acc = wf.concat(*[go(child, False) for child in node.children])
-        if not is_root:
-            acc = wf.nest(acc, (), node.goal.id, acc)
-        return acc
-
-    result = go(tree, True)
+    result = _compose_node(tree, True)
     return result.replace(
         declared_inputs=tree.goal.input_schema,
         id=f"cand-{tree.goal.id}",
         goal_id=tree.goal.id,
     )
+
+
+def _compose_node(node: DecompositionTree, is_root: bool) -> wf.Workflow:
+    if isinstance(node, Resolved):
+        return node.agent.procedure
+    acc = wf.concat(*[_compose_node(child, False) for child in node.children])
+    if not is_root:
+        acc = wf.nest(acc, (), node.goal.id, acc)
+    return acc
 
 
 # --- verification ---------------------------------------------------------------
@@ -304,8 +337,9 @@ def compose(tree: DecompositionTree) -> wf.Workflow:
 def verify(candidate: wf.Workflow, target, config: SolveConfig = SolveConfig()) -> Verdict:
     """Oracle mode passes exactly when the edit script is empty; goal-anchored
     mode scores output coverage against the goal, zeroed when any task
-    input stays unbound under the goal's inputs, and passes at ``config.eta``."""
-    dead = wf.dead_node_ratio(candidate)
+    input stays unbound under the goal's inputs, and passes at ``config.eta``.
+    The verdict walks the candidate for its dead-node ratio on first read."""
+    dead = partial(wf.dead_node_ratio, candidate)
     if config.mode == "oracle":
         if not isinstance(target, wf.Workflow):
             raise MissingOracle("oracle-mode verification needs an expected workflow")
@@ -411,7 +445,8 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
     verdict and blamed agent, since ``compose`` and ``verify`` are pure in
     the tree and the target.  It still repairs, with an rng seeded for
     its own rank after the one draw per leaf that ``decompose`` would
-    have made, and issues its own outcomes.
+    have made, and issues its own outcomes.  The repair loop of a forced
+    rank gets its tree and composed candidate, for a Nest of the goal.
     """
     from .repair import repair_loop  # deferred to avoid an import cycle
 
@@ -448,8 +483,9 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
                 rng = random.Random(derive_seed(config.seed, goal.id, rank))
                 for _ in leaf_agents:
                     rng.random()
-            candidate, verdict, trace, stop = repair_loop(net, goal, candidate, verdict,
-                                                          target, config, rng)
+            candidate, verdict, trace, stop = repair_loop(
+                net, goal, candidate, verdict, target, config, rng,
+                (tree, composed) if forced else None)
             episode.steps += len(trace)
         path_agents = leaf_agents + [record.agent for record in trace if record.agent is not None]
         outcomes = _outcomes(net, goal, candidate, path_agents, verdict, blamed)

@@ -4,8 +4,11 @@ A failed verdict is mapped to one failure hypothesis for its first
 fault, located in the candidate as it stands; each hypothesis kind
 names one structural operator (``OPERATORS``): a missing step inserts
 an agent's procedure, a missing branch attaches a guarded side path,
-an over-abstraction re-decomposes a goal under a Nest boundary, and a
-wrong order permutes siblings.  The loop starts from the verdict the
+an over-abstraction puts a goal's decomposition under a Nest boundary,
+and a wrong order permutes siblings.  A Nest of the episode's own goal
+takes the rank's candidate when the rank's decomposition was forced,
+since decomposing again would give the same tree; any other Nest
+decomposes its goal afresh.  The loop starts from the verdict the
 solve loop already holds, applies the hypothesis, re-verifies, and
 insists on strict progress (a shrinking oracle edit script or
 missing-output set) until it passes, stalls, or the budget runs out.
@@ -30,7 +33,8 @@ from .errors import BadPath, DecompositionFailure, NoEligibleAgent, NotAFailure,
 # ``similarity`` is unused here; the benchmark tracer counts its calls
 # at this module attribute (perfbench/spans.py, COUNT_SITES).
 from .goals import Goal, similarity
-from .orchestrator import RepairRecord, SolveConfig, Verdict, compose, decompose, verify
+from .orchestrator import (DecompositionTree, RepairRecord, SolveConfig, Verdict, compose,
+                           decompose, tree_leaves, verify)
 
 MISSING_STEP = "MissingStep"
 WRONG_ORDER = "WrongOrder"
@@ -92,14 +96,18 @@ def diagnose(verdict: Verdict, candidate: wf.Workflow, target) -> FailureHypothe
 
 
 def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwork,
-          config: SolveConfig, rng: random.Random, *,
-          goal: Goal | None = None) -> tuple[wf.Workflow, AtomicAgent | None]:
+          config: SolveConfig, rng: random.Random, *, goal: Goal | None = None,
+          forced: tuple[DecompositionTree, wf.Workflow] | None = None
+          ) -> tuple[wf.Workflow, AtomicAgent | None]:
     """Apply one hypothesis; the result must validate or the repair is rejected.
 
     Returns the repaired workflow and the agent whose procedure was
     spliced in (Insert, Branch), or None for a reorder or a nest, whose
-    content comes from the candidate or a fresh decomposition.  The
-    spliced agent is drawn from the best producers of the needed fields.
+    content comes from the candidate or a decomposition.  The spliced
+    agent is drawn from the best producers of the needed fields.
+    ``forced`` is ``goal``'s forced tree and the candidate composed from
+    it: a Nest of ``goal`` then takes that candidate as its body and
+    draws once per leaf, as decomposing ``goal`` again would.
     """
     agent = None
     outputs: frozenset[str] = frozenset()  # declared outputs the repair adds
@@ -119,7 +127,12 @@ def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwo
         resolved = goal if goal is not None and goal.id == needed else goal_named(net, needed)
         if resolved is None:
             raise NoEligibleAgent(f"no known goal with id {needed!r}")
-        body = compose(decompose(net, resolved, config, rng))
+        if forced is not None and resolved is goal:
+            tree, body = forced
+            for _ in tree_leaves(tree):
+                rng.random()
+        else:
+            body = compose(decompose(net, resolved, config, rng))
         edit = wf.ReplaceSubtree(hypothesis.location, wf.Nest(resolved.id, body.root))
         outputs = body.declared_outputs
     else:
@@ -144,14 +157,16 @@ def _progress_metric(verdict: Verdict) -> int:
 
 
 def repair_loop(net: AgentNetwork, goal: Goal, candidate: wf.Workflow, verdict: Verdict,
-                target, config: SolveConfig, rng: random.Random
+                target, config: SolveConfig, rng: random.Random,
+                forced: tuple[DecompositionTree, wf.Workflow] | None = None
                 ) -> tuple[wf.Workflow, Verdict, list[RepairRecord], str]:
     """Diagnose / apply / verify for up to ``config.repair_budget`` iterations.
 
     ``verdict`` is the failing verdict of ``candidate`` against
     ``target`` (a passing one raises NotAFailure); only a repaired
-    candidate is verified again.  Returns the last candidate, its
-    verdict, the trace of applied repairs and why the loop stopped:
+    candidate is verified again; ``forced`` goes to ``apply``.  Returns
+    the last candidate, its verdict, the trace of applied repairs and
+    why the loop stopped:
     ``"passed"``; ``"stalled"`` when the first fault has no hypothesis,
     its hypothesis does not apply, or an iteration fails to strictly
     shrink the fault count (oracle edits or missing outputs);
@@ -168,7 +183,8 @@ def repair_loop(net: AgentNetwork, goal: Goal, candidate: wf.Workflow, verdict: 
         if hypothesis is None:
             return candidate, verdict, trace, "stalled"
         try:
-            candidate, agent = apply(candidate, hypothesis, net, config, rng, goal=goal)
+            candidate, agent = apply(candidate, hypothesis, net, config, rng, goal=goal,
+                                     forced=forced)
         except (BadPath, DecompositionFailure, NoEligibleAgent, RejectedRepair):
             return candidate, verdict, trace, "stalled"
         verdict = verify(candidate, target, config)

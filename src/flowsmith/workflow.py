@@ -492,7 +492,7 @@ def _permutation(s: tuple, t: tuple) -> "tuple[int, ...] | None":
     perm = []
     for item in t:
         for j, src in enumerate(s):
-            if not used[j] and src == item:
+            if not used[j] and (src is item or src == item):
                 used[j] = True
                 perm.append(j)
                 break
@@ -608,18 +608,8 @@ def find_subflows(w: Workflow, library: list[Workflow]) -> list[tuple[int, Path]
     A pattern matches on its tool_id sequence.  Results are
     (pattern_index, path-of-first-task) sorted lexicographically.
     """
-    # Each site's tool ids, None for a Branch (whose arms are sites too).
     sites: list[tuple[Path, tuple["str | None", ...]]] = []
-
-    def collect(node: WorkflowNode, path: Path) -> None:
-        kids = child_list(node)
-        sites.append((path, tuple([k.tool_id if isinstance(k, TaskNode) else None
-                                   for k in kids])))
-        for i, child in enumerate(kids):
-            for j, arm in enumerate(children_of(child)):
-                collect(arm, path + (i, j))
-
-    collect(normalize_node(w.root, strip_nests=True), ())
+    _collect_sites(normalize_node(w.root, strip_nests=True), (), sites)
     matches: list[tuple[int, Path]] = []
     for p_idx, pattern in enumerate(library):
         tools = tuple(t.tool_id for t in task_order(pattern.root))
@@ -632,6 +622,16 @@ def find_subflows(w: Workflow, library: list[Workflow]) -> list[tuple[int, Path]
                     matches.append((p_idx, site_path + (start,)))
     matches.sort()
     return matches
+
+
+def _collect_sites(node: WorkflowNode, path: Path,
+                   sites: list[tuple[Path, tuple["str | None", ...]]]) -> None:
+    # Each site's tool ids, None for a Branch (whose arms are sites too).
+    kids = child_list(node)
+    sites.append((path, tuple([k.tool_id if isinstance(k, TaskNode) else None for k in kids])))
+    for i, child in enumerate(kids):
+        for j, arm in enumerate(children_of(child)):
+            _collect_sites(arm, path + (i, j), sites)
 
 
 # --- auxiliary structural measures -------------------------------------------
@@ -662,25 +662,26 @@ def shape_signature(w: Workflow) -> tuple[str, tuple[str, ...]]:
     Nests into their parent's list as normalization would.
     """
     tools: list[str] = []
+    return _skeleton(w.root, tools), tuple(sorted(tools))
 
-    def splice(node: WorkflowNode, out: list[str]) -> None:
-        # Appends the skeletons of the node's normal-form splice list.
-        if isinstance(node, TaskNode):
-            out.append("t")
-            tools.append(node.tool_id)
-        elif isinstance(node, Branch):
-            alt = skeleton(node.orelse) if node.orelse is not None else "-"
-            out.append("[" + skeleton(node.then) + "|" + alt + "]")
-        else:
-            for child in children_of(node):
-                splice(child, out)
 
-    def skeleton(node: WorkflowNode) -> str:
-        out: list[str] = []
-        splice(node, out)
-        return out[0] if len(out) == 1 else "(" + "".join(out) + ")"
+def _splice_skeletons(node: WorkflowNode, out: list[str], tools: list[str]) -> None:
+    # Appends the skeletons of the node's normal-form splice list, and its tool ids.
+    if isinstance(node, TaskNode):
+        out.append("t")
+        tools.append(node.tool_id)
+    elif isinstance(node, Branch):
+        alt = _skeleton(node.orelse, tools) if node.orelse is not None else "-"
+        out.append("[" + _skeleton(node.then, tools) + "|" + alt + "]")
+    else:
+        for child in children_of(node):
+            _splice_skeletons(child, out, tools)
 
-    return skeleton(w.root), tuple(sorted(tools))
+
+def _skeleton(node: WorkflowNode, tools: list[str]) -> str:
+    out: list[str] = []
+    _splice_skeletons(node, out, tools)
+    return out[0] if len(out) == 1 else "(" + "".join(out) + ")"
 
 
 # --- serialization -----------------------------------------------------------

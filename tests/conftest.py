@@ -8,6 +8,7 @@ code is never used to check itself.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -75,6 +76,22 @@ def agent_named(net, agent_id: str):
 def outcome_ids(episode) -> list[list[tuple[str, object]]]:
     """Each rank's outcomes as (agent id, outcome) pairs."""
     return [[(agent.agent_id, o) for agent, o in rank.outcomes] for rank in episode.ranks]
+
+
+def cyclic_garbage(call, times: int = 100) -> int:
+    """How many objects ``times`` calls of ``call`` leave for the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(times):
+            call()
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
 
 
 # --- independent oracles ---------------------------------------------------------

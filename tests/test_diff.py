@@ -205,3 +205,35 @@ def test_diff_matches_previous_diff_on_random_pairs_and_shuffles(a, b, rng):
     _check_against_reference(flow_a, shuffled)
     _check_against_reference(shuffled, flow_a)
 
+
+
+def _reference_permutation(s, t):
+    """_permutation as it was: each item matched by equality alone."""
+    used = [False] * len(s)
+    perm = []
+    for item in t:
+        for j, src in enumerate(s):
+            if not used[j] and src == item:
+                used[j] = True
+                perm.append(j)
+                break
+        else:
+            return None
+    return tuple(perm)
+
+
+# Two pools of equal tasks: within a pool the items are one object, across them
+# equal objects that are not identical.
+_POOLS = (tuple(chain_tasks(range(4))), tuple(chain_tasks(range(4))))
+
+
+@given(st.lists(st.integers(0, 3), max_size=6).flatmap(
+           lambda ks: st.tuples(st.just(ks), st.permutations(ks))),
+       st.lists(st.integers(0, 3), max_size=6), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_permutation_matches_its_equality_only_definition(pair, other, across):
+    ks, shuffled = pair
+    s = tuple(_POOLS[0][k] for k in ks)
+    pool = _POOLS[int(across)]
+    for t in (tuple(pool[k] for k in shuffled), tuple(pool[k] for k in other)):
+        assert wf._permutation(s, t) == _reference_permutation(s, t)

@@ -24,8 +24,8 @@ from flowsmith.orchestrator import (
     verify,
 )
 
-from .conftest import (agent_named, chain_flow, chain_pool, chain_tasks, mk_flow, mk_task,
-                       oracle_equal, outcome_ids)
+from .conftest import (agent_named, chain_flow, chain_pool, chain_tasks, cyclic_garbage,
+                       mk_flow, mk_task, oracle_equal, outcome_ids)
 
 
 def _union_goal(gid, parts):
@@ -148,6 +148,14 @@ def test_decompose_frees_the_pool_and_rng_without_the_cyclic_collector():
 
 
 # --- compose ------------------------------------------------------------------------
+
+
+def test_compose_leaves_no_cyclic_garbage():
+    net = chain_pool(8)
+    parts = [net.training[i][0] for i in (1, 4, 6)]
+    tree = decompose(net, _union_goal("composite", parts), SolveConfig(), random.Random(0))
+    assert isinstance(tree, Expanded)
+    assert cyclic_garbage(lambda: compose(tree)) == 0
 
 
 def test_compose_single_leaf_is_agent_procedure_verbatim():
@@ -372,10 +380,12 @@ def test_solve_counts_one_verify_per_candidate(monkeypatch):
 
 def _count_stage_calls(monkeypatch) -> Counter:
     """Count ``decompose``, ``compose`` and ``verify`` calls at the
-    orchestrator and repair attributes, and rng seedings (``derive_seed``)."""
+    orchestrator and repair attributes, rng seedings (``derive_seed``) and
+    dead-node walks (``workflow.dead_node_ratio``)."""
     calls = Counter()
     sites = [(module, name) for name in ("decompose", "compose", "verify")
-             for module in (orchestrator, repair)] + [(orchestrator, "derive_seed")]
+             for module in (orchestrator, repair)] + [(orchestrator, "derive_seed"),
+                                                     (wf, "dead_node_ratio")]
     for module, name in sites:
         def counted(*args, name=name, fn=getattr(module, name), **kwargs):
             calls[name] += 1
@@ -395,7 +405,9 @@ def test_solve_reuses_a_repeated_rank_and_still_penalises_it(monkeypatch):
     episode = solve(net, goal, SolveConfig(seed=2, repair_budget=0),
                     expected=chain_flow([3, 4], wid="x", gid=goal.id))
     assert episode.early_failure
-    assert calls == {"decompose": 2, "derive_seed": 2, "compose": 1, "verify": 1}
+    # the three recorded ranks share one verdict, so one dead-node walk
+    assert calls == {"decompose": 2, "derive_seed": 2, "compose": 1, "verify": 1,
+                     "dead_node_ratio": 1}
     # budget 0: no rank runs the repair loop, so none has a stop reason
     assert [(rank.repairs, rank.stop) for rank in episode.ranks] == [((), None)] * 3
     assert outcome_ids(episode) == [[(goal.id, Outcome(p_fail=1))]] * 3
@@ -411,7 +423,8 @@ def test_solve_reuses_a_forced_rank_whose_dead_leaf_scale_control_ignores(monkey
     episode = solve(net, goal, SolveConfig(seed=2, repair_budget=0, scale_control=False),
                     expected=chain_flow([3, 4], wid="x", gid=goal.id))
     assert not episode.early_failure
-    assert calls == {"decompose": 1, "derive_seed": 1, "compose": 1, "verify": 1}
+    assert calls == {"decompose": 1, "derive_seed": 1, "compose": 1, "verify": 1,
+                     "dead_node_ratio": 1}
     assert outcome_ids(episode) == [[(goal.id, Outcome(p_fail=1))]] * 5
 
 
@@ -428,8 +441,10 @@ def test_solve_repairs_each_repeated_rank_from_the_unrepaired_candidate(monkeypa
     # each rank applies one Insert, spends its budget and ends at t00 t01
     assert [([r.action for r in rank.repairs], rank.stop, wf.task_order(rank.candidate.root))
             for rank in episode.ranks] == [(["Insert"], "budget", tuple(chain_tasks([0, 1])))] * 3
-    # one composed candidate, three repaired; each repairing rank seeds its rng
-    assert calls == {"decompose": 2, "derive_seed": 4, "compose": 1, "verify": 4}
+    # one composed candidate, three repaired; each repairing rank seeds its rng,
+    # and only each rank's final verdict walks for its dead-node ratio
+    assert calls == {"decompose": 2, "derive_seed": 4, "compose": 1, "verify": 4,
+                     "dead_node_ratio": 3}
 
 
 def test_solve_repairs_a_repeated_rank_with_the_draws_it_would_have_decomposed_with():
@@ -465,7 +480,61 @@ def test_solve_composes_afresh_each_rank_that_draws_another_agent(monkeypatch):
         assert [wf.task_order(rank.candidate.root) for rank in episode.ranks] == [
             tuple(chain_tasks([k])) for k in drawn]
         assert outcome_ids(episode) == [[(("ga", "gb")[k], Outcome(p_fail=1))] for k in drawn]
-        assert calls == {"decompose": 5, "derive_seed": 5, "compose": 5, "verify": 5}
+        assert calls == {"decompose": 5, "derive_seed": 5, "compose": 5, "verify": 5,
+                         "dead_node_ratio": 5}
+
+
+def test_solve_walks_the_dead_node_ratio_of_the_recorded_verdict_only(monkeypatch):
+    # g0 resolves directly and misses one task; one Insert repairs it.  The
+    # composed candidate's verdict is dropped for the repaired one, so only
+    # the repaired one walks, and it walks inside solve, not in to_doc
+    calls = _count_stage_calls(monkeypatch)
+    goal = chain_pool(6).training[0][0]
+    episode = solve(chain_pool(6), goal, SolveConfig(seed=11),
+                    expected=chain_flow([0, 1], gid=goal.id))
+    assert [[r.action for r in rank.repairs] for rank in episode.ranks] == [["Insert"]]
+    assert (calls["verify"], calls["dead_node_ratio"]) == (2, 1)
+    (rank,) = episode.ranks
+    assert rank.verdict.to_doc()["dead_node_ratio"] == 0.0
+    episode.to_doc()
+    assert calls["dead_node_ratio"] == 1
+
+
+def test_solve_nests_a_forced_rank_without_decomposing_it_again(monkeypatch):
+    # The novel goal "pair" splits into g0 and g1, each its agent's only
+    # choice, and composes t00 t01 against Nest(pair, t00 t01 t02): a Nest of
+    # the episode's goal, then an Insert of o2 drawn between g2 and its twin
+    # h2.  The Nest takes the rank's own candidate; h2 is the agent drawn
+    # when the Nest decomposed "pair" again, which a Nest that skipped its
+    # leaves' two draws does not give at seed 1
+    calls = _count_stage_calls(monkeypatch)
+    twin = chain_flow([2], wid="wh", gid="h2")
+    net = build_agents(chain_pool(6).training + [
+        (Goal("h2", frozenset({"h2:a"}), twin.declared_inputs, twin.declared_outputs), twin)])
+    goal = _union_goal("pair", [net.training[0][0], net.training[1][0]])
+    expected = mk_flow(wf.Nest("pair", wf.Sequence(tuple(chain_tasks([0, 1, 2])))),
+                       ins={"seed"}, outs={"o0", "o1", "o2"}, gid="pair")
+    episode = solve(net, goal, SolveConfig(seed=1), expected=expected)
+    assert episode.passed_rank() == 1
+    assert [(r.action, r.agent and r.agent.agent_id) for r in episode.ranks[0].repairs] == [
+        ("Nest", None), ("Insert", "h2")]
+    assert calls == {"decompose": 1, "derive_seed": 1, "compose": 1, "verify": 3,
+                     "dead_node_ratio": 1}
+
+
+def test_solve_nest_of_a_contested_rank_decomposes_again(monkeypatch):
+    # ga and gb both resolve q, so its decomposition is contested, and the
+    # Nest of q that the expected flow asks for decomposes q again
+    calls = _count_stage_calls(monkeypatch)
+    flows = [chain_flow([k], wid=f"w{k}", gid=gid) for k, gid in enumerate(("ga", "gb"))]
+    tokens = frozenset({"t:x", "t:y"})
+    net = build_agents([(Goal(f.goal_id, tokens, f.declared_inputs, f.declared_outputs), f)
+                        for f in flows])
+    goal = Goal("q", tokens, flows[0].declared_inputs | flows[1].declared_inputs)
+    episode = solve(net, goal, SolveConfig(seed=3, k=1), expected=mk_flow(
+        wf.Nest("q", chain_tasks([0])[0]), ins={"seed"}, outs={"o0"}, gid="q"))
+    assert [r.action for r in episode.ranks[0].repairs] == ["Nest"]
+    assert (calls["decompose"], calls["compose"]) == (2, 2)
 
 
 def test_solve_hypothesis_disabled_never_repairs():

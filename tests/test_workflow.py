@@ -12,6 +12,7 @@ from .conftest import (
     chain_flow,
     chain_tasks,
     corpus_flows,
+    cyclic_garbage,
     mk_flow,
     mk_task,
     oracle_metrics,
@@ -535,6 +536,16 @@ def test_one_walk_facts_match_their_previous_definitions(node, inputs, outputs):
     assert flow.replace(id="renamed").produced is flow.produced
     extended = flow.replace(root=wf.Sequence((node, chain_tasks([9])[0])))
     assert extended.produced == _reference_produced_fields(extended.root)
+
+def test_shape_signature_and_find_subflows_leave_no_cyclic_garbage():
+    tasks = chain_tasks([0, 1, 2, 3])
+    guard = wf.Predicate("seed", "exists")
+    flow = mk_flow([tasks[0], wf.Nest("s", wf.Sequence(tuple(tasks[1:3]))),
+                    wf.Branch(guard, tasks[3], tasks[1])], ins={"seed"})
+    library = [chain_flow([1, 2]), chain_flow([3])]
+    assert cyclic_garbage(lambda: wf.shape_signature(flow)) == 0
+    assert cyclic_garbage(lambda: wf.find_subflows(flow, library)) == 0
+
 
 def _reference_node_metrics(node):
     """node_metrics as it was: one case per node kind."""

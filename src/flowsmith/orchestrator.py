@@ -30,19 +30,18 @@ similarity exceeds theta).  So while every leaf agent of a forced tree
 lives (or with scale control off, which reads no life), the next rank
 would decompose the same tree, and ``solve`` reuses it with its
 candidate, verdict and blame; every other rank decomposes, composes and
-verifies afresh.  Within a rank the same holds: the repair loop gets a
-forced rank's tree and composed candidate, so a Nest repair of the
-episode's own goal takes them instead of decomposing again.  A verdict
-walks its candidate for the dead-node ratio only when it is first read;
-``solve`` reads it for each rank it records, so a verdict that is
-discarded for a repaired one never walks.
+verifies afresh.  Within a rank the repair loop never decomposes the
+episode's own goal: a Nest of it wraps the candidate being repaired.  A
+verdict refers to the candidate it judged, which computes its dead-node
+ratio on first read; ``solve`` reads it for each rank it records, so a
+candidate whose verdict is discarded for a repaired one never walks, and
+ranks that share a candidate walk it once.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
-from functools import partial
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 from . import workflow as wf
@@ -124,36 +123,21 @@ class SolveConfig:
                 raise ConfigError(f"{name} must be a bool, got {getattr(self, name)!r}")
 
 
-class _OnFirstRead:
-    """A float dataclass field that may also be given as a function of no
-    arguments: the function runs when the field is first read, and its
-    result is kept.  Equality, hashing and ``repr`` read the field, so
-    they see the number."""
-
-    def __set_name__(self, owner, name):
-        self.key = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return 0.0  # the field's default
-        value = getattr(obj, self.key)
-        if callable(value):
-            value = value()
-            object.__setattr__(obj, self.key, value)
-        return value
-
-    def __set__(self, obj, value):
-        object.__setattr__(obj, self.key, value)
-
-
 @dataclass(frozen=True)
 class Verdict:
+    """``workflow`` is the candidate judged, whose dead-node ratio the
+    verdict reports; a verdict without one reports 0.0."""
+
     passed: bool
     score: float
     mode: str
     edit_script: wf.EditScript = ()
     missing_outputs: frozenset[str] = frozenset()
-    dead_node_ratio: float = _OnFirstRead()
+    workflow: wf.Workflow | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def dead_node_ratio(self) -> float:
+        return 0.0 if self.workflow is None else self.workflow.dead_node_ratio
 
     def to_doc(self) -> dict:
         return {
@@ -260,42 +244,42 @@ def decompose(net: AgentNetwork, goal: Goal, config: SolveConfig,
     one ``rng.random()`` per leaf, and appends to ``contested``, if given,
     each goal that had two or more agents to select from.
     """
-    def walk(g: Goal, depth: int, scope: frozenset[str]) -> tuple[DecompositionTree, frozenset[str]]:
-        weighted = [(agent, compatibility(agent, g, scope, input_gate=config.input_goal))
-                    for agent, _ in retrieve(net, g, config.theta) if resolves(net, g, agent)]
-        if contested is not None and len(weighted) > 1:
-            contested.append(g)
-        if weighted:
-            try:
-                chosen = select(weighted, rng, use_life=config.scale_control)
-            except NoEligibleAgent:
-                chosen = None
-            if chosen is not None:
-                return Resolved(g, chosen), chosen.procedure.produced
-        if not config.hypothesis:
-            raise DecompositionFailure(
-                f"no agent above threshold resolves goal {g.id!r} and structural "
-                "splitting is disabled"
-            )
-        if depth >= MAX_DEPTH:
-            raise DecompositionFailure(f"depth budget exhausted at goal {g.id!r}")
-        parts = cover_split(net, g)
-        if len(parts) == 1 and parts[0].tokens == g.tokens:
-            raise DecompositionFailure(f"goal {g.id!r} splits into itself")
-        children: list[DecompositionTree] = []
-        produced: frozenset[str] = frozenset()
-        for part in parts:
-            child, out = walk(part, depth + 1, scope | produced)
-            children.append(child)
-            produced = produced | out
-        return Expanded(g, tuple(children)), produced
+    return _decompose_goal(net, config, rng, contested, goal, 1, goal.input_schema)[0]
 
-    # walk's closure refers to walk itself; clearing it breaks that cycle, which would
-    # otherwise keep net and rng alive until the cyclic garbage collector runs
-    try:
-        return walk(goal, 1, goal.input_schema)[0]
-    finally:
-        del walk
+
+def _decompose_goal(net: AgentNetwork, config: SolveConfig, rng: random.Random,
+                    contested: list[Goal] | None, g: Goal, depth: int,
+                    scope: frozenset[str]) -> tuple[DecompositionTree, frozenset[str]]:
+    # ``g``'s tree at ``depth`` under the fields in ``scope``, and the fields it produces.
+    weighted = [(agent, compatibility(agent, g, scope, input_gate=config.input_goal))
+                for agent, _ in retrieve(net, g, config.theta) if resolves(net, g, agent)]
+    if contested is not None and len(weighted) > 1:
+        contested.append(g)
+    if weighted:
+        try:
+            chosen = select(weighted, rng, use_life=config.scale_control)
+        except NoEligibleAgent:
+            chosen = None
+        if chosen is not None:
+            return Resolved(g, chosen), chosen.procedure.produced
+    if not config.hypothesis:
+        raise DecompositionFailure(
+            f"no agent above threshold resolves goal {g.id!r} and structural "
+            "splitting is disabled"
+        )
+    if depth >= MAX_DEPTH:
+        raise DecompositionFailure(f"depth budget exhausted at goal {g.id!r}")
+    parts = cover_split(net, g)
+    if len(parts) == 1 and parts[0].tokens == g.tokens:
+        raise DecompositionFailure(f"goal {g.id!r} splits into itself")
+    children: list[DecompositionTree] = []
+    produced: frozenset[str] = frozenset()
+    for part in parts:
+        child, out = _decompose_goal(net, config, rng, contested, part, depth + 1,
+                                     scope | produced)
+        children.append(child)
+        produced = produced | out
+    return Expanded(g, tuple(children)), produced
 
 
 def tree_leaves(tree: DecompositionTree) -> list[Resolved]:
@@ -338,15 +322,16 @@ def verify(candidate: wf.Workflow, target, config: SolveConfig = SolveConfig()) 
     """Oracle mode passes exactly when the edit script is empty; goal-anchored
     mode scores output coverage against the goal, zeroed when any task
     input stays unbound under the goal's inputs, and passes at ``config.eta``.
-    The verdict walks the candidate for its dead-node ratio on first read."""
-    dead = partial(wf.dead_node_ratio, candidate)
+    The verdict reports the candidate's dead-node ratio, which the candidate
+    computes when it is first read; with ``config.output_goal`` off the
+    goal-anchored verdict reports 0.0."""
     if config.mode == "oracle":
         if not isinstance(target, wf.Workflow):
             raise MissingOracle("oracle-mode verification needs an expected workflow")
         script = wf.diff(candidate, target)
         return Verdict(
             passed=not script, score=0.0 if script else 1.0, mode="oracle",
-            edit_script=script, dead_node_ratio=dead,
+            edit_script=script, workflow=candidate,
         )
     if not isinstance(target, Goal):
         raise ValueError("goal-anchored verification needs a Goal target")
@@ -359,12 +344,11 @@ def verify(candidate: wf.Workflow, target, config: SolveConfig = SolveConfig()) 
     else:
         missing = frozenset()
         score = 1.0
-        dead = 0.0
     if unbound:
         score = 0.0
     return Verdict(
         passed=score >= config.eta, score=score, mode="goal_anchored",
-        missing_outputs=frozenset(missing), dead_node_ratio=dead,
+        missing_outputs=frozenset(missing), workflow=candidate if config.output_goal else None,
     )
 
 
@@ -445,8 +429,7 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
     verdict and blamed agent, since ``compose`` and ``verify`` are pure in
     the tree and the target.  It still repairs, with an rng seeded for
     its own rank after the one draw per leaf that ``decompose`` would
-    have made, and issues its own outcomes.  The repair loop of a forced
-    rank gets its tree and composed candidate, for a Nest of the goal.
+    have made, and issues its own outcomes.
     """
     from .repair import repair_loop  # deferred to avoid an import cycle
 
@@ -484,8 +467,7 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
                 for _ in leaf_agents:
                     rng.random()
             candidate, verdict, trace, stop = repair_loop(
-                net, goal, candidate, verdict, target, config, rng,
-                (tree, composed) if forced else None)
+                net, goal, candidate, verdict, target, config, rng)
             episode.steps += len(trace)
         path_agents = leaf_agents + [record.agent for record in trace if record.agent is not None]
         outcomes = _outcomes(net, goal, candidate, path_agents, verdict, blamed)

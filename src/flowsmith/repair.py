@@ -6,12 +6,12 @@ names one structural operator (``OPERATORS``): a missing step inserts
 an agent's procedure, a missing branch attaches a guarded side path,
 an over-abstraction puts a goal's decomposition under a Nest boundary,
 and a wrong order permutes siblings.  A Nest of the episode's own goal
-takes the rank's candidate when the rank's decomposition was forced,
-since decomposing again would give the same tree; any other Nest
-decomposes its goal afresh.  The loop starts from the verdict the
-solve loop already holds, applies the hypothesis, re-verifies, and
-insists on strict progress (a shrinking oracle edit script or
-missing-output set) until it passes, stalls, or the budget runs out.
+wraps the candidate being repaired, which is already a decomposition of
+that goal; a Nest of any other goal decomposes it afresh.  The loop
+starts from the verdict the solve loop already holds, applies the
+hypothesis, re-verifies, and insists on strict progress (a shrinking
+oracle edit script or missing-output set) until it passes, stalls, or
+the budget runs out.
 Each applied repair is recorded with the agent whose procedure it
 spliced in (none for a reorder or a nest), so the solve loop rewards or
 penalises that agent object directly; ``agents`` names the agents and
@@ -33,8 +33,7 @@ from .errors import BadPath, DecompositionFailure, NoEligibleAgent, NotAFailure,
 # ``similarity`` is unused here; the benchmark tracer counts its calls
 # at this module attribute (perfbench/spans.py, COUNT_SITES).
 from .goals import Goal, similarity
-from .orchestrator import (DecompositionTree, RepairRecord, SolveConfig, Verdict, compose,
-                           decompose, tree_leaves, verify)
+from .orchestrator import RepairRecord, SolveConfig, Verdict, compose, decompose, verify
 
 MISSING_STEP = "MissingStep"
 WRONG_ORDER = "WrongOrder"
@@ -96,18 +95,16 @@ def diagnose(verdict: Verdict, candidate: wf.Workflow, target) -> FailureHypothe
 
 
 def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwork,
-          config: SolveConfig, rng: random.Random, *, goal: Goal | None = None,
-          forced: tuple[DecompositionTree, wf.Workflow] | None = None
+          config: SolveConfig, rng: random.Random, *, goal: Goal | None = None
           ) -> tuple[wf.Workflow, AtomicAgent | None]:
     """Apply one hypothesis; the result must validate or the repair is rejected.
 
     Returns the repaired workflow and the agent whose procedure was
     spliced in (Insert, Branch), or None for a reorder or a nest, whose
     content comes from the candidate or a decomposition.  The spliced
-    agent is drawn from the best producers of the needed fields.
-    ``forced`` is ``goal``'s forced tree and the candidate composed from
-    it: a Nest of ``goal`` then takes that candidate as its body and
-    draws once per leaf, as decomposing ``goal`` again would.
+    agent is drawn from the best producers of the needed fields.  A Nest
+    of ``goal`` takes ``candidate`` as its body, with no draw; a Nest of
+    another goal decomposes that goal with ``rng``.
     """
     agent = None
     outputs: frozenset[str] = frozenset()  # declared outputs the repair adds
@@ -124,16 +121,14 @@ def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwo
         edit = wf.ReorderChildren(hypothesis.location, hypothesis.needed)
     elif hypothesis.kind == OVER_ABSTRACTION:
         needed = hypothesis.needed
-        resolved = goal if goal is not None and goal.id == needed else goal_named(net, needed)
-        if resolved is None:
-            raise NoEligibleAgent(f"no known goal with id {needed!r}")
-        if forced is not None and resolved is goal:
-            tree, body = forced
-            for _ in tree_leaves(tree):
-                rng.random()
+        if goal is not None and goal.id == needed:
+            body = candidate
         else:
+            resolved = goal_named(net, needed)
+            if resolved is None:
+                raise NoEligibleAgent(f"no known goal with id {needed!r}")
             body = compose(decompose(net, resolved, config, rng))
-        edit = wf.ReplaceSubtree(hypothesis.location, wf.Nest(resolved.id, body.root))
+        edit = wf.ReplaceSubtree(hypothesis.location, wf.Nest(needed, body.root))
         outputs = body.declared_outputs
     else:
         raise RejectedRepair(f"unknown hypothesis kind {hypothesis.kind!r}")
@@ -157,16 +152,15 @@ def _progress_metric(verdict: Verdict) -> int:
 
 
 def repair_loop(net: AgentNetwork, goal: Goal, candidate: wf.Workflow, verdict: Verdict,
-                target, config: SolveConfig, rng: random.Random,
-                forced: tuple[DecompositionTree, wf.Workflow] | None = None
+                target, config: SolveConfig, rng: random.Random
                 ) -> tuple[wf.Workflow, Verdict, list[RepairRecord], str]:
     """Diagnose / apply / verify for up to ``config.repair_budget`` iterations.
 
     ``verdict`` is the failing verdict of ``candidate`` against
     ``target`` (a passing one raises NotAFailure); only a repaired
-    candidate is verified again; ``forced`` goes to ``apply``.  Returns
-    the last candidate, its verdict, the trace of applied repairs and
-    why the loop stopped:
+    candidate is verified again.  A Nest of ``goal`` wraps the candidate
+    as it stands (see ``apply``).  Returns the last candidate, its
+    verdict, the trace of applied repairs and why the loop stopped:
     ``"passed"``; ``"stalled"`` when the first fault has no hypothesis,
     its hypothesis does not apply, or an iteration fails to strictly
     shrink the fault count (oracle edits or missing outputs);
@@ -183,8 +177,7 @@ def repair_loop(net: AgentNetwork, goal: Goal, candidate: wf.Workflow, verdict: 
         if hypothesis is None:
             return candidate, verdict, trace, "stalled"
         try:
-            candidate, agent = apply(candidate, hypothesis, net, config, rng, goal=goal,
-                                     forced=forced)
+            candidate, agent = apply(candidate, hypothesis, net, config, rng, goal=goal)
         except (BadPath, DecompositionFailure, NoEligibleAgent, RejectedRepair):
             return candidate, verdict, trace, "stalled"
         verdict = verify(candidate, target, config)

@@ -34,9 +34,10 @@ are dropped, and single-child Sequences collapse to the child.
 Normalization returns every subtree that is already normal as the same
 object, so the normal form of a normal tree is its root.
 
-A :class:`Workflow` keeps two facts about its tree, each computed on
-first use: its normal form (:attr:`Workflow.normal_root`) and the fields
-it is guaranteed to produce (:attr:`Workflow.produced`).  An agent's
+A :class:`Workflow` keeps three facts about itself, each computed on
+first use: its normal form (:attr:`Workflow.normal_root`), the fields
+its tree is guaranteed to produce (:attr:`Workflow.produced`) and its
+dead-node ratio (:attr:`Workflow.dead_node_ratio`).  An agent's
 procedure never changes, so each is walked once per run however often
 the solve loop reads it.  One binding walk answers both the dataflow
 check and the produced fields, so the rule that joins Branch arms is
@@ -178,6 +179,13 @@ class Workflow:
         """``produced_fields(root)``, computed on first use and kept, as
         :attr:`normal_root` is."""
         return produced_fields(self.root)
+
+    @cached_property
+    def dead_node_ratio(self) -> float:
+        """:func:`dead_node_ratio` of this workflow, computed on first use and
+        kept.  It reads the declared outputs too, so :meth:`replace` never
+        carries it into the copy."""
+        return dead_node_ratio(self)
 
 
 # The cached properties of a Workflow that depend on its root alone.
@@ -756,13 +764,24 @@ def _task_key(doc: dict) -> "tuple | None":
     return tool_id, tuple(inputs), tuple(outputs), tuple(items)
 
 
+def _is_scalar(value) -> bool:
+    """Whether a node may hold ``value``: a string, an integer, a finite
+    float, a bool or null."""
+    return type(value) in _KEY_LITERALS and not (type(value) is float
+                                                 and not math.isfinite(value))
+
+
+def _name_from_doc(doc: dict, key: str) -> str:
+    """``doc[key]``, which must be a non-empty string."""
+    name = doc[key]
+    if type(name) is not str or not name:
+        raise ValueError(f"{key} must be a non-empty string, got {name!r}")
+    return name
+
+
 def _task_from_doc(doc: dict) -> TaskNode:
-    tool_id, params = doc["tool_id"], doc.get("params", {})
-    if type(tool_id) is not str or not tool_id:
-        raise ValueError(f"tool_id must be a non-empty string, got {tool_id!r}")
-    if type(params) is not dict or any(type(v) not in _KEY_LITERALS
-                                       or type(v) is float and not math.isfinite(v)
-                                       for v in params.values()):
+    tool_id, params = _name_from_doc(doc, "tool_id"), doc.get("params", {})
+    if type(params) is not dict or not all(_is_scalar(v) for v in params.values()):
         raise ValueError("params must map names to strings, finite numbers, bools or null, "
                          f"got {params!r}")
     return TaskNode(
@@ -799,14 +818,18 @@ def node_from_doc(doc: dict, tasks: "dict | None" = None) -> WorkflowNode:
         return Sequence(tuple([node_from_doc(c, tasks) for c in doc["children"]]))
     if kind == "branch":
         cond = doc["cond"]
+        value = cond.get("value")
+        if not _is_scalar(value):
+            raise ValueError("predicate value must be a string, a finite number, a bool or "
+                             f"null, got {value!r}")
         orelse = doc.get("else")
         return Branch(
-            Predicate(cond["key"], cond["op"], cond.get("value")),
+            Predicate(_name_from_doc(cond, "key"), cond["op"], value),
             node_from_doc(doc["then"], tasks),
             node_from_doc(orelse, tasks) if orelse is not None else None,
         )
     if kind == "nest":
-        return Nest(doc["sub_goal_id"], node_from_doc(doc["body"], tasks))
+        return Nest(_name_from_doc(doc, "sub_goal_id"), node_from_doc(doc["body"], tasks))
     raise ValueError(f"unknown node kind {kind!r}")
 
 

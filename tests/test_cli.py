@@ -317,6 +317,39 @@ def test_non_finite_task_param_exits_three_naming_its_line(corpora, capsys, valu
     assert f"corrupt corpus {str(broken)!r} line {task}:" in capsys.readouterr().err
 
 
+def _guarded(cond):  # the task, then the task again under a Branch on ``cond``
+    return lambda root: {"kind": "seq", "children": [
+        root, {"kind": "branch", "cond": cond, "then": root, "else": None}]}
+
+
+def _nested(sub_goal_id):
+    return lambda root: {"kind": "nest", "sub_goal_id": sub_goal_id, "body": root}
+
+
+@pytest.mark.parametrize("wrap", [
+    _guarded({"key": 5, "op": "exists"}),
+    _guarded({"key": "k", "op": "equals", "value": float("nan")}),
+    _guarded({"key": "k", "op": "equals", "value": [1, 2]}),
+    _guarded({"key": "k", "op": "equals", "value": {"a": 1}}),
+    _nested(7),
+    _nested(["a"]),
+], ids=["number-key", "nan-value", "list-value", "object-value",
+        "number-sub-goal", "list-sub-goal"])
+def test_ill_typed_branch_or_nest_field_exits_three_naming_its_line(corpora, capsys, wrap):
+    tmp_path, train, test = corpora
+    lines = open(train).read().splitlines()
+    task = next(n for n, line in enumerate(lines, 1)
+                if json.loads(line)["workflow"]["root"]["kind"] == "task")
+    lines[task - 1] = _edited_line(
+        lines[task - 1], lambda doc: doc["workflow"].update(root=wrap(doc["workflow"]["root"])))
+    broken = tmp_path / "ill-typed.jsonl"
+    broken.write_text("\n".join(lines) + "\n")
+    code = cli.main(["eval", "--train", str(broken), "--test", test,
+                     "--report", str(tmp_path / "r.json")])
+    assert code == 3
+    assert f"corrupt corpus {str(broken)!r} line {task}:" in capsys.readouterr().err
+
+
 def _oracle_subgoals(value):
     return lambda doc: doc["goal"].update(oracle_subgoals=value)
 

@@ -504,9 +504,9 @@ def test_solve_nests_a_forced_rank_without_decomposing_it_again(monkeypatch):
     # The novel goal "pair" splits into g0 and g1, each its agent's only
     # choice, and composes t00 t01 against Nest(pair, t00 t01 t02): a Nest of
     # the episode's goal, then an Insert of o2 drawn between g2 and its twin
-    # h2.  The Nest takes the rank's own candidate; h2 is the agent drawn
-    # when the Nest decomposed "pair" again, which a Nest that skipped its
-    # leaves' two draws does not give at seed 1
+    # h2.  The Nest wraps the rank's own candidate and draws nothing, so the
+    # Insert's draw is the rank's first after the two leaves': g2 at seed 1,
+    # where a Nest that drew once per leaf again would give h2
     calls = _count_stage_calls(monkeypatch)
     twin = chain_flow([2], wid="wh", gid="h2")
     net = build_agents(chain_pool(6).training + [
@@ -517,14 +517,15 @@ def test_solve_nests_a_forced_rank_without_decomposing_it_again(monkeypatch):
     episode = solve(net, goal, SolveConfig(seed=1), expected=expected)
     assert episode.passed_rank() == 1
     assert [(r.action, r.agent and r.agent.agent_id) for r in episode.ranks[0].repairs] == [
-        ("Nest", None), ("Insert", "h2")]
+        ("Nest", None), ("Insert", "g2")]
     assert calls == {"decompose": 1, "derive_seed": 1, "compose": 1, "verify": 3,
                      "dead_node_ratio": 1}
 
 
-def test_solve_nest_of_a_contested_rank_decomposes_again(monkeypatch):
-    # ga and gb both resolve q, so its decomposition is contested, and the
-    # Nest of q that the expected flow asks for decomposes q again
+def test_solve_nest_of_a_contested_rank_wraps_its_own_candidate(monkeypatch):
+    # ga and gb both resolve q, so its decomposition is contested; the Nest
+    # of q that the expected flow asks for still wraps the rank's candidate,
+    # ga's t00, instead of decomposing q again
     calls = _count_stage_calls(monkeypatch)
     flows = [chain_flow([k], wid=f"w{k}", gid=gid) for k, gid in enumerate(("ga", "gb"))]
     tokens = frozenset({"t:x", "t:y"})
@@ -534,7 +535,8 @@ def test_solve_nest_of_a_contested_rank_decomposes_again(monkeypatch):
     episode = solve(net, goal, SolveConfig(seed=3, k=1), expected=mk_flow(
         wf.Nest("q", chain_tasks([0])[0]), ins={"seed"}, outs={"o0"}, gid="q"))
     assert [r.action for r in episode.ranks[0].repairs] == ["Nest"]
-    assert (calls["decompose"], calls["compose"]) == (2, 2)
+    assert episode.ranks[0].candidate.root == wf.Nest("q", chain_tasks([0])[0])
+    assert (calls["decompose"], calls["compose"]) == (1, 1)
 
 
 def test_solve_hypothesis_disabled_never_repairs():

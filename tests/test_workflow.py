@@ -688,9 +688,13 @@ def test_normal_root_changes_no_equality_hash_or_serialization(node, outputs):
     normal = read.normal_root
     assert normal == _reference_normalize(node)
     assert read.normal_root is normal
+    ratio = read.dead_node_ratio
+    assert ratio == _reference_dead_node_ratio(read)
+    assert read.dead_node_ratio is ratio
     assert (hash(read), wf.to_doc(read), wf.dumps(read)) == before
     assert read == fresh and hash(read) == hash(fresh)
-    assert "normal_root" not in {f.name for f in dataclasses.fields(wf.Workflow)}
+    names = {f.name for f in dataclasses.fields(wf.Workflow)}
+    assert "normal_root" not in names and "dead_node_ratio" not in names
 
     extended = read.replace(root=wf.Sequence((node, chain_tasks([9])[0])))
     assert extended.normal_root == _reference_normalize(extended.root)
@@ -704,8 +708,11 @@ def test_replace_and_apply_edits_carry_the_normal_root(source_node, target_node,
     source = wf.Workflow(root=source_node, declared_inputs={"seed"}, declared_outputs=outputs,
                          id="w", goal_id="g")
     normal = source.normal_root
+    source.dead_node_ratio
     renamed = source.replace(id="w2", declared_outputs=outputs | {"o9"})
     assert renamed.normal_root is normal
+    # the declared outputs changed, so the ratio is computed again, not carried
+    assert renamed.dead_node_ratio == wf.dead_node_ratio(renamed)
     repaired = wf.apply_edits(wf.diff(source, wf.Workflow(root=target_node)), source)
     assert repaired.normal_root is repaired.root
     for carried in (renamed, repaired):

@@ -25,8 +25,10 @@ memo, which a call that leaves the memo's size unchanged is; a pool
 without a memo answers none.  And it counts the ``decompose``,
 ``compose`` and ``verify`` calls, at both the ``orchestrator`` and the
 ``repair`` attributes, the rng seedings of the solve loop (calls of
-``orchestrator.derive_seed``) and the ``workflow.dead_node_ratio``
-calls.  And it counts the ranks whose repair
+``orchestrator.derive_seed``), the ``workflow.dead_node_ratio`` calls
+and the ``agents.similarity`` calls (those of ``retrieve`` and, in a
+source whose ``compatibility`` scores again, of ``compatibility``; the
+refresh runs outside ``run_episode``).  And it counts the ranks whose repair
 loop stopped for each reason (``passed``, ``stalled``, ``budget``), read
 from each ``orchestrator.Rank``'s ``stop``; a source without ``Rank``
 reports no such counts.  Each count is divided by the episodes.
@@ -110,7 +112,7 @@ def run(workload, directory: Path, sites: dict) -> None:
 
 
 def measure(workload, reps: int) -> dict:
-    from flowsmith import evaluation, orchestrator, repair
+    from flowsmith import agents, evaluation, orchestrator, repair
     from flowsmith import workflow as wf
 
     run_episode = evaluation.run_episode
@@ -158,6 +160,8 @@ def measure(workload, reps: int) -> dict:
                                                              "derive_seed", counts, inside)
     count_sites[(wf, "dead_node_ratio")] = walk_counter(wf.dead_node_ratio, "dead_node_ratio",
                                                        counts, inside)
+    count_sites[(agents, "similarity")] = walk_counter(agents.similarity, "similarity", counts,
+                                                       inside)
     count_sites[(evaluation, "run_episode")] = counted_episode
     with tempfile.TemporaryDirectory(prefix="episode_cost.") as tmp:
         for _ in range(reps):
@@ -181,6 +185,7 @@ def measure(workload, reps: int) -> dict:
             **{f"{name}_calls": round(counts[name] / episodes, 3) for name in CALLS},
             "rng_seedings": round(counts["derive_seed"] / episodes, 3),
             "dead_node_ratio_calls": round(counts["dead_node_ratio"] / episodes, 3),
+            "similarity_calls": round(counts["similarity"] / episodes, 3),
             **{f"repair_stops_{stop}": round(counts[f"stop_{stop}"] / episodes, 3)
                for stop in STOPS if hasattr(orchestrator, "Rank")},
         },

@@ -279,13 +279,12 @@ def goal_named(net: AgentNetwork, goal_id: str) -> Goal | None:
     return min(named, key=lambda a: a.agent_id).goal if named else None
 
 
-def compatibility(agent: AtomicAgent, subgoal: Goal, available_inputs: frozenset[str],
+def compatibility(agent: AtomicAgent, familiarity: float, available_inputs: frozenset[str],
                   input_gate: bool = True) -> float:
-    """Hard schema gate times an even blend of goal familiarity and success prior."""
+    """Schema gate times an even blend of familiarity (the retrieval score) and success prior."""
     if input_gate and not schema_compat(available_inputs, agent.goal):
         return 0.0
-    familiar = similarity(agent.goal, subgoal)
-    return 0.5 * familiar + 0.5 * agent.stats.success_ratio()
+    return 0.5 * familiarity + 0.5 * agent.stats.success_ratio()
 
 
 def _weights(candidates: list[tuple[AtomicAgent, float]], use_life: bool) -> list[float]:

@@ -13,7 +13,6 @@ error, 3 I/O failure, 4 internal invariant breach.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict, replace
 
@@ -39,12 +38,9 @@ BUILTIN_DEFAULTS = {
 
 def _load_config_file(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path!r}") from exc
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"unreadable config file {path!r}: {exc}") from exc
+        raw = corpus_mod.read_json(path, "config file")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path!r} must hold a JSON object")
     for key in raw:
@@ -201,8 +197,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    with open(args.report, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+    doc = corpus_mod.read_json(args.report, "report")
     try:
         per_bucket = {
             bucket: {int(k): value for k, value in table.items()}
@@ -236,7 +231,7 @@ def dispatch(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except (AssertionError, EngineError) as exc:

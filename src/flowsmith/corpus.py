@@ -98,6 +98,8 @@ class CorpusProfile:
             raise InfeasibleProfile("node counts must be >= 1")
         if any(k < 0 for k in self.depth_histogram):
             raise InfeasibleProfile("depths must be >= 0")
+        if self.planted is not None and self.planted.length > self.tool_vocab_size:
+            raise InfeasibleProfile("planted pattern length exceeds tool_vocab_size")
 
 
 def default_profile(total: int = 10000,
@@ -481,6 +483,15 @@ def save_corpus(records: list[CorpusRecord], path: str | FsPath) -> None:
     write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
+def read_json(path: str | FsPath, label: str):
+    """The JSON document in a file; a file that cannot be read, is not UTF-8
+    JSON or nests deeper than the recursion limit raises ValueError naming it."""
+    try:
+        return json.loads(FsPath(path).read_text(encoding="utf-8"))
+    except (OSError, RecursionError, ValueError) as exc:
+        raise ValueError(f"unreadable {label} {str(path)!r}: {type(exc).__name__}: {exc}") from exc
+
+
 def read_jsonl(path: str | FsPath, parse, label: str) -> list:
     """``parse`` each non-blank line's JSON document; a line that does not
     parse raises ValueError naming the file and the line."""
@@ -491,7 +502,8 @@ def read_jsonl(path: str | FsPath, parse, label: str) -> list:
                 continue
             try:
                 items.append(parse(json.loads(line)))
-            except (AttributeError, EngineError, LookupError, TypeError, ValueError) as exc:
+            except (AttributeError, EngineError, LookupError, RecursionError, TypeError,
+                    ValueError) as exc:
                 raise ValueError(f"corrupt {label} {str(path)!r} line {number}: "
                                  f"{type(exc).__name__}: {exc}") from exc
     return items
@@ -510,8 +522,7 @@ def load_corpus(path: str | FsPath, strip_oracle: bool = False,
 
 def load_profile(path: str | FsPath) -> CorpusProfile:
     """Read a profile file; missing keys and ill-typed values raise ConfigError."""
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+    doc = read_json(path, "profile file")
     try:
         planted = None
         if doc.get("planted"):

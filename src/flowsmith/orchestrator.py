@@ -28,14 +28,14 @@ pass ends it), and a retrieved agent's weight, life times compatibility,
 is above zero while its life is and the input gate admits it (its
 similarity exceeds theta).  So while every leaf agent of a forced tree
 lives (or with scale control off, which reads no life), the next rank
-would decompose the same tree, and ``solve`` reuses it with its
-candidate, verdict and blame; every other rank decomposes, composes and
-verifies afresh.  Within a rank the repair loop never decomposes the
-episode's own goal: a Nest of it wraps the candidate being repaired.  A
-verdict refers to the candidate it judged, which computes its dead-node
-ratio on first read; ``solve`` reads it for each rank it records, so a
-candidate whose verdict is discarded for a repaired one never walks, and
-ranks that share a candidate walk it once.
+would decompose the same tree, and in an episode that does not repair
+``solve`` reuses it with its candidate, verdict and blame; every other
+rank decomposes, composes and verifies afresh.  Within a rank the repair
+loop never decomposes the episode's own goal: a Nest of it wraps the
+candidate being repaired.  A verdict refers to the candidate it judged,
+which computes its dead-node ratio on first read; ``solve`` reads it for
+each rank it records, so a candidate whose verdict is discarded for a
+repaired one never walks, and ranks that share a candidate walk it once.
 """
 
 from __future__ import annotations
@@ -240,9 +240,9 @@ def decompose(net: AgentNetwork, goal: Goal, config: SolveConfig,
     structural hypothesis.  A goal whose split is one part with its own
     token set also raises at once: retrieval, compatibility and selection
     read only tokens, scope and life, so recursing into that part would
-    fail the same way at every level until the depth budget.  It draws
-    one ``rng.random()`` per leaf, and appends to ``contested``, if given,
-    each goal that had two or more agents to select from.
+    fail the same way at every level until the depth budget.  It appends
+    to ``contested``, if given, each goal that had two or more agents to
+    select from.
     """
     return _decompose_goal(net, config, rng, contested, goal, 1, goal.input_schema)[0]
 
@@ -251,8 +251,8 @@ def _decompose_goal(net: AgentNetwork, config: SolveConfig, rng: random.Random,
                     contested: list[Goal] | None, g: Goal, depth: int,
                     scope: frozenset[str]) -> tuple[DecompositionTree, frozenset[str]]:
     # ``g``'s tree at ``depth`` under the fields in ``scope``, and the fields it produces.
-    weighted = [(agent, compatibility(agent, g, scope, input_gate=config.input_goal))
-                for agent, _ in retrieve(net, g, config.theta) if resolves(net, g, agent)]
+    weighted = [(agent, compatibility(agent, score, scope, input_gate=config.input_goal))
+                for agent, score in retrieve(net, g, config.theta) if resolves(net, g, agent)]
     if contested is not None and len(weighted) > 1:
         contested.append(g)
     if weighted:
@@ -424,12 +424,11 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
     because the decomposition tree's parts fill its top-level slots.
     Each rank appends one ``Rank`` to the episode.
 
-    A rank that would repeat a forced tree (module docstring) skips
-    ``decompose`` and takes the last rank's tree, unrepaired candidate,
-    verdict and blamed agent, since ``compose`` and ``verify`` are pure in
-    the tree and the target.  It still repairs, with an rng seeded for
-    its own rank after the one draw per leaf that ``decompose`` would
-    have made, and issues its own outcomes.
+    In an episode that will not repair, a rank that would repeat a forced
+    tree (module docstring) skips ``decompose`` and takes the last rank's
+    tree, candidate, verdict and blamed agent, since ``compose`` and
+    ``verify`` are pure in the tree and the target; every rank of an
+    episode that repairs decomposes with its own seeded rng.
     """
     from .repair import repair_loop  # deferred to avoid an import cycle
 
@@ -438,11 +437,10 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
         raise MissingOracle(f"no expected workflow supplied for goal {goal.id!r}")
 
     episode = EpisodeResult(goal_id=goal.id, ranks=[], steps=0, seed=config.seed)
-    forced = False  # whether no goal of the last decomposition had two agents to choose from
+    repairs = config.hypothesis and config.repair_budget >= 1
+    reuse = False  # whether the last rank's tree, candidate, verdict and blame stand
     for rank in range(1, config.k + 1):
-        if forced and (not config.scale_control or all(agent.life > 0.0 for agent in leaf_agents)):
-            rng = None  # the last rank's tree, composed candidate, verdict and blame stand
-        else:
+        if not reuse or config.scale_control and any(agent.life <= 0.0 for agent in leaf_agents):
             rng = random.Random(derive_seed(config.seed, goal.id, rank))
             contested: list[Goal] = []
             try:
@@ -450,22 +448,18 @@ def solve(net: AgentNetwork, goal: Goal, config: SolveConfig,
             except DecompositionFailure:
                 episode.early_failure = True
                 break
-            forced = not contested
+            reuse = not (contested or repairs)
             leaf_agents = [leaf.agent for leaf in tree_leaves(tree)]
-            composed = compose(tree)
-            composed_verdict = verify(composed, target, config)
-            blamed = _localize_fault(composed_verdict, tree)
+            candidate = compose(tree)
+            verdict = verify(candidate, target, config)
+            blamed = _localize_fault(verdict, tree)
         episode.steps += len(leaf_agents)
-        candidate, verdict, trace, stop = composed, composed_verdict, [], None
+        trace, stop = [], None
         if not config.verification:
             episode.ranks.append(Rank(candidate, verdict))
             break
 
-        if not verdict.passed and config.hypothesis and config.repair_budget >= 1:
-            if rng is None:  # draw what decompose would have drawn: one per leaf
-                rng = random.Random(derive_seed(config.seed, goal.id, rank))
-                for _ in leaf_agents:
-                    rng.random()
+        if not verdict.passed and repairs:
             candidate, verdict, trace, stop = repair_loop(
                 net, goal, candidate, verdict, target, config, rng)
             episode.steps += len(trace)

@@ -159,13 +159,14 @@ def test_goal_named_reads_only_active_agents():
 def test_compatibility_hard_gate_zeroes_incompatible_agents():
     net = chain_pool(3)
     agent = net.active[1]  # needs o0
-    assert compatibility(agent, agent.goal, frozenset()) == 0.0
+    assert compatibility(agent, similarity(agent.goal, agent.goal), frozenset()) == 0.0
 
 
 def test_compatibility_fresh_exact_match_is_half():
     net = chain_pool(3)
     agent = net.active[0]
-    assert compatibility(agent, agent.goal, agent.goal.input_schema) == pytest.approx(0.5)
+    assert compatibility(agent, similarity(agent.goal, agent.goal),
+                         agent.goal.input_schema) == pytest.approx(0.5)
 
 
 def test_compatibility_blends_history_and_similarity():
@@ -175,14 +176,15 @@ def test_compatibility_blends_history_and_similarity():
     probe = _goal("p", set(list(agent.goal.tokens)[:2]) | {"zz"})
     sim = similarity(agent.goal, probe)
     assert sim == pytest.approx(0.5)  # 2 shared of 4
-    got = compatibility(agent, probe, agent.goal.input_schema)
+    got = compatibility(agent, sim, agent.goal.input_schema)
     assert got == pytest.approx(0.5 * sim + 0.5 * 0.75)
 
 
 def test_compatibility_gate_can_be_disabled():
     net = chain_pool(3)
     agent = net.active[1]
-    assert compatibility(agent, agent.goal, frozenset(), input_gate=False) > 0.0
+    assert compatibility(agent, similarity(agent.goal, agent.goal), frozenset(),
+                         input_gate=False) > 0.0
 
 
 # --- select --------------------------------------------------------------------------
@@ -508,4 +510,5 @@ def test_compatibility_exact_example_point_675():
     agent.stats.successes, agent.stats.failures = 3, 1  # prior 0.75
     # share all 3 agent tokens inside a 5-token probe: similarity 0.6
     probe = _goal("probe", set(agent.goal.tokens) | {"pp:1", "pp:2"})
-    assert compatibility(agent, probe, agent.goal.input_schema) == pytest.approx(0.675)
+    assert compatibility(agent, similarity(agent.goal, probe),
+                         agent.goal.input_schema) == pytest.approx(0.675)

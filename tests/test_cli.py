@@ -191,13 +191,16 @@ SOLVE = ["solve", "--train", "{train}", "--goals", "{test}"]
     ({**PROFILE, "planted": {"length": 2.5, "rate": 0.5}}, ["gen-corpus", "--profile", "{file}"]),
     *(({"seed": seed}, ["gen-corpus", "--n", "10", "--config", "{file}"])
       for seed in ("7", True, 7.5, [1])),
+    ({**PROFILE, "tool_vocab_size": 2},
+     ["gen-corpus", "--profile", "{file}", "--planted-length", "3"]),
 ], ids=["zero-records", "histogram-sum", "missing-total", "config-array",
         "life-out-of-range", "k-zero", "theta-out-of-range", "eta-out-of-range",
         "negative-budget", "theta-not-a-number", "seed-not-a-number", "planted-length",
         "unknown-config-key", "two-alphas", "four-alphas", "fractional-refresh-period",
         "boolean-l-init", "planted-rate-alone", "fractional-total",
         "fractional-vocabulary", "fractional-planted-length", "string-corpus-seed",
-        "boolean-corpus-seed", "fractional-corpus-seed", "array-corpus-seed"])
+        "boolean-corpus-seed", "fractional-corpus-seed", "array-corpus-seed",
+        "planted-longer-than-vocabulary"])
 def test_bad_user_input_exits_two(corpora, capsys, input_doc, argv):
     tmp_path, train, test = corpora
     input_file = tmp_path / "input.json"
@@ -394,6 +397,49 @@ def test_ill_typed_bucket_in_test_file_exits_three(corpora, capsys, key, value):
     assert code == 3
     err = capsys.readouterr().err
     assert str(broken) in err and "line 3:" in err and f"bucket.{key}" in err
+
+
+def _nested_root(doc: dict, root: dict, levels: int) -> str:
+    """``doc`` as JSON text with ``root``, a node inside it, under ``levels``
+    one-child Sequences."""
+    inner = json.dumps(root)
+    return json.dumps(doc).replace(
+        inner, '{"kind": "seq", "children": [' * levels + inner + "]}" * levels, 1)
+
+
+@pytest.mark.parametrize("case, code", [
+    ("deep-corpus-line", 3), ("deep-library-line", 3), ("bracket-config", 2),
+    ("bracket-report", 3), ("bracket-profile", 3), ("latin-1-config", 2)])
+def test_input_file_too_deep_or_not_utf8_exits_as_a_file_that_is_not_json(corpora, capsys,
+                                                                          case, code):
+    # The code is the one its reader gives a file that is not JSON at all,
+    # and the message names the file
+    tmp_path, train, test = corpora
+    lines = open(train).read().splitlines()
+    named = tmp_path / "input"
+    evaluate = ["eval", "--train", train, "--test", test, "--report", str(tmp_path / "r.json")]
+    if case == "deep-corpus-line":
+        doc = json.loads(lines[2])
+        named.write_text("\n".join(lines[:2] + [_nested_root(doc, doc["workflow"]["root"], 600)]
+                                   + lines[3:]))
+        argv = ["eval", "--train", str(named), "--test", test,
+                "--report", str(tmp_path / "r.json")]
+    elif case == "deep-library-line":
+        flow = json.loads(lines[0])["workflow"]
+        named.write_text(_nested_root(flow, flow["root"], 600))
+        argv = evaluate + ["--library", str(named)]
+    elif case == "latin-1-config":
+        named.write_bytes('{"theta": 0.5, "seed": "\xe9"}'.encode("latin-1"))
+        argv = evaluate + ["--config", str(named)]
+    else:
+        named.write_text("[" * 100_000)
+        argv = {"bracket-config": evaluate + ["--config", str(named)],
+                "bracket-report": ["report", "--report", str(named),
+                                   "--csv", str(tmp_path / "o.csv")],
+                "bracket-profile": ["gen-corpus", "--profile", str(named),
+                                    "--out", str(tmp_path / "c.jsonl")]}[case]
+    assert cli.main(argv) == code
+    assert str(named) in capsys.readouterr().err
 
 
 def test_missing_test_file_exits_two(corpora, capsys):

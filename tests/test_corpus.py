@@ -109,6 +109,16 @@ def test_infeasible_profile_rejected():
                          depth_histogram={0: 1.0}, tool_vocab_size=8)
 
 
+def test_planted_pattern_longer_than_the_tool_vocabulary_is_infeasible():
+    planted = cp.PlantedSubflowSpec(length=3, rate=0.5)
+    with pytest.raises(InfeasibleProfile, match="exceeds tool_vocab_size"):
+        cp.CorpusProfile(total=10, node_histogram={1: 1.0}, depth_histogram={0: 1.0},
+                         tool_vocab_size=2, planted=planted)
+    profile = cp.CorpusProfile(total=10, node_histogram={3: 1.0}, depth_histogram={0: 1.0},
+                               tool_vocab_size=3, planted=planted)
+    assert len(cp.planted_library(profile, seed=1)[0].root.children) == 3
+
+
 # --- split ---------------------------------------------------------------------------
 
 

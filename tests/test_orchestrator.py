@@ -4,11 +4,13 @@ import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowsmith import corpus as cp
 from flowsmith import orchestrator, repair
 from flowsmith import workflow as wf
-from flowsmith.agents import Outcome, build_agents
+from flowsmith.agents import LifeConfig, Outcome, apply_stats, build_agents, update_life
 from flowsmith.errors import ConfigError, DecompositionFailure, MissingOracle
 from flowsmith.evaluation import ABLATABLE, ExperimentConfig, pass_at_k, run_episodes
 from flowsmith.goals import Goal, similarity
@@ -23,6 +25,7 @@ from flowsmith.orchestrator import (
     tree_leaves,
     verify,
 )
+from flowsmith.seeds import derive_seed
 
 from .conftest import (agent_named, chain_flow, chain_pool, chain_tasks, cyclic_garbage,
                        mk_flow, mk_task, oracle_equal, outcome_ids)
@@ -441,9 +444,10 @@ def test_solve_repairs_each_repeated_rank_from_the_unrepaired_candidate(monkeypa
     # each rank applies one Insert, spends its budget and ends at t00 t01
     assert [([r.action for r in rank.repairs], rank.stop, wf.task_order(rank.candidate.root))
             for rank in episode.ranks] == [(["Insert"], "budget", tuple(chain_tasks([0, 1])))] * 3
-    # one composed candidate, three repaired; each repairing rank seeds its rng,
-    # and only each rank's final verdict walks for its dead-node ratio
-    assert calls == {"decompose": 2, "derive_seed": 4, "compose": 1, "verify": 4,
+    # a rank that repairs decomposes, composes and verifies afresh, so three
+    # composed candidates and three repaired ones; rank 4 finds g0 dead and
+    # fails early.  Only each rank's final verdict walks for its dead-node ratio
+    assert calls == {"decompose": 4, "derive_seed": 4, "compose": 3, "verify": 6,
                      "dead_node_ratio": 3}
 
 
@@ -537,6 +541,91 @@ def test_solve_nest_of_a_contested_rank_wraps_its_own_candidate(monkeypatch):
     assert [r.action for r in episode.ranks[0].repairs] == ["Nest"]
     assert episode.ranks[0].candidate.root == wf.Nest("q", chain_tasks([0])[0])
     assert (calls["decompose"], calls["compose"]) == (1, 1)
+
+
+def _twin_pool(size, twins, l_init):
+    """``chain_pool(size)`` plus, for each (k, shared) in ``twins``, an agent
+    h{k} with g{k}'s procedure: under g{k}'s tokens when ``shared`` (so both
+    resolve g{k}'s goal), else under its own, where it only ties as a producer."""
+    pool = chain_pool(size)
+    dataset = list(pool.training)
+    for k, shared in twins:
+        flow = chain_flow([k], wid=f"wh{k}", gid=f"h{k}")
+        tokens = pool.training[k][0].tokens if shared else frozenset({f"h{k}:a"})
+        dataset.append((Goal(f"h{k}", tokens, flow.declared_inputs, flow.declared_outputs),
+                        flow))
+    return build_agents(dataset, config=LifeConfig(l_init=l_init))
+
+
+def _reference_solve(net, goal, config, expected):
+    """``solve`` in oracle mode without reuse: every rank decomposes,
+    composes, verifies and localizes afresh."""
+    episode = orchestrator.EpisodeResult(goal_id=goal.id, ranks=[], steps=0, seed=config.seed)
+    for rank in range(1, config.k + 1):
+        rng = random.Random(derive_seed(config.seed, goal.id, rank))
+        try:
+            tree = decompose(net, goal, config, rng)
+        except DecompositionFailure:
+            episode.early_failure = True
+            break
+        leaf_agents = [leaf.agent for leaf in tree_leaves(tree)]
+        candidate = compose(tree)
+        verdict = verify(candidate, expected, config)
+        blamed = orchestrator._localize_fault(verdict, tree)
+        episode.steps += len(leaf_agents)
+        trace, stop = [], None
+        if not verdict.passed and config.hypothesis and config.repair_budget >= 1:
+            candidate, verdict, trace, stop = repair.repair_loop(
+                net, goal, candidate, verdict, expected, config, rng)
+            episode.steps += len(trace)
+        path_agents = leaf_agents + [record.agent for record in trace if record.agent is not None]
+        outcomes = orchestrator._outcomes(net, goal, candidate, path_agents, verdict, blamed)
+        for agent, outcome in outcomes:
+            if config.scale_control:
+                update_life(agent, outcome, net.config)
+            else:
+                apply_stats(agent, outcome)
+        episode.ranks.append(orchestrator.Rank(candidate, verdict, tuple(trace), stop,
+                                               tuple(outcomes)))
+        if verdict.passed:
+            break
+    return episode
+
+
+@st.composite
+def _reuse_cases(draw):
+    size = draw(st.integers(4, 6))
+    twins = draw(st.lists(st.tuples(st.integers(0, size - 1), st.booleans()),
+                          max_size=3, unique_by=lambda twin: twin[0]))
+    first = draw(st.integers(0, size - 2))
+    parts = draw(st.integers(1, 2))  # a trained goal, or a novel union of two
+    expected = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4))
+    nest = draw(st.booleans())
+    config = SolveConfig(seed=draw(st.integers(0, 50)), k=draw(st.integers(1, 4)),
+                         repair_budget=draw(st.integers(0, 2)),
+                         scale_control=draw(st.booleans()))
+    l_init = draw(st.sampled_from([2.0, 10.0]))
+    return size, twins, l_init, first, parts, expected, nest, config
+
+
+@settings(max_examples=150, deadline=None)
+@given(_reuse_cases())
+# g0 fails each rank at budget 0 and dies at the third: rank 4 must decompose
+# again and end early, not repeat the dead agent's tree
+@example((6, [], 10.0, 0, 1, [0, 1], False, SolveConfig(seed=2, k=4, repair_budget=0)))
+def test_solve_equals_a_rank_loop_that_decomposes_every_rank(case):
+    size, twins, l_init, first, parts, indices, nest, config = case
+    nets = [_twin_pool(size, twins, l_init) for _ in range(2)]
+    part_goals = [nets[0].training[k][0] for k in range(first, first + parts)]
+    goal = part_goals[0] if parts == 1 else _union_goal("pair", part_goals)
+    expected = chain_flow(indices, gid=goal.id)
+    if nest:
+        expected = expected.replace(root=wf.Nest(goal.id, expected.root))
+    got = solve(nets[0], goal, config, expected=expected)
+    want = _reference_solve(nets[1], goal, config, expected)
+    assert got.to_doc() == want.to_doc()
+    lives = [[(a.agent_id, a.life, a.stats) for a in net.active + net.archive] for net in nets]
+    assert lives[0] == lives[1]
 
 
 def test_solve_hypothesis_disabled_never_repairs():

@@ -26,6 +26,8 @@ without a memo answers none.  And it counts the ``decompose``,
 ``compose`` and ``verify`` calls, at both the ``orchestrator`` and the
 ``repair`` attributes, the rng seedings of the solve loop (calls of
 ``orchestrator.derive_seed``), the ``workflow.dead_node_ratio`` calls
+(and, apart, those made while the pass encodes its transcript in
+``evaluation.transcripts_text``, where a failing rank's candidate walks)
 and the ``agents.similarity`` calls (those of ``retrieve`` and, in a
 source whose ``compatibility`` scores again, of ``compatibility``; the
 refresh runs outside ``run_episode``).  And it counts the ranks whose repair
@@ -136,6 +138,7 @@ def measure(workload, reps: int) -> dict:
 
     counts: Counter = Counter()
     inside = [False]  # whether a run_episode call is under way
+    encoding = [False]  # whether a transcripts_text call is under way
 
     def counted_episode(net, record, solve_cfg):
         inside[0] = True
@@ -145,6 +148,13 @@ def measure(workload, reps: int) -> dict:
             inside[0] = False
         counts.update(f"stop_{rank.stop}" for rank in getattr(result.episode, "ranks", ()))
         return result
+
+    def counted_transcripts(episodes):
+        encoding[0] = True
+        try:
+            return transcripts_text(episodes)
+        finally:
+            encoding[0] = False
 
     count_sites = {(wf, name): walk_counter(getattr(wf, name), name, counts, inside)
                    for name in WALKS}
@@ -158,11 +168,13 @@ def measure(workload, reps: int) -> dict:
                         for name in CALLS})
     count_sites[(orchestrator, "derive_seed")] = walk_counter(orchestrator.derive_seed,
                                                              "derive_seed", counts, inside)
-    count_sites[(wf, "dead_node_ratio")] = walk_counter(wf.dead_node_ratio, "dead_node_ratio",
-                                                       counts, inside)
+    count_sites[(wf, "dead_node_ratio")] = walk_counter(
+        walk_counter(wf.dead_node_ratio, "dead_node_ratio", counts, inside),
+        "dead_node_ratio_encode", counts, encoding)
     count_sites[(agents, "similarity")] = walk_counter(agents.similarity, "similarity", counts,
                                                        inside)
     count_sites[(evaluation, "run_episode")] = counted_episode
+    count_sites[(evaluation, "transcripts_text")] = counted_transcripts
     with tempfile.TemporaryDirectory(prefix="episode_cost.") as tmp:
         for _ in range(reps):
             run(workload, Path(tmp), {(evaluation, "run_episode"): timed_episode,
@@ -185,6 +197,7 @@ def measure(workload, reps: int) -> dict:
             **{f"{name}_calls": round(counts[name] / episodes, 3) for name in CALLS},
             "rng_seedings": round(counts["derive_seed"] / episodes, 3),
             "dead_node_ratio_calls": round(counts["dead_node_ratio"] / episodes, 3),
+            "dead_node_ratio_encode_calls": round(counts["dead_node_ratio_encode"] / episodes, 3),
             "similarity_calls": round(counts["similarity"] / episodes, 3),
             **{f"repair_stops_{stop}": round(counts[f"stop_{stop}"] / episodes, 3)
                for stop in STOPS if hasattr(orchestrator, "Rank")},

@@ -367,25 +367,18 @@ def eliminate_and_refresh(net: AgentNetwork) -> ChangeLog:
             )
             if covered:
                 continue
-            matching = [
-                agent for agent in net.archive
-                if similarity(agent.goal, goal) == 1.0
-            ]
-            if matching:
-                matching.sort(key=lambda a: (-a.stats.success_ratio(), a.agent_id))
-                chosen = matching[0]
+            chosen = min((agent for agent in net.archive
+                          if similarity(agent.goal, goal) == 1.0),
+                         key=lambda a: (-a.stats.success_ratio(), a.agent_id), default=None)
+            if chosen is not None:
                 net.archive.remove(chosen)
                 chosen.life = net.config.l_init
-                _index(net, chosen)
-                net.active.append(chosen)
                 log.revived.append(chosen.agent_id)
             else:
-                spawned = AtomicAgent.from_pair(
-                    goal, procedure, net.config,
-                    agent_id=f"{goal.id}@e{net.epoch}",
-                )
-                _index(net, spawned)
-                net.active.append(spawned)
-                log.spawned.append(spawned.agent_id)
+                chosen = AtomicAgent.from_pair(goal, procedure, net.config,
+                                               agent_id=f"{goal.id}@e{net.epoch}")
+                log.spawned.append(chosen.agent_id)
+            _index(net, chosen)
+            net.active.append(chosen)
     net.epoch += 1
     return log

@@ -493,15 +493,15 @@ def read_json(path: str | FsPath, label: str):
 
 
 def read_jsonl(path: str | FsPath, parse, label: str) -> list:
-    """``parse`` each non-blank line's JSON document; a line that does not
-    parse raises ValueError naming the file and the line."""
+    """``parse`` each non-blank line's JSON document; a line that is not
+    UTF-8 or does not parse raises ValueError naming the file and the line."""
     items = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, start=1):
             try:
-                items.append(parse(json.loads(line)))
+                line = raw.decode("utf-8")
+                if line.strip():
+                    items.append(parse(json.loads(line)))
             except (AttributeError, EngineError, LookupError, RecursionError, TypeError,
                     ValueError) as exc:
                 raise ValueError(f"corrupt {label} {str(path)!r} line {number}: "

@@ -33,9 +33,11 @@ would decompose the same tree, and in an episode that does not repair
 rank decomposes, composes and verifies afresh.  Within a rank the repair
 loop never decomposes the episode's own goal: a Nest of it wraps the
 candidate being repaired.  A verdict refers to the candidate it judged,
-which computes its dead-node ratio on first read; ``solve`` reads it for
-each rank it records, so a candidate whose verdict is discarded for a
-repaired one never walks, and ranks that share a candidate walk it once.
+which walks for its dead-node ratio when the ratio is first read: by
+``_outcomes`` for a passing rank, inside the episode, and by ``to_doc``
+for every other recorded rank.  So a candidate whose verdict is
+discarded for a repaired one never walks, and ranks that share a
+candidate walk it once.
 """
 
 from __future__ import annotations
@@ -126,7 +128,8 @@ class SolveConfig:
 @dataclass(frozen=True)
 class Verdict:
     """``workflow`` is the candidate judged, whose dead-node ratio the
-    verdict reports; a verdict without one reports 0.0."""
+    verdict reports; a verdict without one reports 0.0.  The candidate
+    walks for the ratio when it is first read (module docstring)."""
 
     passed: bool
     score: float
@@ -185,11 +188,6 @@ class Rank:
     repairs: tuple[RepairRecord, ...] = ()
     stop: str | None = None
     outcomes: tuple[tuple[AtomicAgent, Outcome], ...] = ()
-
-    def __post_init__(self):
-        # Walk for the dead-node ratio now, inside the episode that records
-        # the rank, rather than when its transcript is encoded.
-        self.verdict.dead_node_ratio
 
 
 @dataclass

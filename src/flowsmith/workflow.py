@@ -42,10 +42,10 @@ procedure never changes, so each is walked once per run however often
 the solve loop reads it.  One binding walk answers both the dataflow
 check and the produced fields, so the rule that joins Branch arms is
 written once; it builds a path and a message only at a violation.  The
-walks that answer other questions take one pass each:
-:func:`dead_node_ratio` keeps one set of needed fields; and
-:func:`shape_signature` splices Sequences and Nests as it goes instead
-of building the flattened tree.
+walk for the dead-node ratio keeps one set of needed fields.
+Normalization is the one place that splices Sequences and Nests:
+:func:`shape_signature`, :func:`flatten` and :func:`find_subflows` read
+the strip-normal form it builds.
 """
 
 from __future__ import annotations
@@ -666,30 +666,21 @@ def shape_signature(w: Workflow) -> tuple[str, tuple[str, ...]]:
 
     The skeleton is that of ``normalize_node(w.root, strip_nests=True)``:
     a task is ``t``, a Sequence ``(...)`` and a Branch ``[then|else]``
-    (``-`` for no else).  One walk computes it, splicing Sequences and
-    Nests into their parent's list as normalization would.
+    (``-`` for no else).
     """
     tools: list[str] = []
-    return _skeleton(w.root, tools), tuple(sorted(tools))
-
-
-def _splice_skeletons(node: WorkflowNode, out: list[str], tools: list[str]) -> None:
-    # Appends the skeletons of the node's normal-form splice list, and its tool ids.
-    if isinstance(node, TaskNode):
-        out.append("t")
-        tools.append(node.tool_id)
-    elif isinstance(node, Branch):
-        alt = _skeleton(node.orelse, tools) if node.orelse is not None else "-"
-        out.append("[" + _skeleton(node.then, tools) + "|" + alt + "]")
-    else:
-        for child in children_of(node):
-            _splice_skeletons(child, out, tools)
+    return _skeleton(normalize_node(w.root, strip_nests=True), tools), tuple(sorted(tools))
 
 
 def _skeleton(node: WorkflowNode, tools: list[str]) -> str:
-    out: list[str] = []
-    _splice_skeletons(node, out, tools)
-    return out[0] if len(out) == 1 else "(" + "".join(out) + ")"
+    # The skeleton of a strip-normal node; its tool ids go to ``tools``.
+    if isinstance(node, TaskNode):
+        tools.append(node.tool_id)
+        return "t"
+    if isinstance(node, Branch):
+        alt = _skeleton(node.orelse, tools) if node.orelse is not None else "-"
+        return "[" + _skeleton(node.then, tools) + "|" + alt + "]"
+    return "(" + "".join([_skeleton(child, tools) for child in node.children]) + ")"
 
 
 # --- serialization -----------------------------------------------------------

@@ -165,6 +165,7 @@ def test_eval_life_config_changes_life_summary(corpora, capsys):
 
 PROFILE = {"total": 20, "node_histogram": {"1": 1.0}, "depth_histogram": {"0": 1.0}}
 SOLVE = ["solve", "--train", "{train}", "--goals", "{test}"]
+EVAL = ["eval", "--train", "{train}", "--test", "{test}", "--report", "{out}"]
 
 
 @pytest.mark.parametrize("input_doc, argv", [
@@ -193,6 +194,16 @@ SOLVE = ["solve", "--train", "{train}", "--goals", "{test}"]
       for seed in ("7", True, 7.5, [1])),
     ({**PROFILE, "tool_vocab_size": 2},
      ["gen-corpus", "--profile", "{file}", "--planted-length", "3"]),
+    (None, ["gen-corpus", "--n", "10", "--planted-length", "3", "--planted-rate", "2"]),
+    ({**PROFILE, "node_histogram": {"1": 1.5, "2": -0.5}}, ["gen-corpus", "--profile", "{file}"]),
+    ({**PROFILE, "node_histogram": {"0": 1.0}}, ["gen-corpus", "--profile", "{file}"]),
+    ({**PROFILE, "depth_histogram": {"-1": 1.0}}, ["gen-corpus", "--profile", "{file}"]),
+    ({**PROFILE, "node_histogram": {}}, ["gen-corpus", "--profile", "{file}"]),
+    (None, EVAL + ["--k", "3,1"]),
+    (None, EVAL + ["--k", "0"]),
+    (None, EVAL + ["--k", ","]),
+    (None, EVAL + ["--parallelism", "0"]),
+    (None, EVAL + ["--library", "{gone}"]),
 ], ids=["zero-records", "histogram-sum", "missing-total", "config-array",
         "life-out-of-range", "k-zero", "theta-out-of-range", "eta-out-of-range",
         "negative-budget", "theta-not-a-number", "seed-not-a-number", "planted-length",
@@ -200,14 +211,19 @@ SOLVE = ["solve", "--train", "{train}", "--goals", "{test}"]
         "boolean-l-init", "planted-rate-alone", "fractional-total",
         "fractional-vocabulary", "fractional-planted-length", "string-corpus-seed",
         "boolean-corpus-seed", "fractional-corpus-seed", "array-corpus-seed",
-        "planted-longer-than-vocabulary"])
+        "planted-longer-than-vocabulary", "planted-rate-above-one", "negative-share",
+        "zero-node-count", "negative-depth", "empty-node-histogram", "descending-k",
+        "zero-k", "empty-k-list", "zero-parallelism", "missing-library"])
 def test_bad_user_input_exits_two(corpora, capsys, input_doc, argv):
     tmp_path, train, test = corpora
     input_file = tmp_path / "input.json"
     input_file.write_text(json.dumps(input_doc))
-    names = {"{file}": str(input_file), "{train}": train, "{test}": test}
     out = tmp_path / "out.jsonl"
-    assert cli.main([names.get(arg, arg) for arg in argv] + ["--out", str(out)]) == 2
+    names = {"{file}": str(input_file), "{train}": train, "{test}": test, "{out}": str(out),
+             "{gone}": str(tmp_path / "gone.jsonl")}
+    if "{out}" not in argv:  # eval writes its report to {out}; the other verbs take --out
+        argv = argv + ["--out", "{out}"]
+    assert cli.main([names.get(arg, arg) for arg in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
 
@@ -280,6 +296,7 @@ def test_corrupt_corpus_line_exits_three(corpora, capsys):
         ("unbound-inputs", with_line(bound, lambda d: d["workflow"].update(declared_inputs=[])),
          None, None),
         ("empty-library-record", lines, ["{}"], 1),
+        ("empty-goal-id", with_line(2, lambda d: d["goal"].update(id="")), None, 2),
         ("string-schema-after-list-schema", string_after_list, None, 2),
         ("number-tool-id", with_line(task, lambda d: d["workflow"]["root"].update(tool_id=5)),
          None, task),
@@ -300,6 +317,33 @@ def test_corrupt_corpus_line_exits_three(corpora, capsys):
         err = capsys.readouterr().err
         assert str(named) in err, name
         assert line is None or f"line {line}:" in err, name
+
+
+def test_blank_lines_in_a_train_file_are_skipped(corpora):
+    tmp_path, train, _ = corpora
+    lines = open(train).read().splitlines()
+    spaced = tmp_path / "spaced.jsonl"
+    spaced.write_text("\n" + "\n\n".join(lines[:3]) + "\n \t\n" + "\n".join(lines[3:]) + "\n\n")
+    assert cp.load_corpus(spaced) == cp.load_corpus(train)
+
+
+@pytest.mark.parametrize("flag", ["--train", "--test", "--library"])
+def test_non_utf8_line_exits_three_naming_its_file_and_line(corpora, capsys, flag):
+    tmp_path, train, test = corpora
+    lines = open(test if flag == "--test" else train).read().splitlines()[:4]
+    if flag == "--library":
+        lines = [json.dumps(json.loads(line)["workflow"]) for line in lines]
+    lines[1] = lines[1][:-1] + ', "caf\xe9": 0}'  # a Latin-1 byte: not UTF-8
+    broken = tmp_path / "latin-1.jsonl"
+    broken.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+    files = {"--train": train, "--test": test, flag: str(broken)}
+    argv = ["eval", "--report", str(tmp_path / "r.json")]
+    for name, path in files.items():
+        argv += [name, path]
+    assert cli.main(argv) == 3
+    label = "library" if flag == "--library" else "corpus"
+    assert (f"corrupt {label} {str(broken)!r} line 2: UnicodeDecodeError: "
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],

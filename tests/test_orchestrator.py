@@ -408,9 +408,11 @@ def test_solve_reuses_a_repeated_rank_and_still_penalises_it(monkeypatch):
     episode = solve(net, goal, SolveConfig(seed=2, repair_budget=0),
                     expected=chain_flow([3, 4], wid="x", gid=goal.id))
     assert episode.early_failure
-    # the three recorded ranks share one verdict, so one dead-node walk
-    assert calls == {"decompose": 2, "derive_seed": 2, "compose": 1, "verify": 1,
-                     "dead_node_ratio": 1}
+    # no rank passes, so solve walks no dead-node ratio; the three recorded
+    # ranks share one verdict, so encoding them walks once
+    assert calls == {"decompose": 2, "derive_seed": 2, "compose": 1, "verify": 1}
+    episode.to_doc()
+    assert calls["dead_node_ratio"] == 1
     # budget 0: no rank runs the repair loop, so none has a stop reason
     assert [(rank.repairs, rank.stop) for rank in episode.ranks] == [((), None)] * 3
     assert outcome_ids(episode) == [[(goal.id, Outcome(p_fail=1))]] * 3
@@ -426,8 +428,9 @@ def test_solve_reuses_a_forced_rank_whose_dead_leaf_scale_control_ignores(monkey
     episode = solve(net, goal, SolveConfig(seed=2, repair_budget=0, scale_control=False),
                     expected=chain_flow([3, 4], wid="x", gid=goal.id))
     assert not episode.early_failure
-    assert calls == {"decompose": 1, "derive_seed": 1, "compose": 1, "verify": 1,
-                     "dead_node_ratio": 1}
+    assert calls == {"decompose": 1, "derive_seed": 1, "compose": 1, "verify": 1}
+    episode.to_doc()
+    assert calls["dead_node_ratio"] == 1
     assert outcome_ids(episode) == [[(goal.id, Outcome(p_fail=1))]] * 5
 
 
@@ -446,9 +449,11 @@ def test_solve_repairs_each_repeated_rank_from_the_unrepaired_candidate(monkeypa
             for rank in episode.ranks] == [(["Insert"], "budget", tuple(chain_tasks([0, 1])))] * 3
     # a rank that repairs decomposes, composes and verifies afresh, so three
     # composed candidates and three repaired ones; rank 4 finds g0 dead and
-    # fails early.  Only each rank's final verdict walks for its dead-node ratio
-    assert calls == {"decompose": 4, "derive_seed": 4, "compose": 3, "verify": 6,
-                     "dead_node_ratio": 3}
+    # fails early.  Only each rank's final verdict walks for its dead-node
+    # ratio, and since none passes, only when the episode is encoded
+    assert calls == {"decompose": 4, "derive_seed": 4, "compose": 3, "verify": 6}
+    episode.to_doc()
+    assert calls["dead_node_ratio"] == 3
 
 
 def test_solve_repairs_a_repeated_rank_with_the_draws_it_would_have_decomposed_with():
@@ -484,8 +489,9 @@ def test_solve_composes_afresh_each_rank_that_draws_another_agent(monkeypatch):
         assert [wf.task_order(rank.candidate.root) for rank in episode.ranks] == [
             tuple(chain_tasks([k])) for k in drawn]
         assert outcome_ids(episode) == [[(("ga", "gb")[k], Outcome(p_fail=1))] for k in drawn]
-        assert calls == {"decompose": 5, "derive_seed": 5, "compose": 5, "verify": 5,
-                         "dead_node_ratio": 5}
+        assert calls == {"decompose": 5, "derive_seed": 5, "compose": 5, "verify": 5}
+        episode.to_doc()  # five failing candidates, each walked when encoded
+        assert calls["dead_node_ratio"] == 5
 
 
 def test_solve_walks_the_dead_node_ratio_of_the_recorded_verdict_only(monkeypatch):

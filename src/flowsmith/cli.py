@@ -152,20 +152,20 @@ def _summarize(report: MetricsReport) -> str:
 
 
 def _cmd_gen_corpus(args: argparse.Namespace) -> int:
-    if args.planted_rate is not None and args.planted_length is None:
-        raise ConfigError("--planted-rate needs --planted-length")
-    planted = None
-    if args.planted_length is not None:
+    """Write a corpus; each planted flag replaces only its own field of the profile's spec."""
+    profile = (corpus_mod.default_profile() if args.profile == "default"
+               else corpus_mod.load_profile(args.profile))
+    planted = profile.planted
+    if args.planted_length is not None or args.planted_rate is not None:
+        if args.planted_length is None and planted is None:
+            raise ConfigError("--planted-rate needs --planted-length or a profile's planted length")
         planted = corpus_mod.PlantedSubflowSpec(
-            length=args.planted_length,
-            rate=0.2 if args.planted_rate is None else args.planted_rate,
+            length=planted.length if args.planted_length is None else args.planted_length,
+            rate=(args.planted_rate if args.planted_rate is not None
+                  else planted.rate if planted else 0.2),
         )
-    if args.profile == "default":
-        profile = corpus_mod.default_profile(planted=planted)
-    else:
-        profile = corpus_mod.load_profile(args.profile)
     profile = replace(profile, total=profile.total if args.n is None else args.n,
-                      planted=planted or profile.planted)
+                      planted=planted)
     records = corpus_mod.generate(profile, args.seed)
     corpus_mod.save_corpus(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")

@@ -90,6 +90,8 @@ DecompositionTree = Union[Resolved, Expanded]
 
 
 # The switches an ablation can turn off; each is a ``SolveConfig`` field.
+# Only goal-anchored ``verify`` reads ``output_goal``, so in oracle mode
+# turning it off changes nothing.
 ABLATABLE = ("scale_control", "verification", "hypothesis", "input_goal", "output_goal")
 
 

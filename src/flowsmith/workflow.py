@@ -83,13 +83,6 @@ class Predicate:
         if self.op != "equals" and self.value is not None:
             raise ValueError(f"{self.op} forbids a value")
 
-    def evaluate(self, context: dict[str, Literal]) -> bool:
-        if self.op == "equals":
-            return context.get(self.key) == self.value
-        if self.op == "exists":
-            return self.key in context
-        return self.key not in context
-
 
 @dataclass(frozen=True)
 class TaskNode:

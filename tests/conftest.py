@@ -149,6 +149,15 @@ def oracle_task_tools(node) -> list[str]:
     return [t.tool_id for t in wf.task_order(node)]
 
 
+def _guard_holds(cond: wf.Predicate, context: dict) -> bool:
+    """A branch guard's truth over context fields, by its documented op."""
+    if cond.op == "equals":
+        return context.get(cond.key) == cond.value
+    if cond.op == "exists":
+        return cond.key in context
+    return cond.key not in context
+
+
 def prune_branches(node, context: dict):
     """Evaluate-and-prune oracle: drop branch arms whose guard is false."""
     if isinstance(node, wf.TaskNode):
@@ -161,7 +170,7 @@ def prune_branches(node, context: dict):
                 kept.append(pruned)
         return wf.Sequence(tuple(kept))
     if isinstance(node, wf.Branch):
-        if node.cond.evaluate(context):
+        if _guard_holds(node.cond, context):
             return prune_branches(node.then, context)
         if node.orelse is not None:
             return prune_branches(node.orelse, context)

@@ -6,6 +6,8 @@ and each absolute import of that script is the standard library,
 on ``sys.path``, so its modules import by their own names).  Every
 ``bench/`` script also reads only names that the ``flowsmith`` modules it
 imports define, so a rename in the engine cannot break it unnoticed.
+Conversely, every ``bench/`` script is named by some record's command,
+so a script without a record cannot pile up.
 """
 
 import ast
@@ -25,8 +27,21 @@ ALLOWED_IMPORTS = (set(sys.stdlib_module_names) | {"flowsmith"}
                    | {path.stem for path in (ROOT / "perfbench").glob("*.py")})
 
 
+def _command_scripts(path: Path) -> list[str]:
+    """The scripts that a record's command runs, as paths from the repository root."""
+    command = json.loads(path.read_text(encoding="utf-8"))["command"]
+    return [word for word in shlex.split(command) if word.endswith(".py")]
+
+
 def test_bench_records_are_committed():
     assert RECORDS
+
+
+def test_every_bench_script_is_named_by_a_record():
+    named = {script for path in RECORDS for script in _command_scripts(path)}
+    orphans = [script.name for script in SCRIPTS
+               if script.relative_to(ROOT).as_posix() not in named]
+    assert not orphans, f"bench/ scripts that no BENCH_*.json command names: {orphans}"
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=lambda path: path.name)
@@ -34,7 +49,7 @@ def test_bench_record_names_its_script_and_both_sides(path):
     doc = json.loads(path.read_text(encoding="utf-8"))
     for key in ("command", "hardware", "what", "parent", "change"):
         assert doc.get(key), f"{path.name} lacks {key!r}"
-    scripts = [word for word in shlex.split(doc["command"]) if word.endswith(".py")]
+    scripts = _command_scripts(path)
     assert scripts, f"{path.name}: command {doc['command']!r} names no script"
     committed = subprocess.run(["git", "ls-files", "bench"], cwd=ROOT, check=True,
                                capture_output=True, text=True).stdout.split()

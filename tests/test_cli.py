@@ -128,6 +128,27 @@ def test_gen_corpus_writes_deterministic_output(tmp_path, capsys):
     assert len(out_a.read_text().splitlines()) == 50
 
 
+PLANTED_PROFILE = {"total": 200, "node_histogram": {"1": 0.2, "3": 0.4, "4": 0.4},
+                   "depth_histogram": {"0": 1.0}, "planted": {"length": 3, "rate": 0.9}}
+
+
+@pytest.mark.parametrize("flag, merged", [
+    (["--planted-length", "2"], {"length": 2, "rate": 0.9}),
+    (["--planted-rate", "0.5"], {"length": 3, "rate": 0.5}),
+], ids=["length", "rate"])
+def test_gen_corpus_flag_replaces_only_its_own_planted_field(tmp_path, capsys, flag, merged):
+    def gen(profile: dict, name: str, extra: list[str]) -> bytes:
+        (tmp_path / f"{name}.json").write_text(json.dumps(profile))
+        out = tmp_path / f"{name}.jsonl"
+        assert cli.main(["gen-corpus", "--profile", str(tmp_path / f"{name}.json"),
+                         "--seed", "7", "--out", str(out), *extra]) == 0
+        return out.read_bytes()
+
+    overridden = gen(PLANTED_PROFILE, "overridden", flag)
+    assert overridden == gen({**PLANTED_PROFILE, "planted": merged}, "merged", [])
+    assert overridden != gen(PLANTED_PROFILE, "profile", [])
+
+
 def test_solve_reports_pass_rate(corpora, capsys):
     tmp_path, train, test = corpora
     out = tmp_path / "episodes.jsonl"

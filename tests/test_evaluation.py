@@ -334,6 +334,23 @@ def test_output_goal_ablation_accepts_incomplete_outputs():
     assert relaxed.passed and relaxed.dead_node_ratio == 0.0
 
 
+@pytest.mark.parametrize("mode, changes", [("oracle", False), ("goal_anchored", True)])
+def test_output_goal_ablation_acts_only_in_goal_anchored_mode(experiment_files, mode, changes):
+    base, train, novel = experiment_files
+    runs = []
+    for disabled in ((), ("output_goal",)):
+        transcripts = base / f"{mode}-{len(disabled)}.jsonl"
+        report = run_experiment(_config(base, train, novel, mode=mode, report_path=None,
+                                        csv_path=None, transcripts_path=str(transcripts),
+                                        disabled=frozenset(disabled)))
+        runs.append((transcripts.read_bytes(), report.per_bucket, report.life_summary,
+                     report.runtime))
+    full, ablated = runs
+    assert (full[0] != ablated[0]) is changes
+    if not changes:
+        assert full[1:] == ablated[1:]
+
+
 def test_scale_control_ablation_freezes_life(experiment_files):
     base, train, novel = experiment_files
     report = ablate(_config(base, train, novel, report_path=None, csv_path=None,

@@ -12,33 +12,34 @@ the same inputs.  Each workload's inputs are those of
 ``write_inputs`` and run by ``evaluation.run_experiment`` with its
 ``experiment`` settings, as ``perfbench/run.py`` runs them.
 
-The timed passes run the experiment ``--reps`` times (default 5) and
-time every ``run_episode`` call.  Each episode keeps its best time over
-the passes; the median, p90 and sum of those best times are reported in
-ms.  One more pass counts, inside ``run_episode`` calls only (set-up and
-refresh are not counted), the walks of a workflow tree: top-level calls
-of ``workflow.normalize_node``, ``task_order``, ``produced_fields`` and
-``dataflow_violations`` (a call from inside the same function is not a
-new walk).  It also counts the ``retrieve`` and ``cover_split`` calls of
-the solve loop and how many of them the pool answered from its read
-memo, which a call that leaves the memo's size unchanged is; a pool
-without a memo answers none.  And it counts the ``decompose``,
-``compose`` and ``verify`` calls, at both the ``orchestrator`` and the
-``repair`` attributes, the rng seedings of the solve loop (calls of
-``orchestrator.derive_seed``), the ``workflow.dead_node_ratio`` calls
-(and, apart, those made while the pass encodes its transcript in
-``evaluation.transcripts_text``, where a failing rank's candidate walks)
-and the ``agents.similarity`` calls (those of ``retrieve`` and, in a
-source whose ``compatibility`` scores again, of ``compatibility``; the
-refresh runs outside ``run_episode``).  And it counts the ranks whose repair
-loop stopped for each reason (``passed``, ``stalled``, ``budget``), read
-from each ``orchestrator.Rank``'s ``stop``; a source without ``Rank``
-reports no such counts.  Each count is divided by the episodes.
-The counts repeat exactly from run to run.  The timed passes also time
-the ``evaluation.transcripts_text`` call of each experiment, which
-encodes the transcript, by encoding that pass's episodes 25 times; the
-best of those times over the passes is reported in ms.  The result is
-one JSON document on standard output.
+It does not time episodes: ``perfbench/run.py`` reports each episode's
+best ``run_episode`` time over its repetitions as ``solve_ms_p50`` and
+``solve_ms_p90``.  One pass counts the episodes and, inside
+``run_episode`` calls only (set-up and refresh are not counted), the
+walks of a workflow tree: top-level calls of ``workflow.normalize_node``,
+``task_order``, ``produced_fields`` and ``dataflow_violations`` (a call
+from inside the same function is not a new walk).  It also counts the
+``retrieve`` and ``cover_split`` calls of the solve loop and how many of
+them the pool answered from its read memo, which a call that leaves the
+memo's size unchanged is; a pool without a memo answers none.  And it
+counts the ``decompose``, ``compose`` and ``verify`` calls, at both the
+``orchestrator`` and the ``repair`` attributes, the rng seedings of the
+solve loop (calls of ``orchestrator.derive_seed``), the
+``workflow.dead_node_ratio`` calls (and, apart, those made while the
+pass encodes its transcript in ``evaluation.transcripts_text``, where a
+failing rank's candidate walks) and the ``agents.similarity`` calls
+(those of ``retrieve`` and, in a source whose ``compatibility`` scores
+again, of ``compatibility``; the refresh runs outside ``run_episode``).
+And it counts the ranks whose repair loop stopped for each reason
+(``passed``, ``stalled``, ``budget``), read from each
+``orchestrator.Rank``'s ``stop``; a source without ``Rank`` reports no
+such counts.  Each count is divided by the episodes.
+The counts repeat exactly from run to run.  The timed passes run the
+experiment ``--reps`` times (default 5) and time its
+``evaluation.transcripts_text`` call, which encodes the transcript and
+which no perfbench metric covers, by encoding that pass's episodes 25
+times; the best of those times over the passes is reported in ms.  The
+result is one JSON document on standard output.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import argparse
 import gc
 import json
 import platform
-import statistics
 import sys
 import tempfile
 from collections import Counter
@@ -119,15 +119,7 @@ def measure(workload, reps: int) -> dict:
 
     run_episode = evaluation.run_episode
     transcripts_text = evaluation.transcripts_text
-    best: dict[str, float] = {}
     encode_s: list[float] = []
-
-    def timed_episode(net, record, solve_cfg):
-        start = perf_counter()
-        result = run_episode(net, record, solve_cfg)
-        elapsed = perf_counter() - start
-        best[record.goal.id] = min(elapsed, best.get(record.goal.id, elapsed))
-        return result
 
     def timed_transcripts(episodes):
         for _ in range(ENCODES):
@@ -146,6 +138,7 @@ def measure(workload, reps: int) -> dict:
             result = run_episode(net, record, solve_cfg)
         finally:
             inside[0] = False
+        counts["episodes"] += 1
         counts.update(f"stop_{rank.stop}" for rank in getattr(result.episode, "ranks", ()))
         return result
 
@@ -177,18 +170,11 @@ def measure(workload, reps: int) -> dict:
     count_sites[(evaluation, "transcripts_text")] = counted_transcripts
     with tempfile.TemporaryDirectory(prefix="episode_cost.") as tmp:
         for _ in range(reps):
-            run(workload, Path(tmp), {(evaluation, "run_episode"): timed_episode,
-                                      (evaluation, "transcripts_text"): timed_transcripts})
+            run(workload, Path(tmp), {(evaluation, "transcripts_text"): timed_transcripts})
         run(workload, Path(tmp), count_sites)
-    ms = [1000.0 * s for s in best.values()]
-    episodes = len(ms)
+    episodes = counts["episodes"]
     return {
         "episodes": episodes,
-        "best_run_episode_ms": {
-            "median": round(statistics.median(ms), 4),
-            "p90": round(statistics.quantiles(ms, n=10)[8], 4),
-            "sum": round(sum(ms), 2),
-        },
         "best_transcripts_text_ms": round(1000.0 * min(encode_s), 2),
         "per_episode": {
             **{f"{name}_walks": round(counts[name] / episodes, 3) for name in WALKS},

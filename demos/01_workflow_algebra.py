@@ -22,12 +22,12 @@ pipeline = wf.Workflow(
 )
 
 print("== validation ==")
-report = wf.validate(pipeline)
-print(f"pipeline ok: {report.ok}")
+print(f"pipeline ok: {not wf.validate(pipeline)}")
 
 broken = wf.Workflow(root=wf.Sequence((parse, store)), declared_inputs={"record_id"})
-print(f"missing producer ok: {wf.validate(broken).ok}")
-for violation in wf.validate(broken).violations:
+violations = wf.validate(broken)
+print(f"missing producer ok: {not violations}")
+for violation in violations:
     print(f"  violation: {violation}")
 
 print("\n== metrics ==")
@@ -48,15 +48,15 @@ print("\n== branch: a guarded side path, main path untouched ==")
 retry = wf.Workflow(root=wf.TaskNode("retry_fetch", input_schema={"record_id"},
                                      output_schema={"record"}))
 guarded = wf.branch(pipeline, wf.Predicate("record", "not_exists"), retry)
-print(f"branch count: {wf.metrics(guarded, check=False).branch_count}")
+print(f"branch count: {wf.node_metrics(guarded.root).branch_count}")
 print(f"main task order unchanged: "
       f"{[t.tool_id for t in wf.task_order(guarded.root)][:3]}")
 
 print("\n== nest: wrap a subtree under a named sub-workflow boundary ==")
 nested = wf.nest(pipeline, (), "ingest", pipeline)
-print(f"depth after wrapping at the root: {wf.metrics(nested, check=False).depth}")
+print(f"depth after wrapping at the root: {wf.node_metrics(nested.root).depth}")
 flat = wf.flatten(nested)
-print(f"flatten restores depth {wf.metrics(flat, check=False).depth} and keeps order "
+print(f"flatten restores depth {wf.node_metrics(flat.root).depth} and keeps order "
       f"{[t.tool_id for t in wf.task_order(flat.root)]}")
 
 print("\n== diff and patch ==")

@@ -46,7 +46,7 @@ for rec in nested:
     trail = [f"{r.hypothesis}->{r.action}" for rank in episode.ranks for r in rank.repairs]
     final = episode.ranks[-1].candidate
     print(f"goal {rec.goal.id}: pass at rank {episode.passed_rank()}, "
-          f"depth {wf.metrics(final, check=False).depth}, repairs {trail}")
+          f"depth {wf.node_metrics(final.root).depth}, repairs {trail}")
 
 print("\n== the same novel goal without structural hypotheses ==")
 blocked = SolveConfig(seed=42, hypothesis=False)

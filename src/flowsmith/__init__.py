@@ -76,7 +76,6 @@ from .workflow import (
     Sequence,
     StructMetrics,
     TaskNode,
-    ValidationReport,
     Workflow,
     apply_edits,
     branch,

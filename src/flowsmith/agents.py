@@ -24,8 +24,10 @@ active, so the network keeps them in ``read_memo`` and answers a
 repeated question from there.  ``_index`` and ``_unindex``, which every
 change of membership goes through, clear it; a split that fails is
 never kept.  On a run of novel goals built from a small pool most
-questions repeat: the benchmark's ``repair`` workload asks about 9,000
-retrievals of 1,120 token sets.
+retrieval questions repeat: the benchmark's ``repair`` workload asks
+5,998 retrievals of 1,120 token sets.  ``cover_split`` answers repeat
+only on ``churn``, where a later rank decomposes its goal again: 0.75
+of 2.47 calls per episode, against 0 of 1.0 on ``scan`` and ``repair``.
 
 ``best_producers`` and ``goal_named`` serve only repairs and still scan
 the active list, and so does the refresh that re-covers the training
@@ -123,11 +125,9 @@ class AtomicAgent:
     @classmethod
     def from_pair(cls, goal: Goal, procedure: wf.Workflow, config: LifeConfig,
                   agent_id: str | None = None) -> "AtomicAgent":
-        report = wf.validate(procedure)
-        if not report.ok:
-            raise InvalidWorkflow(
-                f"procedure for goal {goal.id!r}: " + "; ".join(report.violations)
-            )
+        violations = wf.validate(procedure)
+        if violations:
+            raise InvalidWorkflow(f"procedure for goal {goal.id!r}: " + "; ".join(violations))
         return cls(
             agent_id=agent_id or goal.id,
             goal=goal,

@@ -76,6 +76,9 @@ class ExperimentConfig:
             object.__setattr__(self, "sweep_sizes", tuple(self.sweep_sizes))
             if not all(is_int(size) for size in self.sweep_sizes):
                 raise ConfigError(f"sweep sizes must be integers, got {list(self.sweep_sizes)!r}")
+            sizes = self.sweep_sizes
+            if min(sizes, default=0) < 0 or len(set(sizes)) != len(sizes):
+                raise ConfigError(f"sweep sizes must be distinct and >= 0, got {list(sizes)}")
         self.solve_config()
 
     def solve_config(self) -> SolveConfig:
@@ -257,11 +260,9 @@ def run_experiment(config: ExperimentConfig) -> MetricsReport:
         library = read_jsonl(config.library_path, wf.from_doc, "library")
 
     sizes = config.sweep_sizes or ()
-    bad = [size for size in sizes if not 0 <= size <= len(train)]
+    bad = [size for size in sizes if size > len(train)]
     if bad:
         raise ConfigError(f"sweep sizes must lie in [0, {len(train)}]: {bad}")
-    if len(set(sizes)) != len(sizes):
-        raise ConfigError(f"sweep sizes must be distinct: {list(sizes)}")
 
     solve_cfg = config.solve_config()
     try:

@@ -136,11 +136,11 @@ def apply(candidate: wf.Workflow, hypothesis: FailureHypothesis, net: AgentNetwo
     if outputs:
         repaired = repaired.replace(declared_outputs=repaired.declared_outputs | outputs)
 
-    report = wf.validate(repaired)
-    if not report.ok:
+    violations = wf.validate(repaired)
+    if violations:
         raise RejectedRepair(
             f"{OPERATORS[hypothesis.kind]} at {list(hypothesis.location)} breaks dataflow: "
-            + "; ".join(report.violations)
+            + "; ".join(violations)
         )
     return repaired, agent
 

@@ -192,12 +192,6 @@ class StructMetrics:
     branch_count: int
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...] = ()
-
-
 # --- tree navigation -------------------------------------------------------
 
 
@@ -319,24 +313,22 @@ def dataflow_violations(root: WorkflowNode, inputs: Iterable[str]) -> list[str]:
     return violations
 
 
-def validate(w: Workflow) -> ValidationReport:
-    """Check structural invariants plus dataflow satisfiability.
+def validate(w: Workflow) -> tuple[str, ...]:
+    """Structural and dataflow violations in walk order; none when the flow binds.
 
     An empty Sequence is tolerated only at the root, where it denotes the
     empty workflow (the concat identity); anywhere else it is a violation.
     """
-    violations = dataflow_violations(w.root, w.declared_inputs)
-    return ValidationReport(not violations, tuple(violations))
+    return tuple(dataflow_violations(w.root, w.declared_inputs))
 
 
 # --- metrics ---------------------------------------------------------------
 
 
-def metrics(w: Workflow, check: bool = True) -> StructMetrics:
-    if check:
-        report = validate(w)
-        if not report.ok:
-            raise InvalidWorkflow("; ".join(report.violations))
+def metrics(w: Workflow) -> StructMetrics:
+    violations = validate(w)
+    if violations:
+        raise InvalidWorkflow("; ".join(violations))
     return node_metrics(w.root)
 
 
@@ -487,10 +479,11 @@ def _lcs_pairs(s: tuple, t: tuple) -> list[tuple[int, int]]:
 
 
 def _permutation(s: tuple, t: tuple) -> "tuple[int, ...] | None":
-    """Source indices in target order, or None unless s and t hold the same
-    multiset (each target item takes the first unused equal source item)."""
+    """Source indices in target order, or None unless every source item is in t
+    (each target item takes the first unused equal source item, if any)."""
     used = [False] * len(s)
     perm = []
+    slack = len(t) - len(s)  # target items that may go unmatched
     for item in t:
         for j, src in enumerate(s):
             if not used[j] and (src is item or src == item):
@@ -498,24 +491,29 @@ def _permutation(s: tuple, t: tuple) -> "tuple[int, ...] | None":
                 perm.append(j)
                 break
         else:
-            return None
-    return tuple(perm)
+            slack -= 1
+            if slack < 0:
+                return None
+    return tuple(perm) if len(perm) == len(s) else None
 
 
 def _diff_children(s: tuple, t: tuple, path: Path) -> list[Edit]:
     if s == t:
         return []
-    if len(s) == len(t):
+    if len(s) <= len(t):
         perm = _permutation(s, t)
-        if perm is not None:
-            return [ReorderChildren(path, perm)]
+        if perm is not None and perm != tuple(range(len(s))):
+            edits: list[Edit] = [ReorderChildren(path, perm)]
+            if len(s) < len(t):  # the moved list is a subsequence of t: only inserts follow
+                edits += _diff_children(tuple([s[i] for i in perm]), t, path)
+            return edits
     pairs = _lcs_pairs(s, t)
     matched_s = {i for i, _ in pairs}
     matched_t = {j for _, j in pairs}
     unmatched_s = [i for i in range(len(s)) if i not in matched_s]
     unmatched_t = [j for j in range(len(t)) if j not in matched_t]
     if len(s) == len(t) and unmatched_s == unmatched_t:
-        edits: list[Edit] = []
+        edits = []
         for i in unmatched_s:
             edits.extend(_diff_nodes(s[i], t[i], path + (i,)))
         return edits
@@ -549,9 +547,10 @@ def diff(source: Workflow, target: Workflow) -> EditScript:
     is computed once per Workflow, however often that Workflow is diffed.
     Paths address the promoted-root view used by :func:`apply_edits` (the
     root seen as its splice list).  Single-edit faults (one insertion, one
-    deletion, one transposition of siblings) yield single-edit scripts;
-    arbitrary pairs still round-trip through apply_edits up to
-    normalization.
+    deletion, one transposition of siblings) yield single-edit scripts; a
+    target list that holds every source child, reordered, and more gets the
+    ReorderChildren that moves them, then only inserts.  Arbitrary pairs
+    still round-trip through apply_edits up to normalization.
     """
     return tuple(_diff_children(child_list(source.normal_root),
                                 child_list(target.normal_root), ()))

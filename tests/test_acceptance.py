@@ -360,17 +360,17 @@ def test_criterion_8_composition_algebra():
     for _ in range(1000):
         a, b, c = rng.choice(flows), rng.choice(flows), rng.choice(flows)
         joined = wf.concat(a, b)
-        if wf.metrics(joined, check=False).length != (
-            wf.metrics(a, check=False).length + wf.metrics(b, check=False).length
+        if wf.node_metrics(joined.root).length != (
+            wf.node_metrics(a.root).length + wf.node_metrics(b.root).length
         ):
             failures += 1
         if not wf.structurally_equal(wf.concat(joined, c), wf.concat(a, wf.concat(b, c))):
             failures += 1
         nested = wf.nest(a, (), "sub", b)
-        if wf.metrics(nested, check=False).depth != wf.metrics(b, check=False).depth + 1:
+        if wf.node_metrics(nested.root).depth != wf.node_metrics(b.root).depth + 1:
             failures += 1
         flat = wf.flatten(a)
-        if wf.flatten(flat).root != flat.root or wf.metrics(flat, check=False).depth != 0:
+        if wf.flatten(flat).root != flat.root or wf.node_metrics(flat.root).depth != 0:
             failures += 1
         if [t.tool_id for t in wf.task_order(flat.root)] != \
            [t.tool_id for t in wf.task_order(a.root)]:

@@ -162,7 +162,7 @@ def test_novel_linear_two_parts_length_is_sum(small_corpus):
             for pid in record.goal.subgoal_template
         )
         assert wf.node_metrics(record.workflow.root).length == want
-        assert wf.validate(record.workflow).ok
+        assert not wf.validate(record.workflow)
 
 
 def test_novel_nested_three_parts_depth_law(small_corpus):

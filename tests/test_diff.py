@@ -67,6 +67,15 @@ def test_diff_adjacent_swap_yields_single_reorder():
         assert wf.structurally_equal(wf.apply_edits(script, faulty), expected)
 
 
+def test_diff_moves_a_shorter_source_into_target_order_before_inserting():
+    t0, t1, t2, t3 = chain_tasks([0, 1, 2, 3])
+    source = mk_flow([t2, t0, t1])
+    target = mk_flow([t0, t3, t1, t2])
+    script = wf.diff(source, target)
+    assert script == (wf.ReorderChildren((), (1, 2, 0)), wf.InsertNode((1,), t3))
+    assert wf.structurally_equal(wf.apply_edits(script, source), target)
+
+
 def test_diff_deterministic():
     flows = corpus_flows(40, seed=91)
     for a in flows[:10]:
@@ -126,16 +135,11 @@ def test_diff_recurses_into_nest_bodies():
 def _reference_diff_children(s, t, path):
     if s == t:
         return []
-    if len(s) == len(t) and Counter(s) == Counter(t):
-        used = [False] * len(s)
-        perm = []
-        for item in t:
-            for j, src in enumerate(s):
-                if not used[j] and src == item:
-                    used[j] = True
-                    perm.append(j)
-                    break
-        return [wf.ReorderChildren(path, tuple(perm))]
+    if len(s) <= len(t) and not Counter(s) - Counter(t):
+        perm = _reference_permutation(s, t)
+        if perm != tuple(range(len(s))):
+            reordered = tuple(s[i] for i in perm)
+            return [wf.ReorderChildren(path, perm)] + _reference_diff_children(reordered, t, path)
     pairs = wf._lcs_pairs(s, t)
     matched_s = {i for i, _ in pairs}
     matched_t = {j for _, j in pairs}
@@ -208,7 +212,8 @@ def test_diff_matches_previous_diff_on_random_pairs_and_shuffles(a, b, rng):
 
 
 def _reference_permutation(s, t):
-    """_permutation as it was: each item matched by equality alone."""
+    """_permutation by equality alone: source indices in target order, or None
+    unless every source item appears in t."""
     used = [False] * len(s)
     perm = []
     for item in t:
@@ -217,9 +222,7 @@ def _reference_permutation(s, t):
                 used[j] = True
                 perm.append(j)
                 break
-        else:
-            return None
-    return tuple(perm)
+    return tuple(perm) if len(perm) == len(s) else None
 
 
 # Two pools of equal tasks: within a pool the items are one object, across them
@@ -235,5 +238,6 @@ def test_permutation_matches_its_equality_only_definition(pair, other, across):
     ks, shuffled = pair
     s = tuple(_POOLS[0][k] for k in ks)
     pool = _POOLS[int(across)]
-    for t in (tuple(pool[k] for k in shuffled), tuple(pool[k] for k in other)):
+    for ts in (shuffled, other, shuffled + other, other + shuffled):
+        t = tuple(pool[k] for k in ts)
         assert wf._permutation(s, t) == _reference_permutation(s, t)

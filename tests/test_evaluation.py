@@ -238,8 +238,11 @@ def test_sweep_accuracy_grows_with_pool_size(experiment_files):
     ({"parallelism": 1.5}, "parallelism must be an integer, got 1.5"),
     ({"parallelism": "2"}, "parallelism must be an integer, got '2'"),
     ({"sweep_sizes": [1, "a"]}, "sweep sizes must be integers, got [1, 'a']"),
+    ({"sweep_sizes": [5, 5]}, "sweep sizes must be distinct and >= 0, got [5, 5]"),
+    ({"sweep_sizes": [3, -1]}, "sweep sizes must be distinct and >= 0, got [3, -1]"),
     ({"disabled": "hypothesis"}, "disabled must be a set of component names, got 'hypothesis'"),
-], ids=["fractional-parallelism", "string-parallelism", "string-sweep-size", "string-disabled"])
+], ids=["fractional-parallelism", "string-parallelism", "string-sweep-size", "repeated-sweep-size",
+        "negative-sweep-size", "string-disabled"])
 def test_experiment_config_rejects_bad_types(settings, message):
     with pytest.raises(ConfigError) as caught:
         ExperimentConfig(**settings)

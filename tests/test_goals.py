@@ -102,7 +102,7 @@ def test_chained_schema_compat_matches_validator_verdict():
     composite = flows[0]
     for flow in flows[1:]:
         composite = wf.concat(composite, flow)
-    assert compat_ok == wf.validate(composite).ok
+    assert compat_ok == (not wf.validate(composite))
 
 
 def test_schema_compat_mismatch_also_matches_validator():
@@ -111,7 +111,7 @@ def test_schema_compat_mismatch_also_matches_validator():
     goal_b = g("gb", {"b"}, ins={"q"})
     composite = wf.concat(a, b)
     assert schema_compat(a.declared_inputs | a.declared_outputs, goal_b) \
-        == wf.validate(composite).ok
+        == (not wf.validate(composite))
 
 
 def test_threshold_monotonicity_of_retrieval_sets():

@@ -175,9 +175,9 @@ def test_compose_linear_tree_length_is_additive():
     tree = Expanded(_union_goal("lin", parts),
                     tuple(Resolved(p, agent_named(net, p.id)) for p in parts))
     candidate = compose(tree)
-    total = sum(wf.metrics(agent_named(net, p.id).procedure, check=False).length
+    total = sum(wf.node_metrics(agent_named(net, p.id).procedure.root).length
                 for p in parts)
-    assert wf.metrics(candidate, check=False).length == total
+    assert wf.node_metrics(candidate.root).length == total
 
 
 def test_compose_inner_expansion_adds_one_nest_level():
@@ -192,10 +192,10 @@ def test_compose_inner_expansion_adds_one_nest_level():
     )
     candidate = compose(tree)
     child_depth = max(
-        wf.metrics(agent_named(net, p.id).procedure, check=False).depth
+        wf.node_metrics(agent_named(net, p.id).procedure.root).depth
         for p in inner_parts
     )
-    assert wf.metrics(candidate, check=False).depth == child_depth + 1
+    assert wf.node_metrics(candidate.root).depth == child_depth + 1
 
 
 def test_compose_redeclares_goal_interface():
@@ -206,7 +206,7 @@ def test_compose_redeclares_goal_interface():
     candidate = compose(tree)
     assert candidate.declared_inputs == goal.input_schema
     assert candidate.goal_id == goal.id
-    assert wf.validate(candidate).ok
+    assert not wf.validate(candidate)
 
 
 def _reference_blame(verdict, tree):

@@ -171,7 +171,7 @@ def test_apply_branch_rebuilds_generated_branch_exactly():
     alt = agent_named(net, "g2").procedure  # consumes o1, produced by the host
     cond = wf.Predicate(sorted(alt.declared_outputs)[0], "exists")
     expected = wf.branch(host, cond, alt)
-    assert wf.validate(expected).ok
+    assert not wf.validate(expected)
     candidate = host.replace(declared_inputs=expected.declared_inputs)
     verdict = verify(candidate, expected, SolveConfig(mode="oracle"))
     hypothesis = diagnose(verdict, candidate, expected)
@@ -246,6 +246,25 @@ def test_repair_records_hold_the_spliced_agent():
     assert insert.to_doc()["agent_id"] == "g1"
     assert reorder.hypothesis == WRONG_ORDER and reorder.agent is None
     assert reorder.to_doc()["agent_id"] is None
+
+
+def test_repair_loop_reorders_parts_then_adds_the_branch_they_hid():
+    # Two parts in the wrong order and a missing Branch: the diff moves the
+    # parts first, so the Branch is an insert that one producer fills.
+    net = chain_pool(8)
+    t00, t03, t04 = chain_tasks([0, 3, 4])
+    branch = wf.Branch(wf.Predicate("o4", "exists"), t04)
+    expected = mk_flow([t00, t03, branch], ins={"seed", "o2"}, outs={"o0", "o3"}, gid="moved")
+    candidate = mk_flow([t03, t00], ins={"seed", "o2"}, outs={"o0", "o3"}, gid="moved")
+    verdict = verify(candidate, expected)
+    assert verdict.edit_script == (wf.ReorderChildren((), (1, 0)), wf.InsertNode((2,), branch))
+    repaired, verdict, trace, stop = repair_loop(net, _flow_goal(expected, "moved"), candidate,
+                                                 verdict, expected, SolveConfig(repair_budget=2),
+                                                 random.Random(0))
+    assert verdict.passed and stop == "passed"
+    assert [(r.action, r.agent) for r in trace] == [("Reorder", None),
+                                                     ("Branch", agent_named(net, "g4"))]
+    assert wf.structurally_equal(repaired, expected)
 
 
 def test_repair_loop_budget_exhausted_returns_trace():
@@ -395,7 +414,7 @@ def test_repair_loop_progress_is_strict_along_trace():
                                                      SolveConfig(repair_budget=budget),
                                                      random.Random(0))
         assert len(trace) == budget
-        assert wf.validate(repaired).ok
+        assert not wf.validate(repaired)
         distances.append(len(wf.diff(repaired, expected)))
     assert verdict.passed and stop == "passed"
     assert all(b < a for a, b in zip(distances, distances[1:]))

@@ -68,49 +68,47 @@ def test_produced_fields_of_a_branch_counts_what_both_arms_produce(orelse, produ
 
 def test_validate_single_task_within_declared_inputs():
     flow = mk_flow(mk_task("a", {"x"}, {"y"}), ins={"x"})
-    assert wf.validate(flow).ok
+    assert not wf.validate(flow)
 
 
 def test_validate_flags_unbound_input():
     a = mk_task("a", {"x"}, {"y"})
     b = mk_task("b", {"z"}, {"w"})  # z neither declared nor produced by a
-    report = wf.validate(mk_flow([a, b], ins={"x"}))
-    assert not report.ok
-    assert any("unbound input" in v for v in report.violations)
+    assert wf.validate(mk_flow([a, b], ins={"x"})) == ("unbound input ['z'] for task 'b' at [1]",)
 
 
 def test_validate_branch_arms_checked_independently():
     a = mk_task("a", {"x"}, {"y"})
     arm = mk_task("c", {"y"}, {"q"})  # sees the scope from before the branch
     flow = mk_flow([a, wf.Branch(wf.Predicate("x", "exists"), arm, None)], ins={"x"})
-    assert wf.validate(flow).ok
+    assert not wf.validate(flow)
 
 
 def test_validate_nest_inherits_scope():
     a = mk_task("a", {"x"}, {"y"})
     inner = mk_task("b", {"y"}, {"z"})
     flow = mk_flow([a, wf.Nest("sub", inner)], ins={"x"})
-    assert wf.validate(flow).ok
+    assert not wf.validate(flow)
 
 
 def test_validate_empty_sequence_only_at_root():
-    assert wf.validate(mk_flow([])).ok  # the empty workflow
+    assert not wf.validate(mk_flow([]))  # the empty workflow
     bad = mk_flow([mk_task("a", (), {"y"}), wf.Sequence(())])
-    assert not wf.validate(bad).ok
+    assert wf.validate(bad) == ("empty sequence at [1]",)
 
 
 def test_validate_agrees_with_independent_oracle_on_random_flows():
     rng = random.Random(2024)
     for _ in range(300):
         flow = random_flow(rng)
-        assert wf.validate(flow).ok == oracle_validate(flow)
+        assert (not wf.validate(flow)) == oracle_validate(flow)
 
 
 def test_generated_corpus_flows_all_validate(small_corpus):
     # cross-check with the recursive-descent oracle, written first
     for record in small_corpus:
         assert oracle_validate(record.workflow)
-        assert wf.validate(record.workflow).ok
+        assert not wf.validate(record.workflow)
 
 
 # --- metrics ----------------------------------------------------------------------
@@ -151,7 +149,7 @@ def test_metrics_matches_oracle_on_random_flows():
     rng = random.Random(7)
     for _ in range(200):
         flow = random_flow(rng)
-        m = wf.metrics(flow, check=False)
+        m = wf.node_metrics(flow.root)
         assert (m.length, m.depth, m.branch_count) == oracle_metrics(flow.root)
 
 
@@ -174,7 +172,7 @@ def test_flatten_idempotent_and_order_preserving_on_corpus_flows():
         once = wf.flatten(flow)
         twice = wf.flatten(once)
         assert once.root == twice.root
-        assert wf.metrics(once, check=False).depth == 0
+        assert wf.node_metrics(once.root).depth == 0
         assert oracle_task_tools(once.root) == oracle_task_tools(flow.root)
 
 
@@ -223,8 +221,8 @@ def test_concat_length_additive_over_random_pairs():
     for _ in range(1000):
         a, b = rng.choice(flows), rng.choice(flows)
         joined = wf.concat(a, b)
-        got = wf.metrics(joined, check=False).length
-        want = wf.metrics(a, check=False).length + wf.metrics(b, check=False).length
+        got = wf.node_metrics(joined.root).length
+        want = wf.node_metrics(a.root).length + wf.node_metrics(b.root).length
         assert got == want
 
 
@@ -244,9 +242,9 @@ def test_concat_associative_modulo_normalization():
 def test_branch_increments_branch_count_only():
     host = chain_flow([0, 1])
     alt = chain_flow([2])
-    before = wf.metrics(host, check=False)
+    before = wf.node_metrics(host.root)
     guarded = wf.branch(host, wf.Predicate("nope", "exists"), alt)
-    after = wf.metrics(guarded, check=False)
+    after = wf.node_metrics(guarded.root)
     assert after.branch_count == before.branch_count + 1
     assert after.depth == before.depth  # alt is flat
 
@@ -274,7 +272,7 @@ def test_branch_preserves_main_path_and_interface():
 def test_nest_at_root_adds_one_level():
     host = chain_flow([0, 1])
     nested = wf.nest(host, (), "sub", host)
-    assert wf.metrics(nested, check=False).depth == 1
+    assert wf.node_metrics(nested.root).depth == 1
 
 
 def test_nest_flatten_splice_oracle():
@@ -297,7 +295,7 @@ def test_nest_depth_law_on_corpus_bodies():
     for body in corpus_flows(50, seed=55):
         host = chain_flow([0])
         nested = wf.nest(host, (), "sub", body)
-        assert wf.metrics(nested, check=False).depth == wf.metrics(body, check=False).depth + 1
+        assert wf.node_metrics(nested.root).depth == wf.node_metrics(body.root).depth + 1
 
 
 # --- serialization ------------------------------------------------------------------
